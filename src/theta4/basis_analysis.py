@@ -191,17 +191,35 @@ def normalized_evaluation_matrix(
     return _normalize_and_align(ev, kappa0, tau.g)
 
 
+def check_null_threshold(null_threshold: float) -> None:
+    """Reject a relative null threshold outside (0, 1)."""
+    if not 0.0 < null_threshold < 1.0:
+        raise ValueError(f"null_threshold must be in (0, 1), got {null_threshold}")
+
+
+def split_nulls(
+    nulls: dict[Characteristic, complex], null_threshold: float
+) -> tuple[float, tuple[Characteristic, ...], tuple[Characteristic, ...]]:
+    """Largest null modulus top, the nulls below null_threshold * top
+    (vanishing) and those from there up to WARN_NULL_THRESHOLD * top (near)."""
+    check_null_threshold(null_threshold)
+    top = max(abs(v) for v in nulls.values())
+    vanishing = tuple(c for c, v in nulls.items() if abs(v) < null_threshold * top)
+    near = tuple(
+        c
+        for c, v in nulls.items()
+        if null_threshold * top <= abs(v) < WARN_NULL_THRESHOLD * top
+    )
+    return top, vanishing, near
+
+
 def vanishing_nulls(
     tau: PeriodMatrix,
     policy: TruncationPolicy | None = None,
     null_threshold: float = DEFAULT_NULL_THRESHOLD,
 ) -> list[Characteristic]:
     """Even characteristics whose nulls are below threshold times the largest."""
-    if not 0.0 < null_threshold < 1.0:
-        raise ValueError(f"null_threshold must be in (0, 1), got {null_threshold}")
-    nulls = theta_nulls(tau, policy)
-    top = max(abs(v) for v in nulls.values())
-    return [c for c, v in nulls.items() if abs(v) < null_threshold * top]
+    return list(split_nulls(theta_nulls(tau, policy), null_threshold)[1])
 
 
 def fourth_power_rank(
@@ -305,17 +323,8 @@ def basis_report(
     g = tau.g
     d = d_plus(g)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(g)
-    if parity(kappa0) != 1:
-        raise ValueError(f"kappa0 must be even, got odd {kappa0}")
 
-    nulls = theta_nulls(tau, policy)
-    top = max(abs(v) for v in nulls.values())
-    vanishing = tuple(c for c, v in nulls.items() if abs(v) < null_threshold * top)
-    near = tuple(
-        c
-        for c, v in nulls.items()
-        if null_threshold * top <= abs(v) < WARN_NULL_THRESHOLD * top
-    )
+    _, vanishing, near = split_nulls(theta_nulls(tau, policy), null_threshold)
 
     ev = evaluation_matrix(tau, kappa0, policy)
     ev_scaled = ev / np.max(np.abs(ev), axis=0, keepdims=True)

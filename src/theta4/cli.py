@@ -7,36 +7,41 @@ Exit code contract, shared by every subcommand:
   3  warning (near-degenerate input; verdicts not trustworthy)
 
 All file output is canonical JSON written atomically, so identical inputs
-and seeds give byte-identical reports.  THETA4_THREADS caps the number of
-worker threads used by run-suite (default 1).
+and seeds give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from theta4 import __version__
-from theta4.basis_analysis import NumericalRankPolicy, basis_report
+from theta4.basis_analysis import (
+    DEFAULT_NULL_THRESHOLD,
+    DEFAULT_RANK_POLICY,
+    NumericalRankPolicy,
+    basis_report,
+    check_null_threshold,
+    split_nulls,
+)
 from theta4.char2 import Characteristic, enumerate_characteristics, parity
 from theta4.identities import inversion_residuals, quartic_residuals
 from theta4.jsonio import (
     atomic_write_text,
     canonical_dumps,
     complex_json,
+    load_json,
     load_tau_file,
     parse_char_spec,
     parse_point_spec,
 )
 from theta4.mmatrix import build_m, verify_sign_matrix
 from theta4.theta_eval import (
+    DEFAULT_TARGET_EPS,
     PeriodMatrix,
     TruncationError,
     TruncationPolicy,
@@ -52,10 +57,10 @@ EXIT_INPUT = 2
 EXIT_WARN = 3
 
 DEFAULT_POLICIES = {
-    "target_eps": 1e-11,
+    "target_eps": DEFAULT_TARGET_EPS,
     "identity_eps": 1e-8,
-    "sv_threshold": 1e-7,
-    "null_threshold": 1e-8,
+    "sv_threshold": DEFAULT_RANK_POLICY.rel_sv_threshold,
+    "null_threshold": DEFAULT_NULL_THRESHOLD,
     "samples": 5,
     "seed": 0,
 }
@@ -82,18 +87,14 @@ def _cmd_chars(args) -> int:
 
 def _cmd_mmatrix(args) -> int:
     m = build_m(args.genus)
-    if args.emit:
-        payload = {"g": m.g, "dim": m.dim, "entries": [[int(e) for e in row] for row in m.entries]}
-        _emit(payload, args.emit)
-    if args.verify:
-        checks = verify_sign_matrix(args.genus)
-        ok = all(checks.values())
-        _emit({"g": args.genus, "dim": m.dim, "checks": checks, "ok": ok}, None)
-        return EXIT_PASS if ok else EXIT_MATH_FAIL
-    if not args.emit:
-        payload = {"g": m.g, "dim": m.dim, "entries": [[int(e) for e in row] for row in m.entries]}
-        _emit(payload, None)
-    return EXIT_PASS
+    if args.emit or not args.verify:
+        _emit({"g": m.g, "dim": m.dim, "entries": m.entries.tolist()}, args.emit)
+    if not args.verify:
+        return EXIT_PASS
+    checks = verify_sign_matrix(args.genus)
+    ok = all(checks.values())
+    _emit({"g": args.genus, "dim": m.dim, "checks": checks, "ok": ok}, None)
+    return EXIT_PASS if ok else EXIT_MATH_FAIL
 
 
 def _cmd_theta(args) -> int:
@@ -114,19 +115,17 @@ def _cmd_theta(args) -> int:
 
 def _cmd_nulls(args) -> int:
     tau = load_tau_file(args.tau)
-    policy = TruncationPolicy(target_eps=args.eps)
-    nulls = theta_nulls(tau, policy)
-    top = max(abs(v) for v in nulls.values())
+    nulls = theta_nulls(tau, TruncationPolicy(target_eps=args.eps))
+    top, vanishing, _ = split_nulls(nulls, args.null_threshold)
     rows = [
         {"char": c.to_json(), "value": complex_json(v), "abs": abs(v)} for c, v in nulls.items()
     ]
-    vanishing = [c.to_json() for c, v in nulls.items() if abs(v) < args.null_threshold * top]
     payload = {
         "g": tau.g,
         "max_abs": top,
         "null_threshold": args.null_threshold,
         "nulls": rows,
-        "vanishing": vanishing,
+        "vanishing": [c.to_json() for c in vanishing],
     }
     _emit(payload, args.out)
     return EXIT_PASS
@@ -214,23 +213,16 @@ def _load_corpus(args) -> tuple[dict, Path]:
     if not args.corpus:
         raise ValueError("run-suite needs --corpus FILE or --standard")
     path = Path(args.corpus)
-    try:
-        corpus = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read corpus file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed corpus JSON {path}: {exc}") from exc
+    corpus = load_json(path, "corpus file")
     if not isinstance(corpus, dict) or not isinstance(corpus.get("entries", []), list):
         raise ValueError("corpus must be an object with an entries array")
     return corpus, path.parent
 
 
-def _run_entry(label: str, tau: PeriodMatrix, kappa0, expect: dict, policies: dict, seed: int) -> dict:
-    policy = TruncationPolicy(target_eps=policies["target_eps"])
-    rank_policy = NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"])
-    samples = int(policies["samples"])
-    identity_eps = float(policies["identity_eps"])
-
+def _run_entry(
+    label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy,
+    rank_policy: NumericalRankPolicy, samples: int, identity_eps: float, null_threshold: float,
+) -> dict:
     result = {"label": label, "g": tau.g, "expected": expect}
     try:
         checks = verify_sign_matrix(tau.g)
@@ -247,7 +239,7 @@ def _run_entry(label: str, tau: PeriodMatrix, kappa0, expect: dict, policies: di
             kappa0=kappa0,
             policy=policy,
             rank_policy=rank_policy,
-            null_threshold=policies["null_threshold"],
+            null_threshold=null_threshold,
             seed=seed,
         )
         result["basis"] = report.to_json()
@@ -279,6 +271,16 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     """
     policies = dict(DEFAULT_POLICIES)
     policies.update(corpus.get("policies", {}))
+    settings = {
+        "policy": TruncationPolicy(target_eps=policies["target_eps"]),
+        "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
+        "samples": int(policies["samples"]),
+        "identity_eps": float(policies["identity_eps"]),
+        "null_threshold": float(policies["null_threshold"]),
+    }
+    if settings["samples"] < 1:
+        raise ValueError(f"policy samples must be >= 1, got {settings['samples']}")
+    check_null_threshold(settings["null_threshold"])
     entries = corpus.get("entries", [])
 
     prepared = []
@@ -290,26 +292,21 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         if label in labels:
             raise ValueError(f"duplicate corpus label {label!r}")
         labels.add(label)
-        tau = _tau_from_source(entry["tau"], base_dir)
+        try:
+            tau = _tau_from_source(entry["tau"], base_dir)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
         kappa0 = parse_char_spec(entry["kappa0"], tau.g) if "kappa0" in entry else None
         expect = {"vanishing_nulls": 0, "verdicts": True}
         expect.update(entry.get("expect", {}))
         prepared.append((label, tau, kappa0, expect, int(policies["seed"]) + i))
 
-    workers = max(1, int(os.environ.get("THETA4_THREADS", "1")))
-
-    def worker(item):
-        label, tau, kappa0, expect, seed = item
+    results = []
+    for label, tau, kappa0, expect, seed in prepared:
         start = time.perf_counter()
-        result = _run_entry(label, tau, kappa0, expect, policies, seed)
+        result = _run_entry(label, tau, kappa0, expect, seed, **settings)
         print(f"[{label}] {result['status']} ({time.perf_counter() - start:.2f}s)", file=sys.stderr)
-        return result
-
-    if workers > 1 and len(prepared) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, prepared))
-    else:
-        results = [worker(item) for item in prepared]
+        results.append(result)
 
     statuses = [r["status"] for r in results]
     if any(s in ("fail", "error") for s in statuses):
@@ -411,10 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (TruncationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

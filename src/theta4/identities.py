@@ -19,7 +19,6 @@ the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,8 @@ from theta4.char2 import (
     parity,
     weil_pairing,
 )
-from theta4.mmatrix import RationalMatrix, build_m
+from theta4.jsonio import complex_json
+from theta4.mmatrix import RationalMatrix, affine_table
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
@@ -73,9 +73,9 @@ class IdentityResidual:
         return {
             "kind": self.kind,
             "char": self.char.to_json(),
-            "z": [{"re": float(v.real), "im": float(v.imag)} for v in self.z],
-            "lhs": {"re": float(self.lhs.real), "im": float(self.lhs.imag)},
-            "rhs": {"re": float(self.rhs.real), "im": float(self.rhs.imag)},
+            "z": [complex_json(v) for v in self.z],
+            "lhs": complex_json(self.lhs),
+            "rhs": complex_json(self.rhs),
             "abs_residual": self.abs_residual,
             "rel_residual": self.rel_residual,
             "scale": self.scale,
@@ -126,6 +126,23 @@ def _quartic_rhs(
     return total, scale
 
 
+def _quartic_records(
+    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy
+) -> list[IdentityResidual]:
+    """Quartic records for chars at each point; the nulls are shared by all points."""
+    g = tau.g
+    all_chars = enumerate_characteristics(g)
+    nulls = {b: theta_with_char(b, np.zeros(g), tau, policy) for b in all_chars}
+    out = []
+    for z in np.asarray(points, dtype=complex):
+        at_z = {c: theta_with_char(c, z, tau, policy) for c in chars}
+        at_2z = {b: theta_with_char(b, 2.0 * z, tau, policy) for b in all_chars}
+        for c in chars:
+            rhs, scale = _quartic_rhs(c, nulls, at_2z, g)
+            out.append(_residual("quartic", c, z, tau, policy, at_z[c] ** 4, rhs, scale))
+    return out
+
+
 def riemann_quartic_check(
     c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
 ) -> IdentityResidual:
@@ -135,15 +152,7 @@ def riemann_quartic_check(
     so keeping them doubles as an odd-null check at no extra cost at desk
     scale.
     """
-    policy = policy or TruncationPolicy()
-    g = tau.g
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    all_chars = enumerate_characteristics(g)
-    nulls = {b: theta_with_char(b, np.zeros(g), tau, policy) for b in all_chars}
-    at_2z = {b: theta_with_char(b, 2.0 * z, tau, policy) for b in all_chars}
-    lhs = theta_with_char(c, z, tau, policy) ** 4
-    rhs, scale = _quartic_rhs(c, nulls, at_2z, g)
-    return _residual("quartic", c, z, tau, policy, lhs, rhs, scale)
+    return _quartic_records(tau, [z], [c], policy or TruncationPolicy())[0]
 
 
 def _inversion_sides(
@@ -163,21 +172,30 @@ def _inversion_sides(
     return lhs, rhs, scale
 
 
+def _inversion_records(
+    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy
+) -> list[IdentityResidual]:
+    """Inversion records for the even chars at each point; the sums run over all even pairs."""
+    g = tau.g
+    evens = even_characteristics(g)
+    nulls = {c: theta_with_char(c, np.zeros(g), tau, policy) for c in chars}
+    out = []
+    for z in np.asarray(points, dtype=complex):
+        at_z_fourth = {a: theta_with_char(a, z, tau, policy) ** 4 for a in evens}
+        at_2z = {c: theta_with_char(c, 2.0 * z, tau, policy) for c in chars}
+        for c in chars:
+            lhs, rhs, scale = _inversion_sides(c, at_z_fourth, nulls, at_2z, g)
+            out.append(_residual("inversion", c, z, tau, policy, lhs, rhs, scale))
+    return out
+
+
 def inversion_check(
     c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
 ) -> IdentityResidual:
     """Check the even-pair inversion of the quartic relation at one even c."""
     if parity(c) != 1:
         raise ValueError(f"inversion is stated for even pairs only, got odd {c}")
-    policy = policy or TruncationPolicy()
-    g = tau.g
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    evens = even_characteristics(g)
-    at_z_fourth = {a: theta_with_char(a, z, tau, policy) ** 4 for a in evens}
-    nulls = {c: theta_with_char(c, np.zeros(g), tau, policy)}
-    at_2z = {c: theta_with_char(c, 2.0 * z, tau, policy)}
-    lhs, rhs, scale = _inversion_sides(c, at_z_fourth, nulls, at_2z, g)
-    return _residual("inversion", c, z, tau, policy, lhs, rhs, scale)
+    return _inversion_records(tau, [z], [c], policy or TruncationPolicy())[0]
 
 
 def quartic_residuals(
@@ -192,20 +210,9 @@ def quartic_residuals(
     For each sample all characteristics are checked by default; the nulls are
     computed once per tau and the values at z and 2z once per sample.
     """
-    policy = policy or TruncationPolicy()
-    g = tau.g
-    all_chars = enumerate_characteristics(g)
-    chars = all_chars if chars is None else chars
-    nulls = {b: theta_with_char(b, np.zeros(g), tau, policy) for b in all_chars}
-    out = []
-    for z in sample_cell_points(tau, n_samples, seed):
-        at_z = {b: theta_with_char(b, z, tau, policy) for b in all_chars}
-        at_2z = {b: theta_with_char(b, 2.0 * z, tau, policy) for b in all_chars}
-        for c in chars:
-            lhs = at_z[c] ** 4
-            rhs, scale = _quartic_rhs(c, nulls, at_2z, g)
-            out.append(_residual("quartic", c, z, tau, policy, lhs, rhs, scale))
-    return out
+    chars = enumerate_characteristics(tau.g) if chars is None else chars
+    points = sample_cell_points(tau, n_samples, seed)
+    return _quartic_records(tau, points, chars, policy or TruncationPolicy())
 
 
 def inversion_residuals(
@@ -215,18 +222,8 @@ def inversion_residuals(
     policy: TruncationPolicy | None = None,
 ) -> list[IdentityResidual]:
     """Inversion residuals for all even pairs at seeded cell samples."""
-    policy = policy or TruncationPolicy()
-    g = tau.g
-    evens = even_characteristics(g)
-    nulls = {c: theta_with_char(c, np.zeros(g), tau, policy) for c in evens}
-    out = []
-    for z in sample_cell_points(tau, n_samples, seed):
-        at_z_fourth = {a: theta_with_char(a, z, tau, policy) ** 4 for a in evens}
-        at_2z = {c: theta_with_char(c, 2.0 * z, tau, policy) for c in evens}
-        for c in evens:
-            lhs, rhs, scale = _inversion_sides(c, at_z_fourth, nulls, at_2z, g)
-            out.append(_residual("inversion", c, z, tau, policy, lhs, rhs, scale))
-    return out
+    points = sample_cell_points(tau, n_samples, seed)
+    return _inversion_records(tau, points, even_characteristics(tau.g), policy or TruncationPolicy())
 
 
 def derive_inversion_coefficients(g: int) -> RationalMatrix:
@@ -238,12 +235,4 @@ def derive_inversion_coefficients(g: int) -> RationalMatrix:
     """
     if not isinstance(g, int) or not 1 <= g <= MAX_GENUS_COEFFICIENTS:
         raise ValueError(f"genus must be an integer in 1..{MAX_GENUS_COEFFICIENTS}, got {g!r}")
-    m = build_m(g)
-    denom = 2**g
-    rows = []
-    for i in range(m.dim):
-        row = m.entries[i]
-        rows.append(
-            tuple(Fraction(2 * int(row[j]) - (denom if i == j else 0), denom) for j in range(m.dim))
-        )
-    return RationalMatrix(dim=m.dim, entries=tuple(rows))
+    return affine_table(g, 2, -(2**g), 2**g)

@@ -95,20 +95,17 @@ def parse_char_spec(token: str, g: int) -> Characteristic:
     parts = token.strip().split(",")
     if len(parts) != 2:
         raise ValueError(f'characteristic must look like "a1,a2", got {token!r}')
-    halves = []
-    for part in parts:
+    halves = {}
+    for key, part in zip(("a1", "a2"), parts):
         part = part.strip()
         if len(part) == g and set(part) <= {"0", "1"}:
-            halves.append(tuple(int(ch) for ch in part))
+            halves[key] = [int(ch) for ch in part]
         else:
             try:
-                value = int(part)
+                halves[key] = int(part)
             except ValueError:
                 raise ValueError(f"cannot parse characteristic half {part!r}") from None
-            if not 0 <= value < 2**g:
-                raise ValueError(f"characteristic half {value} out of range for genus {g}")
-            halves.append(tuple((value >> (g - 1 - k)) & 1 for k in range(g)))
-    return Characteristic(halves[0], halves[1])
+    return Characteristic.from_json(halves, g)
 
 
 def parse_point_spec(token: str, g: int) -> np.ndarray:
@@ -128,13 +125,17 @@ def parse_point_spec(token: str, g: int) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def load_tau_file(path: str | Path) -> PeriodMatrix:
-    """Load a period matrix from a {"g", "re", "im"} JSON file."""
+def load_json(path: str | Path, what: str):
+    """Parse a JSON file; read and parse failures become ValueError naming what."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValueError(f"cannot read period matrix file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON in period matrix file {path}: {exc}") from exc
-    return PeriodMatrix.from_json(obj)
+        raise ValueError(f"malformed JSON in {what} {path}: {exc}") from exc
+
+
+def load_tau_file(path: str | Path) -> PeriodMatrix:
+    """Load a period matrix from a {"g", "re", "im"} JSON file."""
+    return PeriodMatrix.from_json(load_json(path, "period matrix file"))

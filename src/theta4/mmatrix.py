@@ -68,8 +68,8 @@ def build_m(g: int) -> SignMatrix:
     """Assemble the sign matrix for genus g in canonical even-pair order."""
     _check_genus(g)
     evens = even_characteristics(g)
-    a1 = np.array([int("".join(map(str, c.a1)), 2) for c in evens], dtype=np.uint64)
-    a2 = np.array([int("".join(map(str, c.a2)), 2) for c in evens], dtype=np.uint64)
+    index = np.array([c.index for c in evens], dtype=np.uint64)
+    a1, a2 = index >> g, index & (2**g - 1)
     cross = np.bitwise_count(a1[:, None] & a2[None, :]) + np.bitwise_count(a2[:, None] & a1[None, :])
     entries = np.where(cross & 1, -1, 1).astype(np.int64)
     return SignMatrix(g=g, dim=len(evens), entries=entries, index_map=tuple(evens))
@@ -98,17 +98,20 @@ def row_sum_closed_form(g: int, a: Characteristic) -> int:
     return parity(a) * 2 ** (g - 1)
 
 
+def affine_table(g: int, p: int, q: int, denom: int) -> RationalMatrix:
+    """Exact rational table (p M + q I) / denom in canonical even-pair order."""
+    m = build_m(g)
+    rows = tuple(
+        tuple(Fraction(p * int(e) + (q if i == j else 0), denom) for j, e in enumerate(row))
+        for i, row in enumerate(m.entries)
+    )
+    return RationalMatrix(dim=m.dim, entries=rows)
+
+
 def inverse_m(g: int) -> RationalMatrix:
     """Exact inverse (M - 2^(g-1) I) / 2^(2g-1)."""
     _check_genus(g)
-    m = build_m(g)
-    shift = 2 ** (g - 1)
-    denom = 2 ** (2 * g - 1)
-    rows = []
-    for i in range(m.dim):
-        row = m.entries[i]
-        rows.append(tuple(Fraction(int(row[j]) - (shift if i == j else 0), denom) for j in range(m.dim)))
-    return RationalMatrix(dim=m.dim, entries=tuple(rows))
+    return affine_table(g, 1, -(2 ** (g - 1)), 2 ** (2 * g - 1))
 
 
 def apply(m: SignMatrix | RationalMatrix, v: Sequence[Rational]) -> list[Fraction]:

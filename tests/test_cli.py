@@ -119,6 +119,14 @@ class TestNulls:
         assert payload["vanishing"] == []
 
 
+@pytest.mark.parametrize("command", ["nulls", "basis-report"])
+@pytest.mark.parametrize("threshold", ["0", "1.5"])
+def test_out_of_range_null_threshold_rejected(capsys, diag_ii, command, threshold):
+    code, payload = run(capsys, command, "--tau", diag_ii, "--null-threshold", threshold)
+    assert code == 2
+    assert payload is None
+
+
 class TestVerifyIdentities:
     def test_quartic_passes(self, capsys, rand_g2):
         code, payload = run(
@@ -235,14 +243,29 @@ class TestRunSuite:
         code, _ = run(capsys, "run-suite", "--corpus", str(corpus))
         assert code == 2
 
-    def test_thread_cap_does_not_change_report(self, capsys, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        assert main(["run-suite", "--standard", "--out", str(serial)]) == 0
-        monkeypatch.setenv("THETA4_THREADS", "3")
-        assert main(["run-suite", "--standard", "--out", str(threaded)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_malformed_tau_source_names_entry(self, capsys, tmp_path):
+        good = {"label": "ok", "tau": {"kind": "random", "g": 1, "seed": 0}}
+        bad = {"label": "bad", "tau": {"kind": "diagonal", "entries": [{"re": 0}]}}
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"entries": [good, bad]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["run-suite", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert "corpus entry 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "policies", [{"samples": 0}, {"null_threshold": 0.0}, {"null_threshold": 1.5}]
+    )
+    def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
+        entry = {"label": "g1", "tau": {"kind": "random", "g": 1, "seed": 0}}
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"policies": policies, "entries": [entry]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["run-suite", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert "[g1]" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_warn_entry_rolls_up_to_warn(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.json"

@@ -60,11 +60,14 @@ class TestQuartic:
         assert res.kind == "quartic" and res.tau is tau_g2_random
 
     def test_batch_matches_single(self, tau_g2_random):
-        batch = quartic_residuals(tau_g2_random, n_samples=1, seed=9)
         z = sample_cell_points(tau_g2_random, 1, seed=9)[0]
-        for res in batch[:3]:
-            single = riemann_quartic_check(res.char, z, tau_g2_random)
-            assert single.lhs == res.lhs and single.rhs == res.rhs
+        for batch_fn, single_fn in (
+            (quartic_residuals, riemann_quartic_check),
+            (inversion_residuals, inversion_check),
+        ):
+            for res in batch_fn(tau_g2_random, n_samples=1, seed=9)[:3]:
+                single = single_fn(res.char, z, tau_g2_random)
+                assert single.lhs == res.lhs and single.rhs == res.rhs
 
 
 class TestInversion:
