@@ -10,11 +10,21 @@ an integer box recentred where the summand's modulus peaks, with the radius
 chosen so that a rigorous Gaussian tail bound falls below the policy's
 target.  Everything runs in double-precision complex; the advertised
 accuracy is absolute, of the order of the policy target.
+
+The top half a1 and the point z fix the box, the radius and the tail bound;
+the bottom half a2 only flips the sign of the term for m by (-1)^(m.a2) and
+multiplies the sum by exp(pi i a1.a2 / 2).  One lattice sum per (a1, z)
+therefore serves all 2^g second halves.  theta_series memoizes these groups
+on the PeriodMatrix, keyed by policy, radius override, a1 and z, for the
+life of that object, so the nulls and the values at z and 2z are computed
+once per tau however many stages read them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +36,9 @@ MIN_IM_EIGENVALUE = 1e-6
 
 DEFAULT_TARGET_EPS = 1e-11
 MAX_ALLOWED_RADIUS = 64
+
+# largest argument math.exp takes without overflowing
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 class TruncationError(RuntimeError):
@@ -85,6 +98,8 @@ class PeriodMatrix:
         arr.setflags(write=False)
         self._tau = arr
         self._lambda_min = lam
+        # (policy, radius_override, a1, z bytes) -> theta_series group, see _theta_group
+        self._theta_memo: dict = {}
 
     @property
     def tau(self) -> np.ndarray:
@@ -150,37 +165,36 @@ def _tail_bound(g: int, lam: float, amp: float, r0: float, radius: float) -> flo
     return amp * 2.0 * g * line ** (g - 1) * decay
 
 
-def theta_series(
-    c: Characteristic,
-    z,
+def _theta_group(
+    a1: tuple[int, ...],
+    z: np.ndarray,
     tau: PeriodMatrix,
-    policy: TruncationPolicy | None = None,
-    radius_override: int | None = None,
-) -> ThetaValue:
-    """Evaluate the theta series, reporting the radius and tail bound used.
+    policy: TruncationPolicy,
+    radius_override: int | None,
+) -> tuple[np.ndarray, int, float]:
+    """One lattice sum for the top half a1 at z, resolved into all 2^g second halves.
 
-    The integer box is recentred at the modulus peak of the summand, i.e. at
-    -(a1/2 + Y^{-1} Im z) with Y = Im tau.  The returned tail_bound is an
-    upper bound for the discarded mass; radius_override forces a radius
-    (within the cap) instead of searching for the smallest sufficient one.
+    Returns (values, radius, tail_bound); values[k] belongs to the a2 whose
+    bits, most significant first, spell k.  With alpha = a1/2 and the summed
+    n = m + alpha, theta[a1, a2](z) = e^{pi i alpha.a2} sum over parity
+    classes p of (-1)^{p.a2} S_p, where S_p sums the a2-free terms
+    exp(pi i [n' tau n + 2 n' z]) over the m with m = p mod 2.
     """
-    policy = policy or DEFAULT_POLICY
     g = tau.g
-    if c.g != g:
-        raise ValueError(f"genus mismatch: characteristic {c.g}, tau {g}")
-    z = _as_point(z, g)
-
-    alpha = np.array(c.a1, dtype=float) / 2.0
-    beta = np.array(c.a2, dtype=float) / 2.0
+    alpha = np.array(a1, dtype=float) / 2.0
     y = z.imag
     w = np.linalg.solve(tau.tau.imag, y)
     lam = tau.lambda_min
-    amp = math.exp(math.pi * float(y @ w))
+    exponent = math.pi * float(y @ w)
+    if exponent > _MAX_EXP_ARG:
+        raise ValueError(
+            f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
+            f"(exponent {exponent:.4g} > {_MAX_EXP_ARG:.4g})"
+        )
+    amp = math.exp(exponent)
     r0 = float(np.max(np.abs(w))) + 1.0
 
     if radius_override is not None:
-        if not 1 <= radius_override <= policy.max_radius:
-            raise ValueError(f"radius_override must be in 1..{policy.max_radius}")
         radius = radius_override
     else:
         radius = None
@@ -196,11 +210,52 @@ def theta_series(
 
     center = -alpha - w
     axes = [np.arange(math.ceil(center[j] - radius), math.floor(center[j] + radius) + 1) for j in range(g)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    n = grid + alpha
-    phase = np.einsum("ij,jk,ik->i", n, tau.tau, n) + 2.0 * (n @ (z + beta))
-    value = complex(np.exp(1j * np.pi * phase).sum())
-    return ThetaValue(value=value, tail_bound=_tail_bound(g, lam, amp, r0, radius), radius=radius)
+    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+    n = m + alpha
+    terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ z)))
+    parity_class = (m & 1) @ (1 << np.arange(g - 1, -1, -1))
+    sums = np.bincount(parity_class, terms.real, 2**g) + 1j * np.bincount(
+        parity_class, terms.imag, 2**g
+    )
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))
+    signs = 1 - 2 * ((bits @ bits.T) & 1)
+    values = np.exp(1j * np.pi * (bits @ alpha)) * (signs @ sums)
+    return values, radius, _tail_bound(g, lam, amp, r0, radius)
+
+
+def theta_series(
+    c: Characteristic,
+    z,
+    tau: PeriodMatrix,
+    policy: TruncationPolicy | None = None,
+    radius_override: int | None = None,
+) -> ThetaValue:
+    """Evaluate the theta series, reporting the radius and tail bound used.
+
+    The integer box is recentred at the modulus peak of the summand, i.e. at
+    -(a1/2 + Y^{-1} Im z) with Y = Im tau.  The returned tail_bound is an
+    upper bound for the discarded mass; radius_override forces a radius
+    (within the cap) instead of searching for the smallest sufficient one.
+
+    The first call for a (policy, radius_override, a1, z) evaluates the
+    whole group of 2^g second halves a2 and memoizes it on tau; later calls
+    for any a2 of that group are lookups.
+    """
+    policy = policy or DEFAULT_POLICY
+    g = tau.g
+    if c.g != g:
+        raise ValueError(f"genus mismatch: characteristic {c.g}, tau {g}")
+    z = _as_point(z, g) + 0.0
+    if radius_override is not None and not 1 <= radius_override <= policy.max_radius:
+        raise ValueError(f"radius_override must be in 1..{policy.max_radius}")
+
+    key = (policy, radius_override, c.a1, z.tobytes())
+    group = tau._theta_memo.get(key)
+    if group is None:
+        group = tau._theta_memo[key] = _theta_group(c.a1, z, tau, policy, radius_override)
+    values, radius, tail_bound = group
+    value = complex(values[c.index & (2**g - 1)])
+    return ThetaValue(value=value, tail_bound=tail_bound, radius=radius)
 
 
 def theta_with_char(

@@ -105,6 +105,16 @@ class TestTheta:
         code, _ = run(capsys, "theta", "--tau", str(tmp_path / "nope.json"), "--char", "0,0")
         assert code == 2
 
+    def test_overflowing_point_is_input_error(self, capsys, tau_file):
+        # exp(pi y'Y^-1 y) = exp(900 pi) is beyond double range: no traceback, exit 2
+        tau_i = tau_file("tau_i.json", PeriodMatrix([[1j]]))
+        code = main(["theta", "--tau", tau_i, "--char", "0,0", "--z", "0,30"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "30j" in captured.err
+
 
 class TestNulls:
     def test_product_lists_vanishing(self, capsys, diag_ii):
@@ -193,6 +203,34 @@ class TestRunSuite:
         report = json.loads(first.read_text())
         assert report["rollup"] == "pass"
         assert [e["status"] for e in report["entries"]] == ["pass", "pass", "pass"]
+
+    def test_standard_verdicts_pinned(self, capsys):
+        # float digits may move when the kernel's summation order changes; verdicts may not
+        code, report = run(capsys, "run-suite", "--standard")
+        assert code == 0
+        assert report["rollup"] == "pass"
+        verdicts = {
+            e["label"]: (
+                e["status"],
+                e["mmatrix_ok"],
+                e["quartic_ok"],
+                e["inversion_ok"],
+                e["basis"]["ev_matrix_rank"],
+                e["basis"]["fourth_power_rank"],
+                e["basis"]["point_basis_verdict"],
+                e["basis"]["fourth_power_basis_verdict"],
+                e["basis"]["consistent"],
+                e["basis"]["vanishing_nulls"],
+                e["basis"]["near_vanishing_nulls"],
+            )
+            for e in report["entries"]
+        }
+        product_null = [{"a1": [1, 1], "a2": [1, 1]}]
+        assert verdicts == {
+            "g1-elliptic-i": ("pass", True, True, True, 3, 3, True, True, True, [], []),
+            "g2-random-7": ("pass", True, True, True, 10, 10, True, True, True, [], []),
+            "g2-product-ii": ("pass", True, True, True, 9, 9, False, False, True, product_null, []),
+        }
 
     def test_empty_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "empty.json"

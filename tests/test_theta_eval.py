@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import theta4.theta_eval as theta_eval
 from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics, parity
 from theta4.theta_eval import (
     PeriodMatrix,
@@ -34,6 +35,46 @@ def brute_theta(c: Characteristic, z, tau, radius: int) -> complex:
         lin = sum(n[i] * (z[i] + c.a2[i] / 2.0) for i in range(g))
         total += cmath.exp(1j * math.pi * (quad + 2.0 * lin))
     return total
+
+
+def meshgrid_theta(c: Characteristic, z, tau: PeriodMatrix, radius: int) -> complex:
+    """One characteristic summed over the kernel's recentred box, a2 inside the phase."""
+    g = tau.g
+    alpha = np.array(c.a1, dtype=float) / 2.0
+    beta = np.array(c.a2, dtype=float) / 2.0
+    center = -alpha - np.linalg.solve(tau.tau.imag, z.imag)
+    axes = [np.arange(math.ceil(cj - radius), math.floor(cj + radius) + 1) for cj in center]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+    n = grid + alpha
+    phase = np.einsum("ij,jk,ik->i", n, tau.tau, n) + 2.0 * (n @ (z + beta))
+    return complex(np.exp(1j * np.pi * phase).sum())
+
+
+def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int, float]:
+    """Smallest radius whose _tail_bound meets the target, with that bound."""
+    y = np.asarray(z).imag
+    w = np.linalg.solve(tau.tau.imag, y)
+    amp = math.exp(math.pi * float(y @ w))
+    r0 = float(np.max(np.abs(w))) + 1.0
+    for r in range(math.floor(r0) + 1, policy.max_radius + 1):
+        bound = theta_eval._tail_bound(tau.g, tau.lambda_min, amp, r0, r)
+        if bound <= policy.target_eps:
+            return r, bound
+    raise AssertionError("no radius meets the target")
+
+
+@pytest.fixture()
+def group_builds(monkeypatch):
+    """Arguments of every lattice sum theta_series runs."""
+    calls = []
+    build = theta_eval._theta_group
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(theta_eval, "_theta_group", counting)
+    return calls
 
 
 class TestPolicy:
@@ -124,6 +165,95 @@ class TestValues:
             theta_with_char(Characteristic.zero(1), [0.0, 0.0], tau_g1_i)
         with pytest.raises(ValueError):
             theta_with_char(Characteristic.zero(1), [complex(math.inf, 0)], tau_g1_i)
+
+
+class TestGroupKernel:
+    @pytest.mark.parametrize("g, radius", [(1, 16), (2, 12)])
+    def test_every_char_matches_brute_force(self, g, radius):
+        tau = random_tau(g, seed=5)
+        tau_list = tau.tau.tolist()
+        corner = Characteristic((1,) * g, (1,) * g)
+        points = {
+            "zero": np.zeros(g, dtype=complex),
+            "cell": sample_cell_points(tau, 1, seed=4)[0],
+            "two-torsion": 2.0 * two_torsion_point(corner, tau),
+        }
+        for label, z in points.items():
+            for c in enumerate_characteristics(g):
+                expected = brute_theta(c, z, tau_list, radius)
+                got = theta_series(c, z, tau).value
+                assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected)), (label, c)
+
+    def test_g3_group_matches_per_char_sum(self, group_builds):
+        tau = random_tau(3, seed=11)
+        z = sample_cell_points(tau, 1, seed=2)[0]
+        radius, bound = searched_radius(z, tau, TruncationPolicy())
+        for a2 in itertools.product((0, 1), repeat=3):
+            c = Characteristic((1, 0, 1), a2)
+            result = theta_series(c, z, tau)
+            assert result.radius == radius
+            assert result.tail_bound == bound
+            expected = meshgrid_theta(c, z, tau, radius)
+            assert abs(result.value - expected) <= 1e-12 * max(1.0, abs(expected)), a2
+        assert len(group_builds) == 1
+
+    def test_one_sum_per_top_half_and_point(self, group_builds):
+        tau = random_tau(2, seed=6)
+        z = sample_cell_points(tau, 1, seed=1)[0]
+        for c in enumerate_characteristics(2):
+            theta_series(c, z, tau)
+            theta_series(c, 2.0 * z, tau)
+        built = sorted((args[0], args[1].tobytes()) for args in group_builds)
+        top_halves = itertools.product((0, 1), repeat=2)
+        assert built == sorted((a1, p.tobytes()) for a1 in top_halves for p in (z, 2.0 * z))
+
+    def test_overflowing_scale_names_point(self, tau_g1_i):
+        with pytest.raises(ValueError, match="30j"):
+            theta_series(Characteristic.zero(1), [30j], tau_g1_i)
+
+
+class TestMemoKeys:
+    def test_target_eps_changes_radius(self):
+        z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
+        c = Characteristic((0, 1), (1, 1))
+        strict, loose = TruncationPolicy(target_eps=1e-11), TruncationPolicy(target_eps=1e-6)
+        for order in ((strict, loose), (loose, strict)):
+            tau = random_tau(2, seed=8)
+            radii = [theta_series(c, z, tau, p).radius for p in order]
+            assert radii == [searched_radius(z, tau, p)[0] for p in order]
+        assert searched_radius(z, tau, loose)[0] < searched_radius(z, tau, strict)[0]
+
+    def test_radius_override_and_default_kept_apart(self):
+        z = np.array([0.2 + 0.3j, -0.1 + 0.2j])
+        c = Characteristic((1, 0), (0, 1))
+        fresh = theta_series(c, z, random_tau(2, seed=9))
+
+        tau = random_tau(2, seed=9)
+        assert theta_series(c, z, tau).value == fresh.value
+        forced = theta_series(c, z, tau, radius_override=fresh.radius + 2)
+        assert forced.radius == fresh.radius + 2
+        assert forced.tail_bound < fresh.tail_bound
+
+        tau = random_tau(2, seed=9)
+        assert theta_series(c, z, tau, radius_override=1).radius == 1
+        assert theta_series(c, z, tau) == fresh
+
+    def test_signed_zero_shares_group(self, group_builds):
+        tau = random_tau(1, seed=2)
+        negative = theta_series(Characteristic.zero(1), [complex(-0.0, -0.0)], tau)
+        positive = theta_series(Characteristic.zero(1), [0.0], tau)
+        assert negative == positive
+        assert len(group_builds) == 1
+
+    def test_argument_errors_precede_lookup(self, group_builds, zero1):
+        tau = random_tau(1, seed=3)
+        theta_series(Characteristic.zero(1), zero1, tau)
+        with pytest.raises(ValueError, match="genus mismatch"):
+            theta_series(Characteristic.zero(2), zero1, tau)
+        for radius in (0, 65):
+            with pytest.raises(ValueError, match="radius_override"):
+                theta_series(Characteristic.zero(1), zero1, tau, radius_override=radius)
+        assert len(group_builds) == 1
 
 
 class TestNulls:
