@@ -3,7 +3,10 @@
 A characteristic of genus g is a pair (a1, a2) of g-bit vectors.  It indexes
 both a theta function and a two-torsion point, and carries a parity
 (-1)^(a1.a2).  The symplectic pairing and the quadratic forms kappa_c take
-values in {+1, -1}; signs are plain Python ints throughout.
+values in {+1, -1}; signs are plain Python ints throughout.  Each
+characteristic also carries its halves as g-bit ints (MSB first, like the
+canonical index), so a GF(2) dot product is the parity of the popcount of an
+AND.
 
 Coordinate conventions fixed here, used consistently by every other module:
 
@@ -16,6 +19,7 @@ Coordinate conventions fixed here, used consistently by every other module:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,8 +43,14 @@ def _check_genus(g: int) -> None:
         raise ValueError(f"genus must be an integer in 1..{MAX_GENUS}, got {g!r}")
 
 
-def _dot(u: Bits, v: Bits) -> int:
-    return sum(x & y for x, y in zip(u, v)) & 1
+def _bit(value: object) -> int:
+    try:
+        bit = operator.index(value)
+    except TypeError:
+        bit = None
+    if bit not in (0, 1):
+        raise ValueError(f"coordinates must be integer bits 0 or 1, got {value!r}")
+    return bit
 
 
 def _xor(u: Bits, v: Bits) -> Bits:
@@ -66,15 +76,16 @@ class Characteristic:
     a2: Bits
 
     def __post_init__(self) -> None:
-        a1 = tuple(self.a1)
-        a2 = tuple(self.a2)
+        a1 = tuple(map(_bit, self.a1))
+        a2 = tuple(map(_bit, self.a2))
         if len(a1) != len(a2):
             raise ValueError(f"a1 and a2 must have equal length, got {len(a1)} and {len(a2)}")
         _check_genus(len(a1))
-        if any(b not in (0, 1) for b in a1 + a2):
-            raise ValueError(f"coordinates must be bits in {{0, 1}}: {a1}, {a2}")
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
+        # the halves as g-bit ints; not fields, so ==, hash, repr and JSON ignore them
+        object.__setattr__(self, "_h1", _bits_to_int(a1))
+        object.__setattr__(self, "_h2", _bits_to_int(a2))
 
     @property
     def g(self) -> int:
@@ -83,11 +94,11 @@ class Characteristic:
     @property
     def index(self) -> int:
         """Canonical index: high g bits a1, low g bits a2, MSB first."""
-        return _bits_to_int(self.a1) << self.g | _bits_to_int(self.a2)
+        return self._h1 << self.g | self._h2
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.a1) and not any(self.a2)
+        return not (self._h1 | self._h2)
 
     @classmethod
     def zero(cls, g: int) -> "Characteristic":
@@ -118,7 +129,7 @@ class Characteristic:
         for key in ("a1", "a2"):
             value = obj.get(key)
             if isinstance(value, (list, tuple)):
-                halves.append(tuple(int(b) for b in value))
+                halves.append(value)
             elif isinstance(value, int):
                 if g is None:
                     raise ValueError("integer characteristic halves need an explicit genus")
@@ -137,7 +148,7 @@ class Characteristic:
 
 
 def _check_same_genus(a: Characteristic, b: Characteristic) -> None:
-    if a.g != b.g:
+    if len(a.a1) != len(b.a1):  # a.g != b.g without two property calls per pairing
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
 
 
@@ -154,13 +165,13 @@ def enumerate_characteristics(g: int) -> list[Characteristic]:
 
 def parity(c: Characteristic) -> int:
     """+1 for even characteristics (a1.a2 = 0 over GF(2)), -1 for odd."""
-    return -1 if _dot(c.a1, c.a2) else 1
+    return -1 if (c._h1 & c._h2).bit_count() & 1 else 1
 
 
 def weil_pairing(a: Characteristic, b: Characteristic) -> int:
     """Symplectic pairing (-1)^(a1.b2 + a2.b1); symmetric and bilinear."""
     _check_same_genus(a, b)
-    return -1 if (_dot(a.a1, b.a2) ^ _dot(a.a2, b.a1)) else 1
+    return -1 if ((a._h1 & b._h2) ^ (a._h2 & b._h1)).bit_count() & 1 else 1
 
 
 def kappa_value(c: Characteristic, a: Characteristic) -> int:
@@ -170,8 +181,8 @@ def kappa_value(c: Characteristic, a: Characteristic) -> int:
     for c = 0 it reduces to the parity of a.
     """
     _check_same_genus(c, a)
-    e = _dot(a.a1, a.a2) ^ _dot(c.a1, a.a2) ^ _dot(c.a2, a.a1)
-    return -1 if e else 1
+    e = (a._h1 & a._h2) ^ (c._h1 & a._h2) ^ (c._h2 & a._h1)
+    return -1 if e.bit_count() & 1 else 1
 
 
 def translate(b: Characteristic, c: Characteristic) -> Characteristic:

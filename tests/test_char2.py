@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from theta4.char2 import (
+    MAX_GENUS,
     Characteristic,
     d_minus,
     d_plus,
@@ -20,6 +24,26 @@ from theta4.char2 import (
 
 def char(a1, a2):
     return Characteristic(tuple(a1), tuple(a2))
+
+
+def dot(u, v):
+    return sum(x & y for x, y in zip(u, v)) & 1
+
+
+def ref_parity(c):
+    return -1 if dot(c.a1, c.a2) else 1
+
+
+def ref_pairing(a, b):
+    return -1 if dot(a.a1, b.a2) ^ dot(a.a2, b.a1) else 1
+
+
+def ref_kappa(c, a):
+    return -1 if dot(a.a1, a.a2) ^ dot(c.a1, a.a2) ^ dot(c.a2, a.a1) else 1
+
+
+def ref_index(c):
+    return int("".join(map(str, c.a1 + c.a2)), 2)
 
 
 def sampled_pairs(g, n, seed):
@@ -90,6 +114,91 @@ class TestCharacteristic:
 
     def test_str(self):
         assert str(char((1, 0), (0, 1))) == "10,01"
+
+    @pytest.mark.parametrize("bad", [1.0, 0.0, 0.5, np.float64(1.0), "1", "0", None, -1])
+    def test_rejects_non_bit_values(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            char((0, bad), (0, 0))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            char((0, 0), (bad, 0))
+
+    def test_numpy_ints_are_stored_as_python_ints(self):
+        c = char(np.array([1, 0], dtype=np.int64), (np.uint8(0), np.int32(1)))
+        assert c == char((1, 0), (0, 1))
+        assert all(type(b) is int for b in c.a1 + c.a2)
+        assert c.index == 0b1001 and weil_pairing(c, char((0, 1), (1, 0))) == 1
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"a1": [0.9], "a2": [1.2]},
+            {"a1": [1.0], "a2": [0]},
+            {"a1": [0], "a2": ["1"]},
+            {"a1": [0, "x"], "a2": [0, 0]},
+        ],
+    )
+    def test_json_rejects_non_integer_bits(self, obj):
+        bad = next(b for b in obj["a1"] + obj["a2"] if not isinstance(b, int))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Characteristic.from_json(obj)
+
+
+class TestIntegerHalves:
+    """The cached g-bit ints agree with the bit tuples and change nothing visible."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_match_bit_reference_exhaustive(self, g):
+        chars = enumerate_characteristics(g)
+        for c in chars:
+            assert parity(c) == ref_parity(c)
+            assert c.index == ref_index(c)
+            assert c.is_zero == (ref_index(c) == 0)
+        for a, b in itertools.product(chars, repeat=2):
+            assert weil_pairing(a, b) == ref_pairing(a, b)
+            assert kappa_value(a, b) == ref_kappa(a, b)
+
+    def test_match_bit_reference_sampled_max_genus(self):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2, size=(2000, 2, 2, MAX_GENUS)).tolist()
+        for (a1, a2), (b1, b2) in bits:
+            a, b = char(a1, a2), char(b1, b2)
+            assert parity(a) == ref_parity(a) and parity(b) == ref_parity(b)
+            assert a.index == ref_index(a)
+            assert weil_pairing(a, b) == ref_pairing(a, b)
+            assert kappa_value(a, b) == ref_kappa(a, b)
+            assert kappa_value(b, a) == ref_kappa(b, a)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        for g in (1, 2, 3):
+            for c in enumerate_characteristics(g):
+                same = char(list(c.a1), list(c.a2))
+                assert same == c == Characteristic.from_index(g, c.index)
+                assert hash(same) == hash(c) == hash(Characteristic.from_ints(g, c.index >> g, c.index % 2**g))
+                assert len({same, c}) == 1
+        c = char((1, 0), (0, 1))
+        assert repr(c) == "Characteristic(a1=(1, 0), a2=(0, 1))"
+        assert c.to_json() == {"a1": [1, 0], "a2": [0, 1]}
+        assert [f.name for f in dataclasses.fields(c)] == ["a1", "a2"]
+
+    def test_pickle_round_trip(self):
+        chars = enumerate_characteristics(3)
+        back = pickle.loads(pickle.dumps(chars))
+        assert back == chars
+        for a, b in zip(back, back[::-1]):
+            assert a.index == ref_index(a)
+            assert weil_pairing(a, b) == ref_pairing(a, b)
+            assert kappa_value(a, b) == ref_kappa(a, b)
+
+    def test_replace_recomputes_the_halves(self):
+        c = char((1, 0, 1), (0, 0, 1))
+        for new in (dataclasses.replace(c, a2=(1, 1, 0)), dataclasses.replace(c, a1=(0, 0, 0))):
+            assert new.index == ref_index(new)
+            assert parity(new) == ref_parity(new)
+            for x in enumerate_characteristics(3):
+                assert weil_pairing(new, x) == ref_pairing(new, x)
+                assert kappa_value(new, x) == ref_kappa(new, x)
+        with pytest.raises(ValueError):
+            dataclasses.replace(c, a1=(1.0, 0, 1))
 
 
 class TestParity:

@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import theta4.mmatrix as mmatrix
 from theta4.char2 import Characteristic, d_plus, enumerate_characteristics, weil_pairing
 from theta4.mmatrix import (
+    MAX_GENUS,
     RationalMatrix,
     SignMatrix,
     apply,
@@ -159,7 +161,38 @@ class TestApply:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_all_checks_true(self, g):
         checks = verify_sign_matrix(g)
         assert checks and all(checks.values())
+
+    def test_int32_headroom(self):
+        # |M| <= 1 and |M - 2^(g-1) I| <= 1 + 2^(g-1) entrywise, d+ terms per product entry
+        assert d_plus(MAX_GENUS) * (1 + 2 ** (MAX_GENUS - 1)) < 2**31
+
+    @pytest.mark.parametrize("g", [2, 5])
+    def test_flipped_symmetric_pair_fails_identities(self, g, monkeypatch):
+        true_m = build_m(g)
+        entries = true_m.entries.copy()
+        entries[1, 2] *= -1
+        entries[2, 1] *= -1
+        flipped = SignMatrix(g=g, dim=true_m.dim, entries=entries, index_map=true_m.index_map)
+        monkeypatch.setattr(mmatrix, "build_m", lambda _: flipped)
+        checks = verify_sign_matrix(g)
+        assert checks["entries_pm1"] and checks["diagonal_plus1"] and checks["symmetric"]
+        assert not checks["quadratic_identity"]
+        assert not checks["inverse_identity"]
+        assert checks["row_sum_closed_form"]
+
+    def test_wrong_pairing_fails_row_sums(self, monkeypatch):
+        g = 3
+        last, last_even = enumerate_characteristics(g)[-1], build_m(g).index_map[-1]
+
+        def wrong(a, b):
+            sign = weil_pairing(a, b)
+            return -sign if (a, b) == (last, last_even) else sign
+
+        monkeypatch.setattr(mmatrix, "weil_pairing", wrong)
+        checks = verify_sign_matrix(g)
+        assert not checks["row_sum_closed_form"]
+        assert all(v for k, v in checks.items() if k != "row_sum_closed_form")
