@@ -42,6 +42,7 @@ from theta4.theta_eval import (
     sample_cell_points,
     theta_nulls,
     theta_series,
+    theta_table,
     theta_with_char,
     two_torsion_point,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "sample_cell_points",
     "theta_nulls",
     "theta_series",
+    "theta_table",
     "theta_with_char",
     "translate",
     "two_torsion_point",

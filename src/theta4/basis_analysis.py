@@ -34,6 +34,7 @@ from theta4.theta_eval import (
     TruncationPolicy,
     sample_cell_points,
     theta_nulls,
+    theta_table,
     theta_with_char,
     two_torsion_point,
 )
@@ -111,7 +112,7 @@ def evaluation_matrix(
         raise ValueError(f"genus mismatch: kappa0 {kappa0.g}, tau {tau.g}")
     evens = even_characteristics(tau.g)
     points = [2.0 * two_torsion_point(a, tau) for a in even_points(kappa0)]
-    return np.array([[theta_with_char(k, z, tau, policy) for z in points] for k in evens])
+    return theta_table(evens, points, tau, policy)
 
 
 def mu(
@@ -244,8 +245,7 @@ def fourth_power_rank(
     pts = sample_cell_points(tau, n, seed)
     if len(np.unique(pts, axis=0)) != n:
         raise ValueError("degenerate sampling: coincident sample points")
-    evens = even_characteristics(g)
-    v = np.array([[theta_with_char(a, z, tau, policy) ** 4 for a in evens] for z in pts])
+    v = theta_table(even_characteristics(g), pts, tau, policy).T ** 4
     v = v / np.max(np.abs(v), axis=1, keepdims=True)
     return numerical_rank(v, rank_policy)
 

@@ -45,7 +45,8 @@ def _check_genus(g: int) -> None:
 
 def _bit(value: object) -> int:
     try:
-        bit = operator.index(value)
+        # a bool is an int, but True/False (a JSON true) is not a bit
+        bit = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         bit = None
     if bit not in (0, 1):
@@ -130,7 +131,7 @@ class Characteristic:
             value = obj.get(key)
             if isinstance(value, (list, tuple)):
                 halves.append(value)
-            elif isinstance(value, int):
+            elif isinstance(value, int) and not isinstance(value, bool):
                 if g is None:
                     raise ValueError("integer characteristic halves need an explicit genus")
                 if not 0 <= value < 2**g:

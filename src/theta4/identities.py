@@ -35,7 +35,7 @@ from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
     sample_cell_points,
-    theta_with_char,
+    theta_table,
 )
 
 RESIDUAL_FLOOR = 1e-30
@@ -132,14 +132,16 @@ def _quartic_records(
     """Quartic records for chars at each point; the nulls are shared by all points."""
     g = tau.g
     all_chars = enumerate_characteristics(g)
-    nulls = {b: theta_with_char(b, np.zeros(g), tau, policy) for b in all_chars}
+    points = np.asarray(points, dtype=complex)
+    nulls = dict(zip(all_chars, theta_table(all_chars, [np.zeros(g)], tau, policy)[:, 0].tolist()))
+    at_z = theta_table(chars, points, tau, policy).T.tolist()
+    at_2z = theta_table(all_chars, 2.0 * points, tau, policy).T.tolist()
     out = []
-    for z in np.asarray(points, dtype=complex):
-        at_z = {c: theta_with_char(c, z, tau, policy) for c in chars}
-        at_2z = {b: theta_with_char(b, 2.0 * z, tau, policy) for b in all_chars}
-        for c in chars:
-            rhs, scale = _quartic_rhs(c, nulls, at_2z, g)
-            out.append(_residual("quartic", c, z, tau, policy, at_z[c] ** 4, rhs, scale))
+    for z, values, doubled in zip(points, at_z, at_2z):
+        at_2z_of = dict(zip(all_chars, doubled))
+        for c, value in zip(chars, values):
+            rhs, scale = _quartic_rhs(c, nulls, at_2z_of, g)
+            out.append(_residual("quartic", c, z, tau, policy, value**4, rhs, scale))
     return out
 
 
@@ -178,13 +180,16 @@ def _inversion_records(
     """Inversion records for the even chars at each point; the sums run over all even pairs."""
     g = tau.g
     evens = even_characteristics(g)
-    nulls = {c: theta_with_char(c, np.zeros(g), tau, policy) for c in chars}
+    points = np.asarray(points, dtype=complex)
+    nulls = dict(zip(chars, theta_table(chars, [np.zeros(g)], tau, policy)[:, 0].tolist()))
+    at_z = theta_table(evens, points, tau, policy).T.tolist()
+    at_2z = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
     out = []
-    for z in np.asarray(points, dtype=complex):
-        at_z_fourth = {a: theta_with_char(a, z, tau, policy) ** 4 for a in evens}
-        at_2z = {c: theta_with_char(c, 2.0 * z, tau, policy) for c in chars}
+    for z, values, doubled in zip(points, at_z, at_2z):
+        at_z_fourth = {a: value**4 for a, value in zip(evens, values)}
+        at_2z_of = dict(zip(chars, doubled))
         for c in chars:
-            lhs, rhs, scale = _inversion_sides(c, at_z_fourth, nulls, at_2z, g)
+            lhs, rhs, scale = _inversion_sides(c, at_z_fourth, nulls, at_2z_of, g)
             out.append(_residual("inversion", c, z, tau, policy, lhs, rhs, scale))
     return out
 

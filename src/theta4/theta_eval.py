@@ -14,10 +14,19 @@ accuracy is absolute, of the order of the policy target.
 The top half a1 and the point z fix the box, the radius and the tail bound;
 the bottom half a2 only flips the sign of the term for m by (-1)^(m.a2) and
 multiplies the sum by exp(pi i a1.a2 / 2).  One lattice sum per (a1, z)
-therefore serves all 2^g second halves.  theta_series memoizes these groups
-on the PeriodMatrix, keyed by policy, radius override, a1 and z, for the
-life of that object, so the nulls and the values at z and 2z are computed
-once per tau however many stages read them.
+therefore serves all 2^g second halves.  _theta_groups evaluates such sums
+for a whole batch of points at once: the quadratic phase exp(pi i k' tau k)
+over the offsets k from each point's integer shift is one shared table, the
+linear phase splits into one factor per axis and point, and BLAS
+contractions of the table with those factors give every point's 2^g values.
+Each point keeps its own radius and box.  A point whose axis factors could
+leave the double range is summed term by term instead.
+
+theta_series memoizes the groups on the PeriodMatrix, keyed by policy,
+radius override, a1 and z, for the life of that object, so the nulls and the
+values at z and 2z are computed once per tau however many stages read them.
+theta_table fills that memo for a whole (chars x points) table with one
+batched sum per top half and then reads it through theta_series.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ MAX_ALLOWED_RADIUS = 64
 
 # largest argument math.exp takes without overflowing
 _MAX_EXP_ARG = math.log(sys.float_info.max)
+# complex entries of the first contraction (2 per point times K^(g-1)) per chunk of points
+_CHUNK_ENTRIES = 2**17
 
 
 class TruncationError(RuntimeError):
@@ -147,11 +158,13 @@ class ThetaValue:
 
 
 def _as_point(z, g: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(z, dtype=complex))
+    """z as a fresh complex (g,) array, with -0.0 turned into 0.0 (one memo key)."""
+    pt = np.array(z, dtype=complex, ndmin=1)
     if pt.shape != (g,):
         raise ValueError(f"point must have {g} components, got shape {pt.shape}")
-    if not np.all(np.isfinite(pt)):
+    if not np.isfinite(pt).all():
         raise ValueError("point has non-finite components")
+    pt += 0.0
     return pt
 
 
@@ -165,62 +178,115 @@ def _tail_bound(g: int, lam: float, amp: float, r0: float, radius: float) -> flo
     return amp * 2.0 * g * line ** (g - 1) * decay
 
 
-def _theta_group(
+def _radius(g: int, lam: float, amp: float, r0: float, policy: TruncationPolicy) -> int:
+    """Smallest radius whose tail bound meets the policy target."""
+    for r in range(int(math.floor(r0)) + 1, policy.max_radius + 1):
+        if _tail_bound(g, lam, amp, r0, r) <= policy.target_eps:
+            return r
+    required = policy.max_radius + 1
+    while _tail_bound(g, lam, amp, r0, required) > policy.target_eps and required < 10**6:
+        required += 1
+    raise TruncationError(required_radius=required, max_radius=policy.max_radius)
+
+
+def _theta_groups(
     a1: tuple[int, ...],
-    z: np.ndarray,
+    points: np.ndarray,
     tau: PeriodMatrix,
     policy: TruncationPolicy,
     radius_override: int | None,
-) -> tuple[np.ndarray, int, float]:
-    """One lattice sum for the top half a1 at z, resolved into all 2^g second halves.
+) -> list[tuple[list[complex], int, float]]:
+    """One lattice sum per point of the (P, g) batch for the top half a1,
+    each resolved into all 2^g second halves.
 
-    Returns (values, radius, tail_bound); values[k] belongs to the a2 whose
-    bits, most significant first, spell k.  With alpha = a1/2 and the summed
-    n = m + alpha, theta[a1, a2](z) = e^{pi i alpha.a2} sum over parity
-    classes p of (-1)^{p.a2} S_p, where S_p sums the a2-free terms
-    exp(pi i [n' tau n + 2 n' z]) over the m with m = p mod 2.
+    Returns one (values, radius, tail_bound) per point; values[k] belongs to
+    the a2 whose bits, most significant first, spell k.  Each point keeps its
+    own radius and its own box ceil(c - r) .. floor(c + r) around
+    c = -(alpha + Y^-1 Im z), alpha = a1/2.  With the shift s = rint(c) and
+    the offset k = m - s in [-r, r]^g, the term for n = s + k + alpha is
+
+        Q[k] * prod_j E_j[k_j] * C,
+        Q[k]   = exp(pi i (k + alpha)' tau (k + alpha)),         shared, |Q| <= 1
+        E_j[k] = exp(2 pi i (k + alpha_j) (z + tau s)_j),         per point and axis
+        C      = exp(pi i (s' tau s + 2 s' z)),                   per point,
+
+    and the parity sign (-1)^(m.a2) splits over the axes as well, so one
+    contraction of Q with the 2 x K axis factors (sign 1 and (-1)^(s_j + k))
+    gives all 2^g classes at once.  E_j is zeroed outside the point's own
+    interval on axis j.  The linear factors grow like exp(B) with
+    B = 2 pi sum_j (r + alpha_j) |Im (z + tau s)_j|; a point whose B could
+    carry a partial sum of K^g such factors past the double range is summed
+    term by term over its box instead.
     """
     g = tau.g
     alpha = np.array(a1, dtype=float) / 2.0
-    y = z.imag
-    w = np.linalg.solve(tau.tau.imag, y)
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))
+    a2_phase = np.exp(1j * np.pi * (bits @ alpha))
     lam = tau.lambda_min
-    exponent = math.pi * float(y @ w)
-    if exponent > _MAX_EXP_ARG:
-        raise ValueError(
-            f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
-            f"(exponent {exponent:.4g} > {_MAX_EXP_ARG:.4g})"
-        )
-    amp = math.exp(exponent)
-    r0 = float(np.max(np.abs(w))) + 1.0
 
-    if radius_override is not None:
-        radius = radius_override
-    else:
-        radius = None
-        for r in range(int(math.floor(r0)) + 1, policy.max_radius + 1):
-            if _tail_bound(g, lam, amp, r0, r) <= policy.target_eps:
-                radius = r
-                break
-        if radius is None:
-            required = policy.max_radius + 1
-            while _tail_bound(g, lam, amp, r0, required) > policy.target_eps and required < 10**6:
-                required += 1
-            raise TruncationError(required_radius=required, max_radius=policy.max_radius)
+    # stacked one point per matrix, each w and exponent is bit for bit the
+    # point's own solve and dot product, whatever the batch
+    y = points.imag
+    w = np.linalg.solve(np.broadcast_to(tau.tau.imag, (len(points), g, g)), y[:, :, None])[:, :, 0]
+    exponents = math.pi * (y[:, None, :] @ w[:, :, None]).ravel()
+    radii, tails = [], []
+    for z, exponent, r0 in zip(points, exponents.tolist(), (np.abs(w).max(1) + 1.0).tolist()):
+        if exponent > _MAX_EXP_ARG:
+            raise ValueError(
+                f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
+                f"(exponent {exponent:.4g} > {_MAX_EXP_ARG:.4g})"
+            )
+        amp = math.exp(exponent)
+        r = radius_override if radius_override is not None else _radius(g, lam, amp, r0, policy)
+        radii.append(r)
+        tails.append(_tail_bound(g, lam, amp, r0, r))
+    radii = np.array(radii)
 
     center = -alpha - w
-    axes = [np.arange(math.ceil(center[j] - radius), math.floor(center[j] + radius) + 1) for j in range(g)]
-    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-    n = m + alpha
-    terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ z)))
-    parity_class = (m & 1) @ (1 << np.arange(g - 1, -1, -1))
-    sums = np.bincount(parity_class, terms.real, 2**g) + 1j * np.bincount(
-        parity_class, terms.imag, 2**g
-    )
-    bits = np.array(list(itertools.product((0, 1), repeat=g)))
-    signs = 1 - 2 * ((bits @ bits.T) & 1)
-    values = np.exp(1j * np.pi * (bits @ alpha)) * (signs @ sums)
-    return values, radius, _tail_bound(g, lam, amp, r0, radius)
+    shift = np.rint(center)
+    lo = np.ceil(center - radii[:, None]) - shift
+    hi = np.floor(center + radii[:, None]) - shift
+    v = points + shift @ tau.tau
+    growth = 2.0 * np.pi * ((radii[:, None] + alpha) * np.abs(v.imag)).sum(1)
+    factored = growth < _MAX_EXP_ARG - g * np.log(2 * radii + 1)
+    const = np.exp(1j * np.pi * (((shift @ tau.tau) * shift).sum(1) + 2.0 * (shift * points).sum(1)))
+
+    top = int(radii[factored].max(initial=0))
+    offsets = np.arange(-top, top + 1)
+    u = np.stack(np.meshgrid(*[offsets] * g, indexing="ij"), axis=-1) + alpha
+    quad = np.exp(1j * np.pi * ((u @ tau.tau) * u).sum(-1))
+
+    sums = np.empty((len(points), 2**g), dtype=complex)
+    for r in np.unique(radii[factored]).tolist():
+        size = 2 * r + 1
+        q = quad[(slice(top - r, top + r + 1),) * g].reshape(size, size ** (g - 1))
+        k = np.arange(-r, r + 1)
+        chunk = max(1, _CHUNK_ENTRIES // (2 * size ** (g - 1)))
+        group = np.flatnonzero(factored & (radii == r))
+        for start in range(0, len(group), chunk):
+            idx = group[start : start + chunk]
+            n_pts = len(idx)
+            lin = np.exp(2j * np.pi * (k + alpha[:, None]) * v[idx, :, None])
+            lin *= (lo[idx, :, None] <= k) & (k <= hi[idx, :, None])
+            odd = (shift[idx, :, None].astype(np.int64) + k) & 1
+            # (point, axis, a2 bit, k): each axis factor for a2_j = 0 and a2_j = 1
+            axes = np.stack((lin, lin * (1 - 2 * odd)), axis=2)
+            # k_1 for all points in one product, then k_2 .. k_g point by point
+            acc = (axes[:, 0].reshape(2 * n_pts, size) @ q).reshape(n_pts, 2, -1)
+            for j in range(1, g):
+                acc = acc.reshape(n_pts, 2**j, size, -1)
+                acc = axes[:, j, None] @ acc
+            sums[idx] = acc.reshape(n_pts, 2**g) * const[idx, None]
+
+    for p in np.flatnonzero(~factored).tolist():
+        box = [np.arange(lo[p, j], hi[p, j] + 1) + shift[p, j] for j in range(g)]
+        m = np.stack(np.meshgrid(*box, indexing="ij"), axis=-1).reshape(-1, g).astype(np.int64)
+        n = m + alpha
+        terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ points[p])))
+        sums[p] = terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))
+
+    values = (sums * a2_phase).tolist()
+    return list(zip(values, radii.tolist(), tails))
 
 
 def theta_series(
@@ -245,17 +311,46 @@ def theta_series(
     g = tau.g
     if c.g != g:
         raise ValueError(f"genus mismatch: characteristic {c.g}, tau {g}")
-    z = _as_point(z, g) + 0.0
+    z = _as_point(z, g)
     if radius_override is not None and not 1 <= radius_override <= policy.max_radius:
         raise ValueError(f"radius_override must be in 1..{policy.max_radius}")
 
     key = (policy, radius_override, c.a1, z.tobytes())
     group = tau._theta_memo.get(key)
     if group is None:
-        group = tau._theta_memo[key] = _theta_group(c.a1, z, tau, policy, radius_override)
+        group = tau._theta_memo[key] = _theta_groups(c.a1, z[None], tau, policy, radius_override)[0]
     values, radius, tail_bound = group
-    value = complex(values[c.index & (2**g - 1)])
+    value = values[c.index & (2**g - 1)]
     return ThetaValue(value=value, tail_bound=tail_bound, radius=radius)
+
+
+def theta_table(
+    chars, points, tau: PeriodMatrix, policy: TruncationPolicy | None = None
+) -> np.ndarray:
+    """Values theta[c](z) for c in chars (rows) and z in points (columns).
+
+    The groups missing from tau's memo are evaluated first, one batched
+    lattice sum per distinct top half a1 over all the points it still
+    needs; the matrix is then read through one theta_series lookup per
+    (char, point), so every value, radius and tail bound is the one
+    theta_series reports.
+    """
+    policy = policy or DEFAULT_POLICY
+    g = tau.g
+    for c in chars:
+        if c.g != g:
+            raise ValueError(f"genus mismatch: characteristic {c.g}, tau {g}")
+    pts = [_as_point(z, g) for z in points]
+    missing: dict[tuple, dict[bytes, np.ndarray]] = {}
+    for a1 in dict.fromkeys(c.a1 for c in chars):
+        for z in pts:
+            if (policy, None, a1, z.tobytes()) not in tau._theta_memo:
+                missing.setdefault(a1, {})[z.tobytes()] = z
+    for a1, batch in missing.items():
+        groups = _theta_groups(a1, np.array(list(batch.values())), tau, policy, None)
+        for key, group in zip(batch, groups):
+            tau._theta_memo[(policy, None, a1, key)] = group
+    return np.array([[theta_series(c, z, tau, policy).value for z in pts] for c in chars], dtype=complex)
 
 
 def theta_with_char(
@@ -269,8 +364,9 @@ def theta_nulls(
     tau: PeriodMatrix, policy: TruncationPolicy | None = None
 ) -> dict[Characteristic, complex]:
     """Values at z = 0 for all even characteristics, in canonical order."""
-    zero = np.zeros(tau.g, dtype=complex)
-    return {c: theta_series(c, zero, tau, policy).value for c in even_characteristics(tau.g)}
+    evens = even_characteristics(tau.g)
+    values = theta_table(evens, [np.zeros(tau.g, dtype=complex)], tau, policy)
+    return dict(zip(evens, values[:, 0].tolist()))
 
 
 def two_torsion_point(a: Characteristic, tau: PeriodMatrix) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import pickle
 import re
 
@@ -141,6 +142,31 @@ class TestCharacteristic:
         bad = next(b for b in obj["a1"] + obj["a2"] if not isinstance(b, int))
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             Characteristic.from_json(obj)
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True)])
+    def test_rejects_boolean_bits(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            char((0, bad), (0, 0))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            char((0, 0), (bad, 0))
+
+    @pytest.mark.parametrize(
+        "text, g, bad",
+        [
+            ('{"a1": [true], "a2": [false]}', None, True),
+            ('{"a1": [0, 1], "a2": [1, false]}', None, False),
+            ('{"a1": true, "a2": false}', 1, True),
+            ('{"a1": 1, "a2": false}', 1, False),
+        ],
+    )
+    def test_json_true_is_not_a_bit(self, text, g, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Characteristic.from_json(json.loads(text), g=g)
+
+    def test_json_numpy_ints_still_parse(self):
+        obj = {"a1": [np.int64(1), np.uint8(0)], "a2": [np.int32(0), 1]}
+        assert Characteristic.from_json(obj) == char((1, 0), (0, 1))
+        assert Characteristic.from_json({"a1": 2, "a2": 1}, g=2) == char((1, 0), (0, 1))
 
 
 class TestIntegerHalves:

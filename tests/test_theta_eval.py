@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from theta4.theta_eval import (
     sample_cell_points,
     theta_nulls,
     theta_series,
+    theta_table,
     theta_with_char,
     two_torsion_point,
 )
@@ -50,6 +52,33 @@ def meshgrid_theta(c: Characteristic, z, tau: PeriodMatrix, radius: int) -> comp
     return complex(np.exp(1j * np.pi * phase).sum())
 
 
+def meshgrid_group(a1, z, tau: PeriodMatrix, radius: int) -> np.ndarray:
+    """All 2^g second halves of a1 at z, each summed term by term over the
+    point's own box with a2 inside the phase; a2 bits MSB first."""
+    g = tau.g
+    alpha = np.array(a1, dtype=float) / 2.0
+    center = -alpha - np.linalg.solve(tau.tau.imag, z.imag)
+    axes = [np.arange(math.ceil(cj - radius), math.floor(cj + radius) + 1) for cj in center]
+    n = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g) + alpha
+    phase = np.einsum("ij,jk,ik->i", n, tau.tau, n) + 2.0 * (n @ z)
+    a2s = np.array(list(itertools.product((0, 1), repeat=g)))
+    return np.exp(1j * np.pi * (phase[:, None] + n @ a2s.T)).sum(0)
+
+
+def assert_groups_match(groups, a1, points, tau, radii=None):
+    """Each (values, radius, tail_bound) equals the reference at its radius;
+    radius and tail bound are the default search's unless radii are forced."""
+    assert len(groups) == len(points)
+    for k, ((values, radius, tail), z) in enumerate(zip(groups, points)):
+        if radii is None:
+            assert (radius, tail) == searched_radius(z, tau, TruncationPolicy()), k
+        else:
+            assert radius == radii[k], k
+        expected = meshgrid_group(a1, z + 0.0, tau, radius)
+        assert np.all(np.isfinite(values)), k
+        assert np.max(np.abs(values - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-12, k
+
+
 def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int, float]:
     """Smallest radius whose _tail_bound meets the target, with that bound."""
     y = np.asarray(z).imag
@@ -65,16 +94,16 @@ def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int
 
 @pytest.fixture()
 def group_builds(monkeypatch):
-    """Arguments of every lattice sum theta_series runs."""
-    calls = []
-    build = theta_eval._theta_group
+    """(a1, point bytes) of every point the lattice-sum builder sums."""
+    summed = []
+    build = theta_eval._theta_groups
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
+    def counting(a1, points, *args):
+        summed.extend((a1, z.tobytes()) for z in points)
+        return build(a1, points, *args)
 
-    monkeypatch.setattr(theta_eval, "_theta_group", counting)
-    return calls
+    monkeypatch.setattr(theta_eval, "_theta_groups", counting)
+    return summed
 
 
 class TestPolicy:
@@ -203,13 +232,98 @@ class TestGroupKernel:
         for c in enumerate_characteristics(2):
             theta_series(c, z, tau)
             theta_series(c, 2.0 * z, tau)
-        built = sorted((args[0], args[1].tobytes()) for args in group_builds)
+        built = sorted(group_builds)
         top_halves = itertools.product((0, 1), repeat=2)
         assert built == sorted((a1, p.tobytes()) for a1 in top_halves for p in (z, 2.0 * z))
 
     def test_overflowing_scale_names_point(self, tau_g1_i):
         with pytest.raises(ValueError, match="30j"):
             theta_series(Characteristic.zero(1), [30j], tau_g1_i)
+
+
+class TestBatchedKernel:
+    """_theta_groups and theta_table against a term-by-term sum per point."""
+
+    @staticmethod
+    def mixed_batch(tau: PeriodMatrix) -> np.ndarray:
+        """Cell points, their doubles (larger radii), a repeat, signed zeros and a far point."""
+        g = tau.g
+        cell = sample_cell_points(tau, 4, seed=g)
+        far = tau.tau @ np.full(g, 2.5) - 0.7
+        return np.vstack([cell, 2.0 * cell, cell[:1], np.full(g, complex(-0.0, -0.0)), np.zeros(g), far])
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_groups_match_reference(self, g):
+        tau = random_tau(g, seed=20 + g)
+        points = self.mixed_batch(tau)
+        for a1 in [(1,) * g, tuple(k % 2 for k in range(g))]:
+            groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy(), None)
+            assert len({radius for _, radius, _ in groups}) > 1
+            assert_groups_match(groups, a1, points, tau)
+            assert np.array_equal(groups[8][0], groups[0][0])  # the repeated point
+
+    @pytest.mark.parametrize("g, radius", [(1, 2), (2, 3), (3, 2), (4, 1)])
+    def test_radius_override_matches_reference(self, g, radius):
+        tau = random_tau(g, seed=30 + g)
+        points = self.mixed_batch(tau)
+        a1 = tuple(1 - k % 2 for k in range(g))
+        groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy(), radius)
+        assert_groups_match(groups, a1, points, tau, radii=[radius] * len(points))
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_table_matches_reference_and_series(self, g):
+        tau = random_tau(g, seed=40 + g)
+        points = list(self.mixed_batch(tau))
+        picks = np.random.default_rng(g).choice(4**g, size=min(4**g, 5), replace=False)
+        chars = [enumerate_characteristics(g)[i] for i in picks]
+        table = theta_table(chars, points, tau)
+        assert table.shape == (len(chars), len(points)) and table.dtype == complex
+        fresh = random_tau(g, seed=40 + g)
+        for i, c in enumerate(chars):
+            for j, z in enumerate(points):
+                result = theta_series(c, z, fresh)
+                expected = meshgrid_theta(c, z + 0.0, tau, result.radius)
+                assert abs(table[i, j] - expected) <= 1e-12 * max(1.0, abs(expected)), (c, j)
+                assert theta_series(c, z, tau).radius == result.radius
+
+    def test_table_sums_each_top_half_and_point_once(self, group_builds):
+        tau = random_tau(2, seed=12)
+        points = sample_cell_points(tau, 3, seed=2)
+        chars = enumerate_characteristics(2)
+        theta_series(chars[5], points[1], tau)
+        theta_table(chars, list(points) + [points[0]], tau)
+        theta_table(chars[::3], points, tau)
+        expected = [(chars[5].a1, points[1].tobytes())]
+        expected += [(a1, z.tobytes()) for a1 in itertools.product((0, 1), repeat=2) for z in points]
+        assert sorted(group_builds) == sorted(set(expected))
+
+    def test_genus4_batch_spans_chunks(self):
+        tau = random_tau(4, seed=2)
+        points = sample_cell_points(tau, 40, seed=3)
+        a1 = (1, 0, 1, 0)
+        groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy(), None)
+        radii = [radius for _, radius, _ in groups]
+        chunk = {r: theta_eval._CHUNK_ENTRIES // (2 * (2 * r + 1) ** 3) for r in radii}
+        assert any(radii.count(r) > chunk[r] for r in chunk)
+        assert_groups_match(groups, a1, points, tau)
+
+    @pytest.mark.parametrize("im_diag", [(1.0, 30.0, 1.0), (50.0, 50.0, 50.0)])
+    def test_range_guard(self, im_diag):
+        re_part = random_tau(3, seed=4).tau.real
+        tau = PeriodMatrix(re_part + 1j * np.diag(im_diag))
+        points = sample_cell_points(tau, 20, seed=5)
+        policy = TruncationPolicy()
+        # the factored sum's linear factors reach exp(growth); some points exceed the double range
+        growth = []
+        for a1 in itertools.product((0, 1), repeat=3):
+            groups = theta_eval._theta_groups(a1, points, tau, policy, None)
+            assert_groups_match(groups, a1, points, tau)
+            alpha = np.array(a1) / 2.0
+            for z, (_, radius, _) in zip(points, groups):
+                shift = np.rint(-alpha - np.linalg.solve(tau.tau.imag, z.imag))
+                reach = radius + alpha
+                growth.append(2 * math.pi * reach @ np.abs((z + tau.tau @ shift).imag))
+        assert max(growth) > math.log(sys.float_info.max)
 
 
 class TestMemoKeys:
