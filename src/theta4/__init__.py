@@ -32,7 +32,7 @@ from theta4.char2 import (
     translate,
     weil_pairing,
 )
-from theta4.mmatrix import RationalMatrix, SignMatrix, apply, build_m, inverse_m, row_sum
+from theta4.mmatrix import RationalMatrix, SignMatrix, apply, build_m, inverse_m, pairing_signs, row_sum
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationError,
@@ -102,6 +102,7 @@ __all__ = [
     "mu",
     "normalized_evaluation_matrix",
     "numerical_rank",
+    "pairing_signs",
     "parity",
     "quartic_residuals",
     "random_tau",

@@ -97,6 +97,14 @@ def numerical_rank(matrix, rank_policy: NumericalRankPolicy | None = None) -> in
     return int(np.count_nonzero(s > rank_policy.rel_sv_threshold * s[0]))
 
 
+def check_kappa0(kappa0: Characteristic, g: int) -> None:
+    """Reject an odd kappa0 or one whose genus is not g."""
+    if parity(kappa0) != 1:
+        raise ValueError(f"kappa0 must be even, got odd {kappa0}")
+    if kappa0.g != g:
+        raise ValueError(f"genus mismatch: kappa0 {kappa0.g}, tau {g}")
+
+
 def evaluation_matrix(
     tau: PeriodMatrix, kappa0: Characteristic, policy: TruncationPolicy | None = None
 ) -> np.ndarray:
@@ -106,10 +114,7 @@ def evaluation_matrix(
     canonical order of even_points(kappa0); the first column is the vector
     of theta-nulls since z_0 = 0.
     """
-    if parity(kappa0) != 1:
-        raise ValueError(f"kappa0 must be even, got odd {kappa0}")
-    if kappa0.g != tau.g:
-        raise ValueError(f"genus mismatch: kappa0 {kappa0.g}, tau {tau.g}")
+    check_kappa0(kappa0, tau.g)
     evens = even_characteristics(tau.g)
     points = [2.0 * two_torsion_point(a, tau) for a in even_points(kappa0)]
     return theta_table(evens, points, tau, policy)
@@ -157,11 +162,9 @@ def _normalize_and_align(
     col_pos = {a: j for j, a in enumerate(pts)}
     scaled = ev / ev[row_pos[kappa0], :]
     scaled = scaled / scaled[:, :1]
-    aligned = np.empty_like(scaled)
-    for i, b in enumerate(evens):
-        row = row_pos[translate(isometry_to_even_points(kappa0, b), kappa0)]
-        for j, a in enumerate(evens):
-            aligned[i, j] = scaled[row, col_pos[isometry_to_even_points(kappa0, a)]]
+    rows = [row_pos[translate(isometry_to_even_points(kappa0, b), kappa0)] for b in evens]
+    cols = [col_pos[isometry_to_even_points(kappa0, a)] for a in evens]
+    aligned = scaled[np.ix_(rows, cols)]
     deviation = float(np.max(np.abs(aligned - build_m(g).entries)))
     return aligned, deviation
 

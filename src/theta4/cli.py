@@ -25,6 +25,7 @@ from theta4.basis_analysis import (
     DEFAULT_RANK_POLICY,
     NumericalRankPolicy,
     basis_report,
+    check_kappa0,
     check_null_threshold,
     split_nulls,
 )
@@ -214,8 +215,9 @@ def _load_corpus(args) -> tuple[dict, Path]:
         raise ValueError("run-suite needs --corpus FILE or --standard")
     path = Path(args.corpus)
     corpus = load_json(path, "corpus file")
-    if not isinstance(corpus, dict) or not isinstance(corpus.get("entries", []), list):
-        raise ValueError("corpus must be an object with an entries array")
+    if not (isinstance(corpus, dict) and isinstance(corpus.get("entries", []), list)
+            and isinstance(corpus.get("policies", {}), dict)):
+        raise ValueError("corpus must be an object with an entries array and a policies object")
     return corpus, path.parent
 
 
@@ -269,15 +271,18 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     Wall-clock timings go to stderr only; the report must be byte-identical
     across reruns with the same corpus.
     """
-    policies = dict(DEFAULT_POLICIES)
-    policies.update(corpus.get("policies", {}))
-    settings = {
-        "policy": TruncationPolicy(target_eps=policies["target_eps"]),
-        "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
-        "samples": int(policies["samples"]),
-        "identity_eps": float(policies["identity_eps"]),
-        "null_threshold": float(policies["null_threshold"]),
-    }
+    policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
+    try:
+        settings = {
+            "policy": TruncationPolicy(target_eps=policies["target_eps"]),
+            "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
+            "samples": int(policies["samples"]),
+            "identity_eps": float(policies["identity_eps"]),
+            "null_threshold": float(policies["null_threshold"]),
+        }
+        seed = int(policies["seed"])
+    except TypeError as exc:
+        raise ValueError(f"corpus policies must be numbers: {exc}") from exc
     if settings["samples"] < 1:
         raise ValueError(f"policy samples must be >= 1, got {settings['samples']}")
     check_null_threshold(settings["null_threshold"])
@@ -296,10 +301,14 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
             tau = _tau_from_source(entry["tau"], base_dir)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
-        kappa0 = parse_char_spec(entry["kappa0"], tau.g) if "kappa0" in entry else None
-        expect = {"vanishing_nulls": 0, "verdicts": True}
-        expect.update(entry.get("expect", {}))
-        prepared.append((label, tau, kappa0, expect, int(policies["seed"]) + i))
+        try:
+            kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
+            check_kappa0(kappa0, tau.g)
+            expect = {"vanishing_nulls": 0, "verdicts": True, **entry.get("expect", {})}
+            int(expect["vanishing_nulls"])  # _run_entry compares it as an int
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"corpus entry {i} has a malformed kappa0 or expect: {exc!r}") from exc
+        prepared.append((label, tau, kappa0, expect, seed + i))
 
     results = []
     for label, tau, kappa0, expect, seed in prepared:

@@ -14,6 +14,11 @@ Two families of identities over a genus-g period matrix tau:
 Both are checked numerically; residuals are reported in absolute value and
 relative to max(|lhs|, |rhs|, 1e-30) so that zeros of theta cannot blow up
 the quotient.
+
+A sweep forms its terms once as a (points x pairs) array and its signed
+sums as row reductions against mmatrix.pairing_signs (the signs of M), one
+point at a time; theta powers and products are taken on Python scalars, so
+a single check's record is bit for bit its record in a sweep.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from theta4.char2 import (
     enumerate_characteristics,
     even_characteristics,
     parity,
-    weil_pairing,
 )
 from theta4.jsonio import complex_json
-from theta4.mmatrix import RationalMatrix, affine_table
+from theta4.mmatrix import RationalMatrix, affine_table, pairing_signs
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
@@ -84,46 +88,37 @@ class IdentityResidual:
         }
 
 
-def _residual(
-    kind: str,
-    c: Characteristic,
-    z,
-    tau: PeriodMatrix,
-    policy: TruncationPolicy,
-    lhs: complex,
-    rhs: complex,
-    scale: float,
-) -> IdentityResidual:
-    abs_res = abs(lhs - rhs)
-    rel_res = abs_res / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
-    zt = tuple(complex(v) for v in np.atleast_1d(np.asarray(z, dtype=complex)))
-    return IdentityResidual(
-        kind=kind,
-        char=c,
-        z=zt,
-        lhs=complex(lhs),
-        rhs=complex(rhs),
-        abs_residual=abs_res,
-        rel_residual=rel_res,
-        scale=max(scale, abs(lhs), abs(rhs)),
-        tau=tau,
-        policy=policy,
-    )
+def _magnitude(x: np.ndarray) -> np.ndarray:
+    # hypot is what abs() of a Python complex computes; np.abs rounds
+    # differently in the last bit for a good share of values
+    return np.hypot(x.real, x.imag)
 
 
-def _quartic_rhs(
-    c: Characteristic,
-    nulls: dict[Characteristic, complex],
-    at_2z: dict[Characteristic, complex],
-    g: int,
-) -> tuple[complex, float]:
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for b, null in nulls.items():
-        term = null**3 * at_2z[b] / 2**g
-        scale = max(scale, abs(term))
-        total += weil_pairing(c, b) * term
-    return total, scale
+def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """(points x rows) sums of signs[i, j] * terms[p, j] over j, point by point.
+
+    No BLAS: its rounding depends on the product's shape, and a single check
+    must give its sweep record bit for bit."""
+    signs = signs.astype(complex)
+    return np.array([(row[None, :] * signs).sum(-1) for row in terms])
+
+
+def _records(
+    kind: str, chars: list[Characteristic], points: np.ndarray, tau: PeriodMatrix,
+    policy: TruncationPolicy, lhs: np.ndarray, rhs: np.ndarray, term_scale: np.ndarray,
+) -> list[IdentityResidual]:
+    """One record per (point, char) from (points x chars) sides and largest-term moduli."""
+    top = np.maximum(_magnitude(lhs), _magnitude(rhs))
+    abs_res = _magnitude(lhs - rhs)
+    rel_res = abs_res / np.maximum(top, RESIDUAL_FLOOR)
+    scale = np.maximum(term_scale, top)
+    out = []
+    per_point = zip(lhs.tolist(), rhs.tolist(), abs_res.tolist(), rel_res.tolist(), scale.tolist())
+    for z, row in zip(points, per_point):
+        zt = tuple(np.atleast_1d(z).tolist())
+        for c, fields in zip(chars, zip(*row)):
+            out.append(IdentityResidual(kind, c, zt, *fields, tau, policy))
+    return out
 
 
 def _quartic_records(
@@ -133,16 +128,13 @@ def _quartic_records(
     g = tau.g
     all_chars = enumerate_characteristics(g)
     points = np.asarray(points, dtype=complex)
-    nulls = dict(zip(all_chars, theta_table(all_chars, [np.zeros(g)], tau, policy)[:, 0].tolist()))
-    at_z = theta_table(chars, points, tau, policy).T.tolist()
-    at_2z = theta_table(all_chars, 2.0 * points, tau, policy).T.tolist()
-    out = []
-    for z, values, doubled in zip(points, at_z, at_2z):
-        at_2z_of = dict(zip(all_chars, doubled))
-        for c, value in zip(chars, values):
-            rhs, scale = _quartic_rhs(c, nulls, at_2z_of, g)
-            out.append(_residual("quartic", c, z, tau, policy, value**4, rhs, scale))
-    return out
+    cubes = [n**3 for n in theta_table(all_chars, [np.zeros(g)], tau, policy)[:, 0].tolist()]
+    lhs = np.array([[v**4 for v in row] for row in theta_table(chars, points, tau, policy).T.tolist()])
+    doubled = theta_table(all_chars, 2.0 * points, tau, policy).T.tolist()
+    terms = np.array([[n3 * v for n3, v in zip(cubes, row)] for row in doubled]) / 2**g
+    rhs = _signed_sums(terms, pairing_signs(chars, all_chars))
+    term_scale = _magnitude(terms).max(axis=1, keepdims=True)
+    return _records("quartic", chars, points, tau, policy, lhs, rhs, term_scale)
 
 
 def riemann_quartic_check(
@@ -157,23 +149,6 @@ def riemann_quartic_check(
     return _quartic_records(tau, [z], [c], policy or TruncationPolicy())[0]
 
 
-def _inversion_sides(
-    c: Characteristic,
-    at_z_fourth: dict[Characteristic, complex],
-    nulls: dict[Characteristic, complex],
-    at_2z: dict[Characteristic, complex],
-    g: int,
-) -> tuple[complex, complex, float]:
-    lhs = 2**g * nulls[c] ** 3 * at_2z[c]
-    rhs = -(2**g) * at_z_fourth[c]
-    scale = abs(rhs)
-    for a, fourth in at_z_fourth.items():
-        term = 2 * fourth
-        scale = max(scale, abs(term))
-        rhs += weil_pairing(a, c) * term
-    return lhs, rhs, scale
-
-
 def _inversion_records(
     tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy
 ) -> list[IdentityResidual]:
@@ -181,17 +156,14 @@ def _inversion_records(
     g = tau.g
     evens = even_characteristics(g)
     points = np.asarray(points, dtype=complex)
-    nulls = dict(zip(chars, theta_table(chars, [np.zeros(g)], tau, policy)[:, 0].tolist()))
-    at_z = theta_table(evens, points, tau, policy).T.tolist()
-    at_2z = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
-    out = []
-    for z, values, doubled in zip(points, at_z, at_2z):
-        at_z_fourth = {a: value**4 for a, value in zip(evens, values)}
-        at_2z_of = dict(zip(chars, doubled))
-        for c in chars:
-            lhs, rhs, scale = _inversion_sides(c, at_z_fourth, nulls, at_2z_of, g)
-            out.append(_residual("inversion", c, z, tau, policy, lhs, rhs, scale))
-    return out
+    nulls = theta_table(chars, [np.zeros(g)], tau, policy)[:, 0].tolist()
+    fourths = np.array([[v**4 for v in row] for row in theta_table(evens, points, tau, policy).T.tolist()])
+    doubled = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
+    lhs = np.array([[2**g * n**3 * v for n, v in zip(nulls, row)] for row in doubled])
+    own = -(2**g) * fourths[:, [evens.index(c) for c in chars]]
+    rhs = own + _signed_sums(2 * fourths, pairing_signs(chars, evens))
+    term_scale = np.maximum(_magnitude(own), 2 * _magnitude(fourths).max(axis=1, keepdims=True))
+    return _records("inversion", chars, points, tau, policy, lhs, rhs, term_scale)
 
 
 def inversion_check(

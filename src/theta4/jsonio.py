@@ -92,6 +92,8 @@ def parse_char_spec(token: str, g: int) -> Characteristic:
     most significant first; anything else must parse as an integer below 2^g
     and is expanded to bits with the same convention.
     """
+    if not isinstance(token, str):
+        raise ValueError(f'characteristic must be a string "a1,a2", got {token!r}')
     parts = token.strip().split(",")
     if len(parts) != 2:
         raise ValueError(f'characteristic must look like "a1,a2", got {token!r}')

@@ -6,6 +6,9 @@ exact: entries are +-1 integers, the closed-form inverse is rational with
 denominator 2^(2g-1), and the verification identities are evaluated in
 integer arithmetic (int32 is exact at these dimensions: every intermediate
 is bounded by d+ (1 + 2^(g-1)) <= 528 * 17 = 8976, far below 2^31).
+pairing_signs builds the same signs between any two lists of
+characteristics; M and both identity sweeps of theta4.identities read them
+from there.
 """
 
 from __future__ import annotations
@@ -64,15 +67,21 @@ class RationalMatrix:
             raise ValueError(f"entries must be {self.dim} x {self.dim}")
 
 
+def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]) -> np.ndarray:
+    """Int64 matrix of pairing signs (-1)^(a1.b2 + a2.b1), rows x cols, by popcount."""
+    (g,) = {len(c.a1) for c in (*rows, *cols)}  # ValueError unless one genus
+    r = np.array([c.index for c in rows], dtype=np.uint64)
+    c = np.array([c.index for c in cols], dtype=np.uint64)
+    r1, r2, c1, c2 = r >> g, r & (2**g - 1), c >> g, c & (2**g - 1)
+    cross = np.bitwise_count(r1[:, None] & c2[None, :]) + np.bitwise_count(r2[:, None] & c1[None, :])
+    return np.where(cross & 1, -1, 1).astype(np.int64)
+
+
 def build_m(g: int) -> SignMatrix:
     """Assemble the sign matrix for genus g in canonical even-pair order."""
     _check_genus(g)
     evens = even_characteristics(g)
-    index = np.array([c.index for c in evens], dtype=np.uint64)
-    a1, a2 = index >> g, index & (2**g - 1)
-    cross = np.bitwise_count(a1[:, None] & a2[None, :]) + np.bitwise_count(a2[:, None] & a1[None, :])
-    entries = np.where(cross & 1, -1, 1).astype(np.int64)
-    return SignMatrix(g=g, dim=len(evens), entries=entries, index_map=tuple(evens))
+    return SignMatrix(g=g, dim=len(evens), entries=pairing_signs(evens, evens), index_map=tuple(evens))
 
 
 def row_sum(g: int, a: Characteristic) -> int:

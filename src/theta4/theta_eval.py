@@ -350,7 +350,8 @@ def theta_table(
         groups = _theta_groups(a1, np.array(list(batch.values())), tau, policy, None)
         for key, group in zip(batch, groups):
             tau._theta_memo[(policy, None, a1, key)] = group
-    return np.array([[theta_series(c, z, tau, policy).value for z in pts] for c in chars], dtype=complex)
+    values = [[theta_series(c, z, tau, policy).value for z in pts] for c in chars]
+    return np.array(values, dtype=complex).reshape(len(chars), len(pts))
 
 
 def theta_with_char(

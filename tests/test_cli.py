@@ -281,19 +281,38 @@ class TestRunSuite:
         code, _ = run(capsys, "run-suite", "--corpus", str(corpus))
         assert code == 2
 
-    def test_malformed_tau_source_names_entry(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tau": {"kind": "diagonal", "entries": [{"re": 0}]}},
+            {"kappa0": [1]},
+            {"kappa0": "1,1"},
+            {"expect": 5},
+            {"expect": {"vanishing_nulls": [1]}},
+        ],
+    )
+    def test_malformed_tau_source_names_entry(self, capsys, tmp_path, fields):
         good = {"label": "ok", "tau": {"kind": "random", "g": 1, "seed": 0}}
-        bad = {"label": "bad", "tau": {"kind": "diagonal", "entries": [{"re": 0}]}}
+        bad = {"label": "bad", "tau": {"kind": "random", "g": 1, "seed": 1}, **fields}
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps({"entries": [good, bad]}), encoding="utf-8")
         out = tmp_path / "report.json"
         code = main(["run-suite", "--corpus", str(corpus), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "corpus entry 1" in capsys.readouterr().err
+        assert "corpus entry 1" in err and "[ok]" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "policies", [{"samples": 0}, {"null_threshold": 0.0}, {"null_threshold": 1.5}]
+        "policies",
+        [
+            {"samples": 0},
+            {"null_threshold": 0.0},
+            {"null_threshold": 1.5},
+            5,
+            {"target_eps": "1e-11"},
+            {"seed": [1]},
+        ],
     )
     def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
         entry = {"label": "g1", "tau": {"kind": "random", "g": 1, "seed": 0}}

@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import theta4.identities as identities
 from theta4.char2 import (
     Characteristic,
+    d_plus,
     enumerate_characteristics,
     even_characteristics,
     weil_pairing,
@@ -16,7 +18,7 @@ from theta4.identities import (
     riemann_quartic_check,
     quartic_residuals,
 )
-from theta4.mmatrix import build_m
+from theta4.mmatrix import build_m, pairing_signs
 from theta4.theta_eval import (
     TruncationPolicy,
     random_tau,
@@ -59,15 +61,65 @@ class TestQuartic:
         assert res.abs_residual >= 0.0 and res.scale > 0.0
         assert res.kind == "quartic" and res.tau is tau_g2_random
 
-    def test_batch_matches_single(self, tau_g2_random):
-        z = sample_cell_points(tau_g2_random, 1, seed=9)[0]
-        for batch_fn, single_fn in (
-            (quartic_residuals, riemann_quartic_check),
-            (inversion_residuals, inversion_check),
-        ):
-            for res in batch_fn(tau_g2_random, n_samples=1, seed=9)[:3]:
-                single = single_fn(res.char, z, tau_g2_random)
-                assert single.lhs == res.lhs and single.rhs == res.rhs
+    def test_batch_matches_single(self):
+        # every record of a sweep is bit for bit the record of its own single check
+        for g in (1, 2, 3):
+            tau = random_tau(g, seed=g + 40, floor=1.0)
+            points = sample_cell_points(tau, 2, seed=9)
+            for batch_fn, single_fn, n_chars in (
+                (quartic_residuals, riemann_quartic_check, 4**g),
+                (inversion_residuals, inversion_check, d_plus(g)),
+            ):
+                records = batch_fn(tau, n_samples=2, seed=9)
+                assert len(records) == 2 * n_chars
+                for k, res in enumerate(records):
+                    single = single_fn(res.char, points[k // n_chars], tau)
+                    for field in ("z", "lhs", "rhs", "scale", "abs_residual", "rel_residual"):
+                        bits = [np.asarray(getattr(r, field)).tobytes() for r in (single, res)]
+                        assert bits[0] == bits[1], (g, res.kind, res.char, field)
+
+    def test_flipped_sign_fails_gate(self, monkeypatch, tau_g2_random):
+        # one wrong sign on the b = 0 term of c = 0 must break the relation
+        def flipped(rows, cols):
+            signs = pairing_signs(rows, cols)
+            signs[0, 0] *= -1
+            return signs
+
+        monkeypatch.setattr(identities, "pairing_signs", flipped)
+        for sweep in (quartic_residuals, inversion_residuals):
+            records = sweep(tau_g2_random, n_samples=1, seed=5)
+            assert [r.passes(1e-8) for r in records].count(False) == 1
+
+
+class TestReferenceLoops:
+    """Sweep records against the per-pair loops of the literal sums."""
+
+    @pytest.mark.parametrize("fixture", ["tau_g2_random", "tau_g2_product"])
+    def test_records_match_literal_sums(self, fixture, request):
+        tau = request.getfixturevalue(fixture)
+        g = tau.g
+        zero = np.zeros(g, dtype=complex)
+        evens = even_characteristics(g)
+        null = {b: theta_with_char(b, zero, tau) for b in enumerate_characteristics(g)}
+        records = quartic_residuals(tau, n_samples=2, seed=6) + inversion_residuals(tau, n_samples=2, seed=6)
+        for res in records:
+            z, c = np.array(res.z), res.char
+            if res.kind == "quartic":
+                terms = {b: n**3 * theta_with_char(b, 2.0 * z, tau) / 2**g for b, n in null.items()}
+                lhs = theta_with_char(c, z, tau) ** 4
+                rhs = sum(weil_pairing(c, b) * t for b, t in terms.items())
+                largest = max(abs(t) for t in terms.values())
+            else:
+                fourth = {a: theta_with_char(a, z, tau) ** 4 for a in evens}
+                lhs = 2**g * null[c] ** 3 * theta_with_char(c, 2.0 * z, tau)
+                rhs = -(2**g) * fourth[c] + sum(weil_pairing(a, c) * 2 * f for a, f in fourth.items())
+                largest = max(2**g * abs(fourth[c]), 2 * max(abs(f) for f in fourth.values()))
+            assert res.lhs == lhs
+            # two summation orders of at most n = 16 terms: within 2 (n-1) n u of the largest
+            assert abs(res.rhs - rhs) <= 1e-13 * largest
+            assert res.abs_residual == abs(res.lhs - res.rhs)
+            assert res.rel_residual == res.abs_residual / max(abs(res.lhs), abs(res.rhs), 1e-30)
+            assert res.scale == max(largest, abs(res.lhs), abs(res.rhs))
 
 
 class TestInversion:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import theta4.mmatrix as mmatrix
-from theta4.char2 import Characteristic, d_plus, enumerate_characteristics, weil_pairing
+from theta4.char2 import (
+    Characteristic,
+    d_plus,
+    enumerate_characteristics,
+    even_characteristics,
+    weil_pairing,
+)
 from theta4.mmatrix import (
     MAX_GENUS,
     RationalMatrix,
@@ -12,6 +18,7 @@ from theta4.mmatrix import (
     apply,
     build_m,
     inverse_m,
+    pairing_signs,
     row_sum,
     row_sum_closed_form,
     verify_sign_matrix,
@@ -69,6 +76,21 @@ class TestBuild:
     def test_genus_range(self, g):
         with pytest.raises(ValueError):
             build_m(g)
+
+
+class TestPairingSigns:
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_matches_pairing_on_every_pair(self, g):
+        evens, all_chars = even_characteristics(g), enumerate_characteristics(g)
+        for rows, cols in ((evens, evens), (all_chars, evens), (all_chars[-1:], all_chars)):
+            signs = pairing_signs(rows, cols)
+            assert signs.dtype == np.int64 and signs.shape == (len(rows), len(cols))
+            expected = [[weil_pairing(a, b) for b in cols] for a in rows]
+            assert signs.tolist() == expected
+
+    def test_mixed_genus_rejected(self):
+        with pytest.raises(ValueError):
+            pairing_signs(even_characteristics(1), even_characteristics(2))
 
 
 class TestQuadraticIdentity:
