@@ -29,7 +29,7 @@ from theta4.basis_analysis import (
     check_null_threshold,
     split_nulls,
 )
-from theta4.char2 import Characteristic, enumerate_characteristics, parity
+from theta4.char2 import Characteristic, d_plus, enumerate_characteristics, parity
 from theta4.identities import inversion_residuals, quartic_residuals
 from theta4.jsonio import (
     atomic_write_text,
@@ -87,14 +87,14 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_mmatrix(args) -> int:
-    m = build_m(args.genus)
     if args.emit or not args.verify:
+        m = build_m(args.genus)
         _emit({"g": m.g, "dim": m.dim, "entries": m.entries.tolist()}, args.emit)
     if not args.verify:
         return EXIT_PASS
     checks = verify_sign_matrix(args.genus)
     ok = all(checks.values())
-    _emit({"g": args.genus, "dim": m.dim, "checks": checks, "ok": ok}, None)
+    _emit({"g": args.genus, "dim": d_plus(args.genus), "checks": checks, "ok": ok}, None)
     return EXIT_PASS if ok else EXIT_MATH_FAIL
 
 
@@ -252,9 +252,9 @@ def _run_entry(
 
     identities_ok = result["mmatrix_ok"] and result["quartic_ok"] and result["inversion_ok"]
     expected_ok = (
-        len(report.vanishing) == int(expect["vanishing_nulls"])
-        and report.point_basis_verdict == bool(expect["verdicts"])
-        and report.fourth_power_basis_verdict == bool(expect["verdicts"])
+        len(report.vanishing) == expect["vanishing_nulls"]
+        and report.point_basis_verdict == expect["verdicts"]
+        and report.fourth_power_basis_verdict == expect["verdicts"]
     )
     if report.status == "warn":
         result["status"] = "warn"
@@ -305,7 +305,11 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
             kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
             check_kappa0(kappa0, tau.g)
             expect = {"vanishing_nulls": 0, "verdicts": True, **entry.get("expect", {})}
-            int(expect["vanishing_nulls"])  # _run_entry compares it as an int
+            nulls, verdicts = expect["vanishing_nulls"], expect["verdicts"]
+            if isinstance(nulls, bool) or not isinstance(nulls, int) or nulls < 0:
+                raise ValueError(f"expect.vanishing_nulls must be a non-negative integer, got {nulls!r}")
+            if not isinstance(verdicts, bool):
+                raise ValueError(f"expect.verdicts must be true or false, got {verdicts!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed kappa0 or expect: {exc!r}") from exc
         prepared.append((label, tau, kappa0, expect, seed + i))

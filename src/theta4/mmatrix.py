@@ -4,9 +4,10 @@ M is the d+ x d+ matrix of pairing signs (-1)^(a1.b2 + a2.b1) with rows and
 columns running over the even pairs in canonical order.  Everything here is
 exact: entries are +-1 integers, the closed-form inverse is rational with
 denominator 2^(2g-1), and the verification identities are evaluated in
-integer arithmetic (int32 is exact at these dimensions: every intermediate
-is bounded by d+ (1 + 2^(g-1)) <= 528 * 17 = 8976, far below 2^31).
-pairing_signs builds the same signs between any two lists of
+integer arithmetic.  M^2 is formed by popcount: with each row of M and each
+row of M^T packed as bits (1 where the entry is -1), entry (i, j) of M^2 is
+d+ - 2 popcount(row_i XOR col_j), an integer count with no rounding and no
+overflow.  pairing_signs builds the same signs between any two lists of
 characteristics; M and both identity sweeps of theta4.identities read them
 from there.
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from theta4.char2 import (
 )
 
 MAX_GENUS = 5
+
+# uint64 words in one (row block, d+, words) XOR temporary of the popcount square
+_SQUARE_BLOCK_WORDS = 2**17
 
 Rational = Fraction | int
 
@@ -84,6 +89,11 @@ def build_m(g: int) -> SignMatrix:
     return SignMatrix(g=g, dim=len(evens), entries=pairing_signs(evens, evens), index_map=tuple(evens))
 
 
+@lru_cache(maxsize=None)
+def _evens(g: int) -> tuple[Characteristic, ...]:
+    return tuple(even_characteristics(g))
+
+
 def row_sum(g: int, a: Characteristic) -> int:
     """Sum of pairing signs of a against all even pairs, computed literally.
 
@@ -94,7 +104,7 @@ def row_sum(g: int, a: Characteristic) -> int:
     _check_genus(g)
     if a.g != g:
         raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
-    return sum(weil_pairing(a, b) for b in even_characteristics(g))
+    return sum(weil_pairing(a, b) for b in _evens(g))
 
 
 def row_sum_closed_form(g: int, a: Characteristic) -> int:
@@ -135,28 +145,60 @@ def apply(m: SignMatrix | RationalMatrix, v: Sequence[Rational]) -> list[Fractio
     return [sum((e * x for e, x in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+def _pack_signs(e: np.ndarray) -> np.ndarray:
+    """Rows of a +-1 matrix as bits (1 where -1), padded to whole uint64 words."""
+    bits = np.packbits(e == -1, axis=1)
+    padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return padded.view(np.uint64)
+
+
+def _popcount_square(e: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, block): block is rows start, start + 1, ... of e @ e,
+    exactly, for a square +-1 matrix e.
+
+    Row i of e and column j of e agree in d - popcount(row_i XOR col_j)
+    places and differ in the rest, so their dot product is
+    d - 2 popcount(row_i XOR col_j).  The columns are packed from e.T, so
+    this is e @ e even when e is not symmetric.  Row blocks keep each XOR
+    temporary at or under _SQUARE_BLOCK_WORDS words.
+    """
+    d = e.shape[0]
+    rows, cols = _pack_signs(e), _pack_signs(e.T)
+    step = max(1, _SQUARE_BLOCK_WORDS // cols.size)
+    for start in range(0, d, step):
+        differ = np.bitwise_count(rows[start : start + step, None, :] ^ cols[None, :, :])
+        yield start, d - 2 * differ.sum(axis=2, dtype=np.int64)
+
+
 def verify_sign_matrix(g: int) -> dict[str, bool]:
     """Exact verification of the structural identities of the sign matrix.
 
     Checks, all in integer arithmetic:
       * entries are +-1, the diagonal is +1, and M is symmetric;
-      * M^2 = 2^(g-1) M + 2^(2g-1) I (equivalently M (M - 2^(g-1) I) is
-        2^(2g-1) I, i.e. the closed-form inverse is exact);
+      * M^2 = 2^(g-1) M + 2^(2g-1) I, with M^2 counted by XOR-popcounts of
+        the packed rows and columns of M (exact for a +-1 matrix);
+      * M (M - 2^(g-1) I) = 2^(2g-1) I, i.e. the closed-form inverse is
+        exact; this is the same integer matrix M^2 - 2^(g-1) M, so it is read
+        off the same square;
       * the literal row sum over even pairs matches its closed form for
         every one of the 4^g characteristics.
     """
     _check_genus(g)
     m = build_m(g)
     e = m.entries
-    # the products in int32: exact (module docstring) and faster than int64
-    e32 = e.astype(np.int32)
-    eye = np.eye(m.dim, dtype=np.int32)
+    k, c = 2 ** (g - 1), 2 ** (2 * g - 1)
+    entries_pm1 = bool(np.all(np.abs(e) == 1))
+    square_ok = entries_pm1  # the popcount square is e @ e only for a +-1 matrix
+    for start, block in _popcount_square(e):
+        target = k * e[start : start + len(block)] + c * np.eye(len(block), m.dim, start, dtype=int)
+        square_ok = square_ok and np.array_equal(block, target)
     checks = {
-        "entries_pm1": bool(np.all(np.abs(e) == 1)),
+        "entries_pm1": entries_pm1,
         "diagonal_plus1": bool(np.all(np.diagonal(e) == 1)),
         "symmetric": bool(np.array_equal(e, e.T)),
-        "quadratic_identity": bool(np.array_equal(e32 @ e32, 2 ** (g - 1) * e32 + 2 ** (2 * g - 1) * eye)),
-        "inverse_identity": bool(np.array_equal(e32 @ (e32 - 2 ** (g - 1) * eye), 2 ** (2 * g - 1) * eye)),
+        "quadratic_identity": square_ok,
+        "inverse_identity": square_ok,
     }
     checks["row_sum_closed_form"] = all(
         row_sum(g, a) == row_sum_closed_form(g, a) for a in enumerate_characteristics(g)

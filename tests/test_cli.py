@@ -289,6 +289,13 @@ class TestRunSuite:
             {"kappa0": "1,1"},
             {"expect": 5},
             {"expect": {"vanishing_nulls": [1]}},
+            {"expect": {"vanishing_nulls": 1.9}},
+            {"expect": {"vanishing_nulls": True}},
+            {"expect": {"vanishing_nulls": "1"}},
+            {"expect": {"vanishing_nulls": -1}},
+            {"expect": {"verdicts": "false"}},
+            {"expect": {"verdicts": 1}},
+            {"expect": {"verdicts": None}},
         ],
     )
     def test_malformed_tau_source_names_entry(self, capsys, tmp_path, fields):

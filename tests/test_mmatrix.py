@@ -12,7 +12,6 @@ from theta4.char2 import (
     weil_pairing,
 )
 from theta4.mmatrix import (
-    MAX_GENUS,
     RationalMatrix,
     SignMatrix,
     apply,
@@ -188,9 +187,22 @@ class TestVerify:
         checks = verify_sign_matrix(g)
         assert checks and all(checks.values())
 
-    def test_int32_headroom(self):
-        # |M| <= 1 and |M - 2^(g-1) I| <= 1 + 2^(g-1) entrywise, d+ terms per product entry
-        assert d_plus(MAX_GENUS) * (1 + 2 ** (MAX_GENUS - 1)) < 2**31
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_popcount_square_matches_matmul(self, g):
+        # the flipped [1, 2] makes e asymmetric: packing rows where the columns
+        # belong would give e @ e.T there, not e @ e
+        e = build_m(g).entries
+        flipped = e.copy()
+        flipped[1, 2] *= -1
+        words = -(-len(e) // 64)
+        for matrix in (e, flipped):
+            blocks = list(mmatrix._popcount_square(matrix))
+            starts = [start for start, _ in blocks]
+            assert starts == [sum(len(b) for _, b in blocks[:i]) for i in range(len(blocks))]
+            assert all(len(b) * len(e) * words <= mmatrix._SQUARE_BLOCK_WORDS for _, b in blocks)
+            square = np.concatenate([b for _, b in blocks])
+            assert square.dtype == np.int64
+            assert np.array_equal(square, matrix @ matrix)
 
     @pytest.mark.parametrize("g", [2, 5])
     def test_flipped_symmetric_pair_fails_identities(self, g, monkeypatch):
@@ -205,6 +217,33 @@ class TestVerify:
         assert not checks["quadratic_identity"]
         assert not checks["inverse_identity"]
         assert checks["row_sum_closed_form"]
+
+    @pytest.mark.parametrize("g", [2, 5])
+    def test_flipped_single_entry_fails_symmetry_and_identities(self, g, monkeypatch):
+        true_m = build_m(g)
+        entries = true_m.entries.copy()
+        entries[1, 2] *= -1
+        flipped = SignMatrix(g=g, dim=true_m.dim, entries=entries, index_map=true_m.index_map)
+        monkeypatch.setattr(mmatrix, "build_m", lambda _: flipped)
+        checks = verify_sign_matrix(g)
+        assert checks["entries_pm1"] and checks["diagonal_plus1"]
+        assert not checks["symmetric"]
+        assert not checks["quadratic_identity"]
+        assert not checks["inverse_identity"]
+        assert checks["row_sum_closed_form"]
+
+    def test_non_sign_entries_fail_identities(self, monkeypatch):
+        # e = 3J - 2I packs like the all-ones J, and J^2 = 3J = e + 2I is the
+        # g = 1 identity, so only the +-1 precondition keeps the popcount
+        # square honest: (3J - 2I)^2 = 15J + 4I
+        true_m = build_m(1)
+        entries = np.full((3, 3), 3) - 2 * np.eye(3, dtype=int)
+        bad = SignMatrix(g=1, dim=3, entries=entries, index_map=true_m.index_map)
+        monkeypatch.setattr(mmatrix, "build_m", lambda _: bad)
+        checks = verify_sign_matrix(1)
+        assert not checks["entries_pm1"] and checks["diagonal_plus1"] and checks["symmetric"]
+        assert not checks["quadratic_identity"]
+        assert not checks["inverse_identity"]
 
     def test_wrong_pairing_fails_row_sums(self, monkeypatch):
         g = 3

@@ -65,6 +65,20 @@ def meshgrid_group(a1, z, tau: PeriodMatrix, radius: int) -> np.ndarray:
     return np.exp(1j * np.pi * (phase[:, None] + n @ a2s.T)).sum(0)
 
 
+def fallback_group(a1, z, tau: PeriodMatrix, radius: int) -> np.ndarray:
+    """All 2^g second halves of a1 at z in the arithmetic of the kernel's
+    term-by-term path: every term of the point's box, a2 signs by parity."""
+    g = tau.g
+    alpha = np.array(a1, dtype=float) / 2.0
+    center = -alpha - np.linalg.solve(tau.tau.imag, z.imag)
+    axes = [np.arange(math.ceil(cj - radius), math.floor(cj + radius) + 1) for cj in center]
+    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g).astype(np.int64)
+    n = m + alpha
+    bits = np.array(list(itertools.product((0, 1), repeat=g)))
+    terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ z)))
+    return (terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))) * np.exp(1j * np.pi * (bits @ alpha))
+
+
 def assert_groups_match(groups, a1, points, tau, radii=None):
     """Each (values, radius, tail_bound) equals the reference at its radius;
     radius and tail bound are the default search's unless radii are forced."""
@@ -324,6 +338,24 @@ class TestBatchedKernel:
                 reach = radius + alpha
                 growth.append(2 * math.pi * reach @ np.abs((z + tau.tau @ shift).imag))
         assert max(growth) > math.log(sys.float_info.max)
+
+
+    def test_range_guard_margin(self):
+        # growth below log(float max) but within the margin g log(2r+1) that
+        # covers a partial sum of (2r+1)^g factors: the point is summed term by
+        # term, so it equals the term-by-term arithmetic exactly
+        tau = PeriodMatrix([[0.3 + 100j]])
+        z = np.array([0.25 - 45.14j])
+        a1 = (1,)
+        (values, radius, _), = theta_eval._theta_groups(a1, z[None], tau, TruncationPolicy(), None)
+        shift = np.rint(-0.5 - np.linalg.solve(tau.tau.imag, z.imag))
+        growth = 2 * math.pi * (radius + 0.5) * abs((z + tau.tau @ shift).imag[0])
+        ceiling = math.log(sys.float_info.max)
+        assert ceiling - math.log(2 * radius + 1) < growth < ceiling
+        assert np.all(np.isfinite(values))
+        expected = meshgrid_group(a1, z, tau, radius)
+        assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-12
+        assert np.array_equal(values, fallback_group(a1, z, tau, radius))
 
 
 class TestMemoKeys:
