@@ -43,7 +43,6 @@ from theta4.theta_eval import (
     theta_nulls,
     theta_series,
     theta_table,
-    theta_with_char,
     two_torsion_point,
 )
 from theta4.identities import (
@@ -112,7 +111,6 @@ __all__ = [
     "theta_nulls",
     "theta_series",
     "theta_table",
-    "theta_with_char",
     "translate",
     "two_torsion_point",
     "vanishing_nulls",

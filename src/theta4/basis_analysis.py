@@ -35,7 +35,6 @@ from theta4.theta_eval import (
     sample_cell_points,
     theta_nulls,
     theta_table,
-    theta_with_char,
     two_torsion_point,
 )
 
@@ -138,11 +137,8 @@ def mu(
     if parity(kappa) != 1 or parity(kappa_prime) != 1:
         raise ValueError("mu is defined for even characteristics")
     z2 = 2.0 * two_torsion_point(a, tau)
-    zero = np.zeros(tau.g, dtype=complex)
-    null_k = theta_with_char(kappa, zero, tau, policy)
-    null_kp = theta_with_char(kappa_prime, zero, tau, policy)
-    val_k = theta_with_char(kappa, z2, tau, policy)
-    val_kp = theta_with_char(kappa_prime, z2, tau, policy)
+    table = theta_table([kappa, kappa_prime], [np.zeros(tau.g), z2], tau, policy)
+    (null_k, val_k), (null_kp, val_kp) = table.tolist()
     scale = max(abs(null_k), abs(null_kp), abs(val_k), abs(val_kp), 1e-300)
     if abs(null_kp) < MU_GUARD * scale:
         raise NearZeroThetaError("vanishing-null", kappa_prime, a)

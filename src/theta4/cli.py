@@ -272,15 +272,18 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     across reruns with the same corpus.
     """
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
+    for key in ("samples", "seed"):
+        if isinstance(policies[key], bool) or not isinstance(policies[key], int):
+            raise ValueError(f"policy {key} must be an integer, got {policies[key]!r}")
+    seed = policies["seed"]
     try:
         settings = {
             "policy": TruncationPolicy(target_eps=policies["target_eps"]),
             "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
-            "samples": int(policies["samples"]),
+            "samples": policies["samples"],
             "identity_eps": float(policies["identity_eps"]),
             "null_threshold": float(policies["null_threshold"]),
         }
-        seed = int(policies["seed"])
     except TypeError as exc:
         raise ValueError(f"corpus policies must be numbers: {exc}") from exc
     if settings["samples"] < 1:

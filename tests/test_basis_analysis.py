@@ -25,7 +25,7 @@ from theta4.theta_eval import (
     block_diagonal_tau,
     random_tau,
     theta_nulls,
-    theta_with_char,
+    theta_series,
     two_torsion_point,
 )
 
@@ -122,6 +122,10 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(Characteristic.zero(1), odd, Characteristic.zero(1), tau_g1_i)
 
+    def test_rejects_wrong_genus(self, tau_g1_i):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            mu(Characteristic.zero(1), Characteristic.zero(2), Characteristic.zero(1), tau_g1_i)
+
     def test_invariant_under_rescaling(self, tau_g2_random):
         # scaling each section by r and each evaluation point by c must cancel
         rng = np.random.default_rng(8)
@@ -130,10 +134,10 @@ class TestMu:
         z2 = 2.0 * two_torsion_point(a, tau_g2_random)
         zero = np.zeros(2, dtype=complex)
         vals = {
-            ("k", 0): theta_with_char(k, zero, tau_g2_random),
-            ("k", 1): theta_with_char(k, z2, tau_g2_random),
-            ("kp", 0): theta_with_char(kp, zero, tau_g2_random),
-            ("kp", 1): theta_with_char(kp, z2, tau_g2_random),
+            ("k", 0): theta_series(k, zero, tau_g2_random).value,
+            ("k", 1): theta_series(k, z2, tau_g2_random).value,
+            ("kp", 0): theta_series(kp, zero, tau_g2_random).value,
+            ("kp", 1): theta_series(kp, z2, tau_g2_random).value,
         }
         r = rng.uniform(0.5, 2.0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         col = rng.uniform(0.5, 2.0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))

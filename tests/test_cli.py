@@ -7,7 +7,7 @@ from theta4.char2 import Characteristic
 from theta4.cli import main, standard_corpus
 from theta4.jsonio import canonical_dumps
 from theta4.mmatrix import build_m
-from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, theta_with_char
+from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, theta_series
 
 
 @pytest.fixture()
@@ -81,11 +81,11 @@ class TestTheta:
             capsys, "theta", "--tau", rand_g2, "--char", "01,10", "--z", "0.1,0.2;0.3,-0.1"
         )
         assert code == 0
-        expected = theta_with_char(
+        expected = theta_series(
             Characteristic((0, 1), (1, 0)),
             np.array([0.1 + 0.2j, 0.3 - 0.1j]),
             tau_g2_random,
-        )
+        ).value
         got = complex(payload["value"]["re"], payload["value"]["im"])
         assert abs(got - expected) < 1e-12
         assert payload["tail_bound"] < 1e-10
@@ -127,6 +127,18 @@ class TestNulls:
         code, payload = run(capsys, "nulls", "--tau", rand_g2)
         assert code == 0
         assert payload["vanishing"] == []
+
+    @pytest.mark.parametrize(
+        "fields", [{"g": [1]}, {"g": 1.5}, {"g": True}, {"g": "1"}, {"re": [[{"x": 1}]]}]
+    )
+    def test_malformed_tau_file_is_input_error(self, capsys, tmp_path, fields):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"g": 1, "re": [[0.0]], "im": [[1.0]], **fields}), encoding="utf-8")
+        code = main(["nulls", "--tau", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["nulls", "basis-report"])
@@ -319,6 +331,9 @@ class TestRunSuite:
             5,
             {"target_eps": "1e-11"},
             {"seed": [1]},
+            {"samples": 1.9},
+            {"seed": 0.5},
+            {"samples": True},
         ],
     )
     def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
@@ -328,8 +343,11 @@ class TestRunSuite:
         out = tmp_path / "report.json"
         code = main(["run-suite", "--corpus", str(corpus), "--out", str(out)])
         assert code == 2
-        assert "[g1]" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[g1]" not in err
         assert not out.exists()
+        if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}):
+            assert f"policy {next(iter(policies))} must be an integer" in err
 
     def test_warn_entry_rolls_up_to_warn(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.json"

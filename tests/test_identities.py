@@ -23,7 +23,7 @@ from theta4.theta_eval import (
     TruncationPolicy,
     random_tau,
     sample_cell_points,
-    theta_with_char,
+    theta_series,
 )
 
 # theta3(0, i)^4 and twice it, frozen from an independent high-precision source
@@ -37,7 +37,7 @@ class TestQuartic:
         assert res.rel_residual < 1e-9
         assert abs(res.lhs - THETA3_4TH_AT_I) < 1e-10
         # the relation at z=0, g=1 is literally theta3^4 = theta2^4 + theta4^4
-        nulls = {c: theta_with_char(c, zero1, tau_g1_i) for c in enumerate_characteristics(1)}
+        nulls = {c: theta_series(c, zero1, tau_g1_i).value for c in enumerate_characteristics(1)}
         jacobi = nulls[Characteristic((0,), (0,))] ** 4 - (
             nulls[Characteristic((0,), (1,))] ** 4 + nulls[Characteristic((1,), (0,))] ** 4
         )
@@ -100,18 +100,18 @@ class TestReferenceLoops:
         g = tau.g
         zero = np.zeros(g, dtype=complex)
         evens = even_characteristics(g)
-        null = {b: theta_with_char(b, zero, tau) for b in enumerate_characteristics(g)}
+        null = {b: theta_series(b, zero, tau).value for b in enumerate_characteristics(g)}
         records = quartic_residuals(tau, n_samples=2, seed=6) + inversion_residuals(tau, n_samples=2, seed=6)
         for res in records:
             z, c = np.array(res.z), res.char
             if res.kind == "quartic":
-                terms = {b: n**3 * theta_with_char(b, 2.0 * z, tau) / 2**g for b, n in null.items()}
-                lhs = theta_with_char(c, z, tau) ** 4
+                terms = {b: n**3 * theta_series(b, 2.0 * z, tau).value / 2**g for b, n in null.items()}
+                lhs = theta_series(c, z, tau).value ** 4
                 rhs = sum(weil_pairing(c, b) * t for b, t in terms.items())
                 largest = max(abs(t) for t in terms.values())
             else:
-                fourth = {a: theta_with_char(a, z, tau) ** 4 for a in evens}
-                lhs = 2**g * null[c] ** 3 * theta_with_char(c, 2.0 * z, tau)
+                fourth = {a: theta_series(a, z, tau).value ** 4 for a in evens}
+                lhs = 2**g * null[c] ** 3 * theta_series(c, 2.0 * z, tau).value
                 rhs = -(2**g) * fourth[c] + sum(weil_pairing(a, c) * 2 * f for a, f in fourth.items())
                 largest = max(2**g * abs(fourth[c]), 2 * max(abs(f) for f in fourth.values()))
             assert res.lhs == lhs
@@ -188,8 +188,8 @@ def evens_term(c, z, tau, drop):
     for b in enumerate_characteristics(g):
         if b == drop:
             continue
-        null = theta_with_char(b, zero, tau)
-        total += weil_pairing(c, b) * null**3 * theta_with_char(b, 2.0 * np.asarray(z), tau)
+        null = theta_series(b, zero, tau).value
+        total += weil_pairing(c, b) * null**3 * theta_series(b, 2.0 * np.asarray(z), tau).value
     return total / 2**g
 
 
@@ -213,15 +213,15 @@ class TestCoefficients:
         policy = TruncationPolicy()
         z = sample_cell_points(tau, 1, seed=g + 31)[0]
         evens = even_characteristics(g)
-        fourths = np.array([theta_with_char(a, z, tau, policy) ** 4 for a in evens])
+        fourths = np.array([theta_series(a, z, tau, policy).value ** 4 for a in evens])
         table = derive_inversion_coefficients(g)
         zero = np.zeros(g, dtype=complex)
         for i, c in enumerate(evens):
             row = np.array([float(x) for x in table.entries[i]])
             combo = row @ fourths
             direct = (
-                theta_with_char(c, zero, tau, policy) ** 3
-                * theta_with_char(c, 2.0 * z, tau, policy)
+                theta_series(c, zero, tau, policy).value ** 3
+                * theta_series(c, 2.0 * z, tau, policy).value
             )
             assert abs(combo - direct) <= 1e-8 * max(abs(combo), abs(direct), 1.0)
 

@@ -18,7 +18,6 @@ from theta4.theta_eval import (
     theta_nulls,
     theta_series,
     theta_table,
-    theta_with_char,
     two_torsion_point,
 )
 
@@ -79,15 +78,12 @@ def fallback_group(a1, z, tau: PeriodMatrix, radius: int) -> np.ndarray:
     return (terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))) * np.exp(1j * np.pi * (bits @ alpha))
 
 
-def assert_groups_match(groups, a1, points, tau, radii=None):
-    """Each (values, radius, tail_bound) equals the reference at its radius;
-    radius and tail bound are the default search's unless radii are forced."""
+def assert_groups_match(groups, a1, points, tau):
+    """Each (values, radius, tail_bound) equals the reference at its radius,
+    and radius and tail bound are the default search's."""
     assert len(groups) == len(points)
     for k, ((values, radius, tail), z) in enumerate(zip(groups, points)):
-        if radii is None:
-            assert (radius, tail) == searched_radius(z, tau, TruncationPolicy()), k
-        else:
-            assert radius == radii[k], k
+        assert (radius, tail) == searched_radius(z, tau, TruncationPolicy()), k
         expected = meshgrid_group(a1, z + 0.0, tau, radius)
         assert np.all(np.isfinite(values)), k
         assert np.max(np.abs(values - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-12, k
@@ -164,14 +160,14 @@ class TestPeriodMatrix:
 
 class TestValues:
     def test_g1_null_matches_reference(self, tau_g1_i, zero1):
-        value = theta_with_char(Characteristic.zero(1), zero1, tau_g1_i)
+        value = theta_series(Characteristic.zero(1), zero1, tau_g1_i).value
         assert abs(value - THETA3_AT_I) < 1e-11
 
     def test_g1_null_matches_brute_force(self, tau_g1_i, zero1):
         coarse = brute_theta(Characteristic.zero(1), [0.0], [[1j]], 8)
         fine = brute_theta(Characteristic.zero(1), [0.0], [[1j]], 16)
         assert abs(coarse - fine) < 1e-12  # oracle is converged
-        value = theta_with_char(Characteristic.zero(1), zero1, tau_g1_i)
+        value = theta_series(Characteristic.zero(1), zero1, tau_g1_i).value
         assert abs(value - fine) < 1e-11
 
     def test_generic_point_matches_brute_force(self, tau_g2_random):
@@ -179,7 +175,7 @@ class TestValues:
         tau_list = tau_g2_random.tau.tolist()
         for c in enumerate_characteristics(2)[::5]:
             expected = brute_theta(c, z, tau_list, 12)
-            assert abs(theta_with_char(c, z, tau_g2_random) - expected) < 1e-10
+            assert abs(theta_series(c, z, tau_g2_random).value - expected) < 1e-10
 
     def test_odd_nulls_vanish(self, tau_g1_i, tau_g2_random):
         for tau in (tau_g1_i, tau_g2_random):
@@ -187,7 +183,7 @@ class TestValues:
             top = max(abs(v) for v in theta_nulls(tau).values())
             for c in enumerate_characteristics(g):
                 if parity(c) == -1:
-                    assert abs(theta_with_char(c, np.zeros(g), tau)) < 1e-10 * top
+                    assert abs(theta_series(c, np.zeros(g), tau).value) < 1e-10 * top
 
     def test_block_factorization(self):
         blocks = [1j, 0.2 + 1.3j]
@@ -197,17 +193,17 @@ class TestValues:
         for c in enumerate_characteristics(2):
             left = Characteristic((c.a1[0],), (c.a2[0],))
             right = Characteristic((c.a1[1],), (c.a2[1],))
-            whole = theta_with_char(c, np.zeros(2), tau)
-            split = theta_with_char(left, [0.0], tau1) * theta_with_char(right, [0.0], tau2)
+            whole = theta_series(c, np.zeros(2), tau).value
+            split = theta_series(left, [0.0], tau1).value * theta_series(right, [0.0], tau2).value
             assert abs(whole - split) <= 1e-9 * max(abs(whole), abs(split), 1.0)
 
     def test_genus_mismatch_and_bad_point(self, tau_g1_i):
         with pytest.raises(ValueError):
-            theta_with_char(Characteristic.zero(2), [0.0], tau_g1_i)
+            theta_series(Characteristic.zero(2), [0.0], tau_g1_i).value
         with pytest.raises(ValueError):
-            theta_with_char(Characteristic.zero(1), [0.0, 0.0], tau_g1_i)
+            theta_series(Characteristic.zero(1), [0.0, 0.0], tau_g1_i).value
         with pytest.raises(ValueError):
-            theta_with_char(Characteristic.zero(1), [complex(math.inf, 0)], tau_g1_i)
+            theta_series(Characteristic.zero(1), [complex(math.inf, 0)], tau_g1_i).value
 
 
 class TestGroupKernel:
@@ -271,18 +267,10 @@ class TestBatchedKernel:
         tau = random_tau(g, seed=20 + g)
         points = self.mixed_batch(tau)
         for a1 in [(1,) * g, tuple(k % 2 for k in range(g))]:
-            groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy(), None)
+            groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy())
             assert len({radius for _, radius, _ in groups}) > 1
             assert_groups_match(groups, a1, points, tau)
             assert np.array_equal(groups[8][0], groups[0][0])  # the repeated point
-
-    @pytest.mark.parametrize("g, radius", [(1, 2), (2, 3), (3, 2), (4, 1)])
-    def test_radius_override_matches_reference(self, g, radius):
-        tau = random_tau(g, seed=30 + g)
-        points = self.mixed_batch(tau)
-        a1 = tuple(1 - k % 2 for k in range(g))
-        groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy(), radius)
-        assert_groups_match(groups, a1, points, tau, radii=[radius] * len(points))
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_table_matches_reference_and_series(self, g):
@@ -315,7 +303,7 @@ class TestBatchedKernel:
         tau = random_tau(4, seed=2)
         points = sample_cell_points(tau, 40, seed=3)
         a1 = (1, 0, 1, 0)
-        groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy(), None)
+        groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy())
         radii = [radius for _, radius, _ in groups]
         chunk = {r: theta_eval._CHUNK_ENTRIES // (2 * (2 * r + 1) ** 3) for r in radii}
         assert any(radii.count(r) > chunk[r] for r in chunk)
@@ -330,7 +318,7 @@ class TestBatchedKernel:
         # the factored sum's linear factors reach exp(growth); some points exceed the double range
         growth = []
         for a1 in itertools.product((0, 1), repeat=3):
-            groups = theta_eval._theta_groups(a1, points, tau, policy, None)
+            groups = theta_eval._theta_groups(a1, points, tau, policy)
             assert_groups_match(groups, a1, points, tau)
             alpha = np.array(a1) / 2.0
             for z, (_, radius, _) in zip(points, groups):
@@ -347,7 +335,7 @@ class TestBatchedKernel:
         tau = PeriodMatrix([[0.3 + 100j]])
         z = np.array([0.25 - 45.14j])
         a1 = (1,)
-        (values, radius, _), = theta_eval._theta_groups(a1, z[None], tau, TruncationPolicy(), None)
+        (values, radius, _), = theta_eval._theta_groups(a1, z[None], tau, TruncationPolicy())
         shift = np.rint(-0.5 - np.linalg.solve(tau.tau.imag, z.imag))
         growth = 2 * math.pi * (radius + 0.5) * abs((z + tau.tau @ shift).imag[0])
         ceiling = math.log(sys.float_info.max)
@@ -369,21 +357,6 @@ class TestMemoKeys:
             assert radii == [searched_radius(z, tau, p)[0] for p in order]
         assert searched_radius(z, tau, loose)[0] < searched_radius(z, tau, strict)[0]
 
-    def test_radius_override_and_default_kept_apart(self):
-        z = np.array([0.2 + 0.3j, -0.1 + 0.2j])
-        c = Characteristic((1, 0), (0, 1))
-        fresh = theta_series(c, z, random_tau(2, seed=9))
-
-        tau = random_tau(2, seed=9)
-        assert theta_series(c, z, tau).value == fresh.value
-        forced = theta_series(c, z, tau, radius_override=fresh.radius + 2)
-        assert forced.radius == fresh.radius + 2
-        assert forced.tail_bound < fresh.tail_bound
-
-        tau = random_tau(2, seed=9)
-        assert theta_series(c, z, tau, radius_override=1).radius == 1
-        assert theta_series(c, z, tau) == fresh
-
     def test_signed_zero_shares_group(self, group_builds):
         tau = random_tau(1, seed=2)
         negative = theta_series(Characteristic.zero(1), [complex(-0.0, -0.0)], tau)
@@ -391,14 +364,18 @@ class TestMemoKeys:
         assert negative == positive
         assert len(group_builds) == 1
 
+    def test_table_checks_every_genus_before_summing(self, group_builds):
+        tau = random_tau(2, seed=3)
+        chars = [Characteristic.zero(2), Characteristic.zero(1), Characteristic((1, 0), (0, 1))]
+        with pytest.raises(ValueError, match="genus mismatch"):
+            theta_table(chars, [np.zeros(2)], tau)
+        assert group_builds == []
+
     def test_argument_errors_precede_lookup(self, group_builds, zero1):
         tau = random_tau(1, seed=3)
         theta_series(Characteristic.zero(1), zero1, tau)
         with pytest.raises(ValueError, match="genus mismatch"):
             theta_series(Characteristic.zero(2), zero1, tau)
-        for radius in (0, 65):
-            with pytest.raises(ValueError, match="radius_override"):
-                theta_series(Characteristic.zero(1), zero1, tau, radius_override=radius)
         assert len(group_builds) == 1
 
 
@@ -433,8 +410,8 @@ class TestSymmetries:
             g = tau.g
             z = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.4, 0.4, g)
             for c in enumerate_characteristics(g):
-                plus = theta_with_char(c, z, tau)
-                minus = theta_with_char(c, -z, tau)
+                plus = theta_series(c, z, tau).value
+                minus = theta_series(c, -z, tau).value
                 assert abs(minus - parity(c) * plus) <= 1e-9 * max(abs(plus), 1e-3)
 
     def test_quasi_periodicity(self, tau_g2_random):
@@ -445,11 +422,11 @@ class TestSymmetries:
             p = rng.integers(-2, 3, g)
             q = rng.integers(-2, 3, g)
             for c in enumerate_characteristics(g)[:: max(1, g)]:
-                base = theta_with_char(c, z, tau)
-                shifted_int = theta_with_char(c, z + p, tau)
+                base = theta_series(c, z, tau).value
+                shifted_int = theta_series(c, z + p, tau).value
                 sign = (-1) ** int(np.dot(c.a1, p) % 2)
                 assert abs(shifted_int - sign * base) <= 1e-9 * max(abs(base), 1e-6)
-                shifted_tau = theta_with_char(c, z + tau.tau @ q, tau)
+                shifted_tau = theta_series(c, z + tau.tau @ q, tau).value
                 factor = np.exp(
                     -1j * np.pi * (q @ tau.tau @ q) - 2j * np.pi * (q @ (z + np.array(c.a2) / 2.0))
                 )
@@ -462,8 +439,8 @@ class TestTruncation:
         z = np.array([0.2 + 0.3j, -0.1 + 0.2j])
         for c in enumerate_characteristics(2)[::3]:
             first = theta_series(c, z, tau_g2_random, policy)
-            doubled = theta_series(c, z, tau_g2_random, policy, radius_override=2 * first.radius)
-            assert abs(first.value - doubled.value) < policy.target_eps
+            doubled = meshgrid_theta(c, z, tau_g2_random, 2 * first.radius)
+            assert abs(first.value - doubled) < policy.target_eps
 
     def test_reported_bound_meets_target(self, tau_g1_i, zero1):
         result = theta_series(Characteristic.zero(1), zero1, tau_g1_i)
@@ -475,10 +452,6 @@ class TestTruncation:
         with pytest.raises(TruncationError) as err:
             theta_series(Characteristic.zero(1), [0.0], tau, policy)
         assert err.value.required_radius > 4
-
-    def test_radius_override_validation(self, tau_g1_i, zero1):
-        with pytest.raises(ValueError):
-            theta_series(Characteristic.zero(1), zero1, tau_g1_i, radius_override=100)
 
 
 class TestTwoTorsionPoint:
