@@ -199,7 +199,13 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
     if kind == "literal":
         return PeriodMatrix.from_json({k: v for k, v in source.items() if k != "kind"})
     if kind == "random":
-        return random_tau(int(source["g"]), int(source["seed"]), float(source.get("floor", 1.0)))
+        g, seed, floor = source["g"], source["seed"], source.get("floor", 1.0)
+        for key, value in (("g", g), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"random tau source {key} must be an integer, got {value!r}")
+        if isinstance(floor, bool) or not isinstance(floor, (int, float)):
+            raise ValueError(f"random tau source floor must be a number, got {floor!r}")
+        return random_tau(g, seed, float(floor))
     if kind == "diagonal":
         entries = [complex(e["re"], e["im"]) for e in source["entries"]]
         return block_diagonal_tau(entries)

@@ -129,7 +129,17 @@ class TestNulls:
         assert payload["vanishing"] == []
 
     @pytest.mark.parametrize(
-        "fields", [{"g": [1]}, {"g": 1.5}, {"g": True}, {"g": "1"}, {"re": [[{"x": 1}]]}]
+        "fields",
+        [
+            {"g": [1]},
+            {"g": 1.5},
+            {"g": True},
+            {"g": "1"},
+            {"re": [[{"x": 1}]]},
+            {"re": [["0.5"]], "im": [["1"]]},
+            {"im": [["1"]]},
+            {"re": [[True]]},
+        ],
     )
     def test_malformed_tau_file_is_input_error(self, capsys, tmp_path, fields):
         path = tmp_path / "tau.json"
@@ -308,6 +318,14 @@ class TestRunSuite:
             {"expect": {"verdicts": "false"}},
             {"expect": {"verdicts": 1}},
             {"expect": {"verdicts": None}},
+            {"tau": {"kind": "random", "g": 1.7, "seed": 2.9}},
+            {"tau": {"kind": "random", "g": 1.7, "seed": 2}},
+            {"tau": {"kind": "random", "g": 1, "seed": 2.9}},
+            {"tau": {"kind": "random", "g": True, "seed": 2}},
+            {"tau": {"kind": "random", "g": 1, "seed": False}},
+            {"tau": {"kind": "random", "g": "1", "seed": 2}},
+            {"tau": {"kind": "random", "g": 1, "seed": 2, "floor": "1.0"}},
+            {"tau": {"kind": "random", "g": 1, "seed": 2, "floor": True}},
         ],
     )
     def test_malformed_tau_source_names_entry(self, capsys, tmp_path, fields):

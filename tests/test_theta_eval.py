@@ -102,6 +102,11 @@ def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int
     raise AssertionError("no radius meets the target")
 
 
+def kernel_groups(a1, points, tau: PeriodMatrix, policy: TruncationPolicy) -> list:
+    """_theta_groups over the batch with the batch's own truncation, as _fill calls it."""
+    return theta_eval._theta_groups(a1, points, theta_eval._truncation(points, tau, policy), tau)
+
+
 @pytest.fixture()
 def group_builds(monkeypatch):
     """(a1, point bytes) of every point the lattice-sum builder sums."""
@@ -267,7 +272,7 @@ class TestBatchedKernel:
         tau = random_tau(g, seed=20 + g)
         points = self.mixed_batch(tau)
         for a1 in [(1,) * g, tuple(k % 2 for k in range(g))]:
-            groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy())
+            groups = kernel_groups(a1, points, tau, TruncationPolicy())
             assert len({radius for _, radius, _ in groups}) > 1
             assert_groups_match(groups, a1, points, tau)
             assert np.array_equal(groups[8][0], groups[0][0])  # the repeated point
@@ -303,7 +308,7 @@ class TestBatchedKernel:
         tau = random_tau(4, seed=2)
         points = sample_cell_points(tau, 40, seed=3)
         a1 = (1, 0, 1, 0)
-        groups = theta_eval._theta_groups(a1, points, tau, TruncationPolicy())
+        groups = kernel_groups(a1, points, tau, TruncationPolicy())
         radii = [radius for _, radius, _ in groups]
         chunk = {r: theta_eval._CHUNK_ENTRIES // (2 * (2 * r + 1) ** 3) for r in radii}
         assert any(radii.count(r) > chunk[r] for r in chunk)
@@ -318,7 +323,7 @@ class TestBatchedKernel:
         # the factored sum's linear factors reach exp(growth); some points exceed the double range
         growth = []
         for a1 in itertools.product((0, 1), repeat=3):
-            groups = theta_eval._theta_groups(a1, points, tau, policy)
+            groups = kernel_groups(a1, points, tau, policy)
             assert_groups_match(groups, a1, points, tau)
             alpha = np.array(a1) / 2.0
             for z, (_, radius, _) in zip(points, groups):
@@ -335,7 +340,7 @@ class TestBatchedKernel:
         tau = PeriodMatrix([[0.3 + 100j]])
         z = np.array([0.25 - 45.14j])
         a1 = (1,)
-        (values, radius, _), = theta_eval._theta_groups(a1, z[None], tau, TruncationPolicy())
+        (values, radius, _), = kernel_groups(a1, z[None], tau, TruncationPolicy())
         shift = np.rint(-0.5 - np.linalg.solve(tau.tau.imag, z.imag))
         growth = 2 * math.pi * (radius + 0.5) * abs((z + tau.tau @ shift).imag[0])
         ceiling = math.log(sys.float_info.max)
@@ -344,6 +349,88 @@ class TestBatchedKernel:
         expected = meshgrid_group(a1, z, tau, radius)
         assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-12
         assert np.array_equal(values, fallback_group(a1, z, tau, radius))
+
+
+class TestSharedSetUp:
+    """The truncation shared by a table's top halves and the quadratic-phase
+    table cached per top half change no value."""
+
+    @staticmethod
+    def table_chars(g: int) -> list[Characteristic]:
+        """Every second half of three top halves (all 2^g at g = 1)."""
+        top_halves = dict.fromkeys([(1,) * g, (0,) * g, tuple(k % 2 for k in range(g))])
+        return [c for c in enumerate_characteristics(g) if c.a1 in top_halves]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_point_values_do_not_depend_on_batch(self, g):
+        seed = 60 + g
+        batch = TestBatchedKernel.mixed_batch(random_tau(g, seed))[:-1]
+        far = random_tau(g, seed).tau @ np.full(g, 2.5) - 0.7
+        chars = self.table_chars(g)
+        alone = np.hstack([theta_table(chars, [z], random_tau(g, seed)) for z in batch])
+        together = theta_table(chars, batch, random_tau(g, seed))
+        order = np.random.default_rng(g).permutation(len(batch))
+        shuffled = theta_table(chars, batch[order], random_tau(g, seed))
+        grown = random_tau(g, seed)
+        theta_table(chars, [far], grown)
+        after = theta_table(chars, batch, grown)
+        radii = [theta_series(c, z, grown).radius for c in chars for z in batch]
+        assert all(grown._quad_tables[c.a1][0] > max(radii) for c in chars)
+        assert np.array_equal(together, alone)
+        assert np.array_equal(shuffled, alone[:, order])
+        assert np.array_equal(after, alone)
+
+    @pytest.mark.parametrize("g, top", [(1, 12), (2, 9), (3, 7), (4, 6)])
+    def test_quad_table_slice_equals_table_built_at_radius(self, g, top):
+        for a1 in itertools.product((0, 1), repeat=g):
+            tau = random_tau(g, seed=70 + g)
+            wide_top, wide = theta_eval._quad_table(a1, top, tau)
+            assert wide_top == top and wide.shape == (2 * top + 1,) * g
+            for r in range(1, top):
+                built_top, built = theta_eval._quad_table(a1, r, random_tau(g, seed=70 + g))
+                assert built_top == r
+                assert np.array_equal(wide[(slice(top - r, top + r + 1),) * g], built), (a1, r)
+
+    @pytest.mark.parametrize("g, tops", [(1, (3, 4, 12)), (2, (2, 5, 9)), (3, (4, 5, 7)), (4, (2, 4, 6))])
+    def test_grown_quad_table_equals_table_built_at_top(self, g, tops):
+        for a1 in itertools.product((0, 1), repeat=g):
+            tau = random_tau(g, seed=75 + g)
+            for top in tops:
+                grown = theta_eval._quad_table(a1, top, tau)
+                built = theta_eval._quad_table(a1, top, random_tau(g, seed=75 + g))
+                assert grown[0] == built[0] == top
+                assert np.array_equal(grown[1], built[1]), (a1, top)
+
+    def test_quad_table_grows_only(self):
+        tau = random_tau(2, seed=3)
+        first = theta_eval._quad_table((0, 1), 5, tau)
+        assert theta_eval._quad_table((0, 1), 3, tau) is first
+        assert theta_eval._quad_table((0, 1), 5, tau) is first
+        assert theta_eval._quad_table((0, 1), 6, tau)[0] == 6
+        assert theta_eval._quad_table((1, 1), 2, tau)[0] == 2
+        assert sorted(tau._quad_tables) == [(0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_truncation_once_per_distinct_point(self, g, monkeypatch):
+        truncated = []
+        truncation = theta_eval._truncation
+
+        def counting(points, *args):
+            truncated.extend(z.tobytes() for z in points)
+            return truncation(points, *args)
+
+        monkeypatch.setattr(theta_eval, "_truncation", counting)
+        tau = random_tau(g, seed=80 + g)
+        points = list(sample_cell_points(tau, 3, seed=g))
+        chars = enumerate_characteristics(g)
+        theta_series(chars[-1], points[1], tau)
+        assert truncated == [points[1].tobytes()]
+        theta_table(chars, points + [points[0], 2.0 * points[2]], tau)
+        expected = [points[1]] + points + [2.0 * points[2]]
+        assert truncated == [z.tobytes() for z in expected]
+        theta_table(chars, points, tau)
+        theta_table(chars[::2], [points[2], 3.0 * points[0]], tau)
+        assert truncated[len(expected):] == [(3.0 * points[0]).tobytes()]
 
 
 class TestMemoKeys:
@@ -356,6 +443,44 @@ class TestMemoKeys:
             radii = [theta_series(c, z, tau, p).radius for p in order]
             assert radii == [searched_radius(z, tau, p)[0] for p in order]
         assert searched_radius(z, tau, loose)[0] < searched_radius(z, tau, strict)[0]
+
+    @pytest.mark.parametrize(
+        "form, error",
+        [("list", None), ("negative zero", None), ("real dtype", None), ("row", "components"),
+         ("column", "components"), ("nan", "non-finite")],
+    )
+    def test_point_forms(self, group_builds, form, error):
+        tau = random_tau(2, seed=4)
+        c = Characteristic((1, 0), (1, 1))
+        z = np.array([0.0, -0.5 + 0.0j])
+        # memoized first: the row form has the very bytes of a memo key
+        expected = theta_series(c, z, tau)
+        forms = {
+            "list": z.tolist(),
+            "negative zero": np.array([complex(-0.0, -0.0), complex(-0.5, -0.0)]),
+            "real dtype": z.real.copy(),
+            "row": z[None],
+            "column": z[:, None],
+            "nan": np.array([complex(math.nan, 0.0), z[1]]),
+        }
+        if error is None:
+            assert theta_series(c, forms[form], tau) == expected
+        else:
+            with pytest.raises(ValueError, match=error):
+                theta_series(c, forms[form], tau)
+        assert len(group_builds) == 1
+
+    def test_memo_key_bytes_in_another_dtype_are_another_point(self):
+        tau = random_tau(2, seed=4)
+        c = Characteristic((1, 0), (1, 1))
+        z = np.array([0.0, -0.5 + 0.0j])
+        memoized = theta_series(c, z, tau)
+        other = np.frombuffer(z.tobytes(), dtype=np.longdouble)
+        if other.shape != z.shape:
+            pytest.skip("long double is not 16 bytes on this platform")
+        result = theta_series(c, other, tau)
+        assert result == theta_series(c, other.astype(complex), random_tau(2, seed=4))
+        assert result.value != memoized.value
 
     def test_signed_zero_shares_group(self, group_builds):
         tau = random_tau(1, seed=2)
