@@ -13,6 +13,7 @@ and seeds give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -278,9 +279,10 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     across reruns with the same corpus.
     """
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
-    for key in ("samples", "seed"):
-        if isinstance(policies[key], bool) or not isinstance(policies[key], int):
-            raise ValueError(f"policy {key} must be an integer, got {policies[key]!r}")
+    for key, least in (("samples", 1), ("seed", 0)):
+        value = policies[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"policy {key} must be an integer >= {least}, got {value!r}")
     seed = policies["seed"]
     try:
         settings = {
@@ -292,8 +294,6 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         }
     except TypeError as exc:
         raise ValueError(f"corpus policies must be numbers: {exc}") from exc
-    if settings["samples"] < 1:
-        raise ValueError(f"policy samples must be >= 1, got {settings['samples']}")
     check_null_threshold(settings["null_threshold"])
     entries = corpus.get("entries", [])
 
@@ -357,6 +357,7 @@ def _cmd_run_suite(args) -> int:
     return {"pass": EXIT_PASS, "fail": EXIT_MATH_FAIL, "warn": EXIT_WARN}[report["rollup"]]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="theta4",

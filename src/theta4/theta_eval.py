@@ -15,12 +15,13 @@ The top half a1 and the point z fix the box, the radius and the tail bound;
 the bottom half a2 only flips the sign of the term for m by (-1)^(m.a2) and
 multiplies the sum by exp(pi i a1.a2 / 2).  One lattice sum per (a1, z)
 therefore serves all 2^g second halves.  _theta_groups evaluates such sums
-for a whole batch of points at once: the quadratic phase exp(pi i k' tau k)
-over the offsets k from each point's integer shift is one shared table, the
-linear phase splits into one factor per axis and point, and BLAS
-contractions of the table with those factors give every point's 2^g values.
-Each point keeps its own radius and box.  A point whose axis factors could
-leave the double range is summed term by term instead.
+for a batch of rows at once, one row per (a1, z) pair: over the offsets k
+from a row's integer shift, the phase splits into exp(pi i k' tau k), one
+table for every row and top half, one factor per axis and row (the linear
+phase and the top half's cross term) and one constant per row, and BLAS
+contractions of the table with the axis factors give every row's 2^g
+values.  Each row keeps its own radius and box; a row whose axis factors
+could leave the double range is summed term by term instead.
 
 The groups are memoized on the PeriodMatrix, keyed by policy, a1 and the
 bytes of z, for the life of that object, so the nulls and the values at z and
@@ -28,12 +29,11 @@ bytes of z, for the life of that object, so the nulls and the values at z and
 memo's one fill path.  It takes the top halves of one request (one for
 theta_series, every distinct a1 for theta_table), runs the per-point
 truncation (solve, scale, radius and tail bound, none of which depends on a1)
-once over the points any of them still needs, then sums each a1 over exactly
-its own missing points in one _theta_groups batch.  The quadratic-phase table
-of each a1 is kept on the PeriodMatrix too, one table per a1 at the largest
-radius T asked of it so far ((2T+1)^g entries): a smaller radius reads its
-centred slice, which holds the same values bit for bit, and a larger one
-grows it in place.
+once over the points any of them still needs, then sums every missing
+(a1, point) pair in one _theta_groups batch.  The quadratic-phase table is
+kept on the PeriodMatrix too, one per tau at the largest radius T asked of it
+so far ((2T+1)^g entries): a smaller radius reads its centred slice, which
+holds the same values bit for bit, and a larger one grows it in place.
 
 Every memo key is the bytes of a validated point: finite, of shape (g,),
 complex, and with no -0.0.  So theta_series, given a complex (g,) array,
@@ -62,8 +62,10 @@ MAX_ALLOWED_RADIUS = 64
 
 # largest argument math.exp takes without overflowing
 _MAX_EXP_ARG = math.log(sys.float_info.max)
-# complex entries of the first contraction (2 per point times K^(g-1)) per chunk of points
-_CHUNK_ENTRIES = 2**17
+# rows per chunk: as many as keep the first contraction (2 per row times K^(g-1) complex
+# entries) within _CHUNK_ENTRIES, to bound peak memory, but at least _CHUNK_ROWS
+_CHUNK_ENTRIES = 2**13
+_CHUNK_ROWS = 16
 _COMPLEX = np.dtype(complex)
 
 
@@ -126,8 +128,8 @@ class PeriodMatrix:
         self._lambda_min = lam
         # (policy, a1, z bytes) -> (values, radius, tail_bound), filled by _fill
         self._theta_memo: dict = {}
-        # a1 -> (top, quadratic-phase table over [-top, top]^g), see _quad_table
-        self._quad_tables: dict = {}
+        # (top, quadratic-phase table over [-top, top]^g) once built, see _quad_table
+        self._quad_table: tuple[int, np.ndarray] | None = None
 
     @property
     def tau(self) -> np.ndarray:
@@ -223,7 +225,7 @@ def _radius(g: int, lam: float, amp: float, r0: float, policy: TruncationPolicy)
 
 def _truncation(
     points: np.ndarray, tau: PeriodMatrix, policy: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-point part of the truncation for the (P, g) batch: w = Y^-1 Im z,
     the radius and the tail bound of each point.
 
@@ -248,147 +250,143 @@ def _truncation(
         r = _radius(g, lam, amp, r0, policy)
         radii.append(r)
         tails.append(_tail_bound(g, lam, amp, r0, r))
-    return w, np.array(radii), tails
+    return w, np.array(radii), np.array(tails)
 
 
-def _quad_table(a1: tuple[int, ...], top: int, tau: PeriodMatrix) -> tuple[int, np.ndarray]:
-    """(T, Q) with Q[k] = exp(pi i (k + alpha)' tau (k + alpha)) over the
-    offsets k in [-T, T]^g, alpha = a1/2, for some T >= top.
+def _quad_table(top: int, tau: PeriodMatrix) -> tuple[int, np.ndarray]:
+    """(T, Q) with Q[k] = exp(pi i k' tau k) over the offsets k in [-T, T]^g,
+    for some T >= top.
 
-    One table per a1 is kept on tau, at the largest top asked so far, so tau
-    holds at most 2^g tables of (2T+1)^g entries.  Each entry is computed
-    from its own offset alone, so the centred slice [-r, r]^g of the table
-    holds bit for bit the table built at r.  For the same reason a larger
-    top grows the table: the old one becomes its centre and only the new
-    offsets are computed.
+    The table does not depend on the characteristic, so tau keeps one, at
+    the largest top asked so far.  Each entry is computed from its own
+    offset alone, so the centred slice [-r, r]^g of the table holds bit for
+    bit the table built at r.  For the same reason a larger top grows the
+    table: the old one becomes its centre and only the new offsets are
+    computed.
     """
-    cached = tau._quad_tables.get(a1)
+    cached = tau._quad_table
     if cached is None or cached[0] < top:
         g = tau.g
         offsets = np.arange(-top, top + 1)
-        alpha = np.array(a1, dtype=float) / 2.0
-        u = np.stack(np.meshgrid(*[offsets] * g, indexing="ij"), axis=-1) + alpha
-        table = np.empty(u.shape[:-1], dtype=complex)
+        k = np.stack(np.meshgrid(*[offsets] * g, indexing="ij"), axis=-1)
+        table = np.empty(k.shape[:-1], dtype=complex)
         new = np.ones(table.shape, dtype=bool)
         if cached is not None:
             old_top, old = cached
             centre = (slice(top - old_top, top + old_top + 1),) * g
             table[centre] = old
             new[centre] = False
-        u = u[new]
-        table[new] = np.exp(1j * np.pi * ((u @ tau.tau) * u).sum(-1))
+        k = k[new]
+        table[new] = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(-1))
         cached = top, table
-        tau._quad_tables[a1] = cached
+        tau._quad_table = cached
     return cached
 
 
 def _theta_groups(
-    a1: tuple[int, ...],
+    a1s: np.ndarray,
     points: np.ndarray,
-    truncation: tuple[np.ndarray, np.ndarray, list[float]],
+    truncation: tuple[np.ndarray, np.ndarray, np.ndarray],
     tau: PeriodMatrix,
 ) -> list[tuple[list[complex], int, float]]:
-    """One lattice sum per point of the (P, g) batch for the top half a1,
-    each resolved into all 2^g second halves.
+    """One lattice sum per row, each resolved into all 2^g second halves:
+    row i is the top half a1s[i] at points[i], both (R, g) arrays.
 
     truncation is _truncation(points, tau, policy): w = Y^-1 Im z, the radii
-    and the tail bounds of the points.  Returns one (values, radius,
-    tail_bound) per point; values[k] belongs to the a2 whose bits, most
-    significant first, spell k.  Each point keeps its own radius r and its
-    own box ceil(c - r) .. floor(c + r) around c = -(alpha + w), alpha = a1/2.
+    and the tail bounds of the rows.  Returns one (values, radius,
+    tail_bound) per row; values[k] belongs to the a2 whose bits, most
+    significant first, spell k.  Each row keeps its own radius r and its own
+    box ceil(c - r) .. floor(c + r) around c = -(alpha + w), alpha = a1/2.
     With the shift s = rint(c) and the offset k = m - s in [-r, r]^g, the
     term for n = s + k + alpha is
 
         Q[k] * prod_j E_j[k_j] * C,
-        Q[k]   = exp(pi i (k + alpha)' tau (k + alpha)),         shared, |Q| <= 1
-        E_j[k] = exp(2 pi i (k + alpha_j) (z + tau s)_j),         per point and axis
-        C      = exp(pi i (s' tau s + 2 s' z)),                   per point,
+        Q[k]   = exp(pi i k' tau k),                                shared, |Q| <= 1
+        E_j[k] = exp(2 pi i ((k + alpha_j) (z + tau s)_j + k (tau alpha)_j)),  per row and axis
+        C      = exp(pi i (s' tau s + 2 s' z + alpha' tau alpha)),   per row,
 
     and the parity sign (-1)^(m.a2) splits over the axes as well, so one
     contraction of Q (the centred slice of _quad_table) with the 2 x K axis
-    factors (sign 1 and (-1)^(s_j + k)) gives all 2^g classes at once.  E_j
-    is zeroed outside the point's own interval on axis j.  The linear factors
-    grow like exp(B) with B = 2 pi sum_j (r + alpha_j) |Im (z + tau s)_j|; a
-    point whose B could carry a partial sum of K^g such factors past the
+    factors (sign 1 and (-1)^(s_j + k)) gives all 2^g classes at once, for
+    all rows of one radius whatever their top halves.  E_j is zeroed outside
+    the row's own interval on axis j.  The axis factors grow like exp(B) with
+    B = 2 pi sum_j ((r + alpha_j) |Im (z + tau s)_j| + r |Im (tau alpha)_j|);
+    a row whose B could carry a partial sum of K^g such factors past the
     double range is summed term by term over its box instead.
     """
     g = tau.g
-    alpha = np.array(a1, dtype=float) / 2.0
+    alpha = a1s / 2.0
     bits = np.array(list(itertools.product((0, 1), repeat=g)))
-    a2_phase = np.exp(1j * np.pi * (bits @ alpha))
+    a2_phase = np.exp(1j * np.pi * (alpha @ bits.T))
     w, radii, tails = truncation
 
     center = -alpha - w
     shift = np.rint(center)
     lo = np.ceil(center - radii[:, None]) - shift
     hi = np.floor(center + radii[:, None]) - shift
-    v = points + shift @ tau.tau
-    growth = 2.0 * np.pi * ((radii[:, None] + alpha) * np.abs(v.imag)).sum(1)
-    factored = growth < _MAX_EXP_ARG - g * np.log(2 * radii + 1)
-    const = np.exp(1j * np.pi * (((shift @ tau.tau) * shift).sum(1) + 2.0 * (shift * points).sum(1)))
+    tau_s = shift @ tau.tau
+    tau_alpha = alpha @ tau.tau
+    v = points + tau_s
+    reach = (radii[:, None] + alpha) * np.abs(v.imag) + radii[:, None] * np.abs(tau_alpha.imag)
+    factored = 2.0 * np.pi * reach.sum(1) < _MAX_EXP_ARG - g * np.log(2 * radii + 1)
+    const = np.exp(1j * np.pi * (tau_s * shift + 2.0 * shift * points + tau_alpha * alpha).sum(1))
 
-    top, quad = _quad_table(a1, int(radii[factored].max(initial=0)), tau)
+    top, quad = _quad_table(int(radii[factored].max(initial=0)), tau)
 
     sums = np.empty((len(points), 2**g), dtype=complex)
     for r in np.unique(radii[factored]).tolist():
         size = 2 * r + 1
         q = quad[(slice(top - r, top + r + 1),) * g].reshape(size, size ** (g - 1))
         k = np.arange(-r, r + 1)
-        chunk = max(1, _CHUNK_ENTRIES // (2 * size ** (g - 1)))
+        chunk = max(_CHUNK_ROWS, _CHUNK_ENTRIES // (2 * size ** (g - 1)))
         group = np.flatnonzero(factored & (radii == r))
         for start in range(0, len(group), chunk):
             idx = group[start : start + chunk]
-            n_pts = len(idx)
-            lin = np.exp(2j * np.pi * (k + alpha[:, None]) * v[idx, :, None])
+            n_rows = len(idx)
+            phase = (k + alpha[idx, :, None]) * v[idx, :, None] + k * tau_alpha[idx, :, None]
+            lin = np.exp(2j * np.pi * phase)
             lin *= (lo[idx, :, None] <= k) & (k <= hi[idx, :, None])
             odd = (shift[idx, :, None].astype(np.int64) + k) & 1
-            # (point, axis, a2 bit, k): each axis factor for a2_j = 0 and a2_j = 1
+            # (row, axis, a2 bit, k): each axis factor for a2_j = 0 and a2_j = 1
             axes = np.stack((lin, lin * (1 - 2 * odd)), axis=2)
-            # k_1 for all points in one product, then k_2 .. k_g point by point
-            acc = (axes[:, 0].reshape(2 * n_pts, size) @ q).reshape(n_pts, 2, -1)
+            # k_1 for all rows in one product, then k_2 .. k_g row by row
+            acc = (axes[:, 0].reshape(2 * n_rows, size) @ q).reshape(n_rows, 2, -1)
             for j in range(1, g):
-                acc = acc.reshape(n_pts, 2**j, size, -1)
+                acc = acc.reshape(n_rows, 2**j, size, -1)
                 acc = axes[:, j, None] @ acc
-            sums[idx] = acc.reshape(n_pts, 2**g) * const[idx, None]
+            sums[idx] = acc.reshape(n_rows, 2**g) * const[idx, None]
 
     for p in np.flatnonzero(~factored).tolist():
         box = [np.arange(lo[p, j], hi[p, j] + 1) + shift[p, j] for j in range(g)]
         m = np.stack(np.meshgrid(*box, indexing="ij"), axis=-1).reshape(-1, g).astype(np.int64)
-        n = m + alpha
+        n = m + alpha[p]
         terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ points[p])))
         sums[p] = terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))
 
     values = (sums * a2_phase).tolist()
-    return list(zip(values, radii.tolist(), tails))
+    return list(zip(values, radii.tolist(), tails.tolist()))
 
 
 def _fill(a1s, points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
     """Memoize the groups of every top half in a1s at the points not in tau's
     memo for it yet.
 
-    The points are deduplicated by key.  _truncation runs once over the
-    points that any of the top halves still needs, in the order given; then
-    each a1 is summed in one _theta_groups batch over exactly its own missing
-    points, in that order.
+    The points are deduplicated by key.  Every missing (a1, point) pair, top
+    half by top half and in point order within each, is one row of a single
+    _theta_groups batch; _truncation runs once over the points those rows
+    need, in the order they are first needed.
     """
     memo = tau._theta_memo
-    unique = {}
-    for z in points:
-        unique.setdefault(z.tobytes(), z)
-    batches = [(a1, [b for b in unique if (policy, a1, b) not in memo]) for a1 in a1s]
-    wanted = set().union(*(keys for _, keys in batches))
-    if not wanted:
+    unique = {z.tobytes(): z for z in points}
+    rows = [(a1, b) for a1 in a1s for b in unique if (policy, a1, b) not in memo]
+    if not rows:
         return
-    needed = [b for b in unique if b in wanted]
-    row = {b: i for i, b in enumerate(needed)}
-    union = np.array([unique[b] for b in needed])
-    w, radii, tails = _truncation(union, tau, policy)
-    for a1, keys in batches:
-        if keys:
-            idx = [row[b] for b in keys]
-            truncation = w[idx], radii[idx], [tails[i] for i in idx]
-            groups = _theta_groups(a1, union[idx], truncation, tau)
-            memo.update(((policy, a1, b), group) for b, group in zip(keys, groups))
+    index = {b: i for i, b in enumerate(dict.fromkeys(b for _, b in rows))}
+    union = np.array([unique[b] for b in index])
+    idx = [index[b] for _, b in rows]
+    truncation = tuple(part[idx] for part in _truncation(union, tau, policy))
+    groups = _theta_groups(np.array([a1 for a1, _ in rows]), union[idx], truncation, tau)
+    memo.update(((policy, a1, b), group) for (a1, b), group in zip(rows, groups))
 
 
 def theta_series(
@@ -434,8 +432,8 @@ def theta_table(
 
     Every characteristic's genus is checked before any lattice sum.  One
     _fill call then covers the whole table: the truncation of each point
-    still missing for some top half runs once, and each distinct top half a1
-    is summed over the points it still needs in one batch.  The matrix is
+    still missing for some top half runs once, and every (a1, point) pair
+    still missing is one row of a single _theta_groups batch.  The matrix is
     read back through one theta_series lookup per (char, point), so every
     value, radius and tail bound is the one theta_series reports, and the
     benchmark tracer, which counts the theta_series reads of each stage,

@@ -1,8 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import theta4
+from theta4 import cli
 from theta4.char2 import Characteristic
 from theta4.cli import main, standard_corpus
 from theta4.jsonio import canonical_dumps
@@ -34,6 +42,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+class TestMain:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        jobs = [["mmatrix", "--genus", "2", "--verify"], ["chars", "--genus", "1"], ["chars", "--genus", "9"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1])}
+        fresh = [subprocess.run([sys.executable, "-m", "theta4.cli", *argv], env=env, capture_output=True,
+                                text=True, timeout=60) for argv in jobs]
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+        cli.build_parser.cache_clear()
+        try:
+            for argv, proc in zip(jobs, fresh):
+                assert main(argv) == proc.returncode
+                assert capsys.readouterr().out == proc.stdout
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("theta4") == 1
 
 
 class TestChars:
@@ -352,6 +384,7 @@ class TestRunSuite:
             {"samples": 1.9},
             {"seed": 0.5},
             {"samples": True},
+            {"seed": -3},
         ],
     )
     def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
@@ -366,6 +399,8 @@ class TestRunSuite:
         assert not out.exists()
         if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}):
             assert f"policy {next(iter(policies))} must be an integer" in err
+        if policies == {"seed": -3}:
+            assert "policy seed must be an integer >= 0" in err
 
     def test_warn_entry_rolls_up_to_warn(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.json"

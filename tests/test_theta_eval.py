@@ -103,19 +103,21 @@ def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int
 
 
 def kernel_groups(a1, points, tau: PeriodMatrix, policy: TruncationPolicy) -> list:
-    """_theta_groups over the batch with the batch's own truncation, as _fill calls it."""
-    return theta_eval._theta_groups(a1, points, theta_eval._truncation(points, tau, policy), tau)
+    """_theta_groups over the batch, one row per point with the top half a1,
+    with the batch's own truncation, as _fill calls it."""
+    a1s = np.array([a1] * len(points))
+    return theta_eval._theta_groups(a1s, points, theta_eval._truncation(points, tau, policy), tau)
 
 
 @pytest.fixture()
 def group_builds(monkeypatch):
-    """(a1, point bytes) of every point the lattice-sum builder sums."""
+    """(a1, point bytes) of every row the lattice-sum builder sums."""
     summed = []
     build = theta_eval._theta_groups
 
-    def counting(a1, points, *args):
-        summed.extend((a1, z.tobytes()) for z in points)
-        return build(a1, points, *args)
+    def counting(a1s, points, *args):
+        summed.extend((tuple(a1), z.tobytes()) for a1, z in zip(a1s.tolist(), points))
+        return build(a1s, points, *args)
 
     monkeypatch.setattr(theta_eval, "_theta_groups", counting)
     return summed
@@ -310,7 +312,8 @@ class TestBatchedKernel:
         a1 = (1, 0, 1, 0)
         groups = kernel_groups(a1, points, tau, TruncationPolicy())
         radii = [radius for _, radius, _ in groups]
-        chunk = {r: theta_eval._CHUNK_ENTRIES // (2 * (2 * r + 1) ** 3) for r in radii}
+        chunk = {r: max(theta_eval._CHUNK_ROWS, theta_eval._CHUNK_ENTRIES // (2 * (2 * r + 1) ** 3))
+                 for r in radii}
         assert any(radii.count(r) > chunk[r] for r in chunk)
         assert_groups_match(groups, a1, points, tau)
 
@@ -333,27 +336,42 @@ class TestBatchedKernel:
         assert max(growth) > math.log(sys.float_info.max)
 
 
+    @staticmethod
+    def term_by_term_row(z: complex) -> tuple[float, float, float]:
+        """Sum the row a1 = (1,) at z alone for tau = 0.3 + 100i and check that
+        it took the term-by-term path.  Returns the two parts of its range-guard
+        bound, the linear phase's 2 pi (r + 1/2) |Im (z + tau s)| and the top
+        half's cross term 2 pi r |Im (tau / 2)|, and the margin's lower edge
+        log(float max) - log(2r+1)."""
+        tau = PeriodMatrix([[0.3 + 100j]])
+        z = np.array([z])
+        (values, radius, _), = kernel_groups((1,), z[None], tau, TruncationPolicy())
+        assert np.all(np.isfinite(values))
+        expected = meshgrid_group((1,), z, tau, radius)
+        assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-12
+        assert np.array_equal(values, fallback_group((1,), z, tau, radius))
+        shift = np.rint(-0.5 - np.linalg.solve(tau.tau.imag, z.imag))
+        linear = 2 * math.pi * (radius + 0.5) * abs((z + tau.tau @ shift).imag[0])
+        cross = 2 * math.pi * radius * abs((tau.tau @ [0.5]).imag[0])
+        return linear, cross, math.log(sys.float_info.max) - math.log(2 * radius + 1)
+
     def test_range_guard_margin(self):
         # growth below log(float max) but within the margin g log(2r+1) that
         # covers a partial sum of (2r+1)^g factors: the point is summed term by
         # term, so it equals the term-by-term arithmetic exactly
-        tau = PeriodMatrix([[0.3 + 100j]])
-        z = np.array([0.25 - 45.14j])
-        a1 = (1,)
-        (values, radius, _), = kernel_groups(a1, z[None], tau, TruncationPolicy())
-        shift = np.rint(-0.5 - np.linalg.solve(tau.tau.imag, z.imag))
-        growth = 2 * math.pi * (radius + 0.5) * abs((z + tau.tau @ shift).imag[0])
-        ceiling = math.log(sys.float_info.max)
-        assert ceiling - math.log(2 * radius + 1) < growth < ceiling
-        assert np.all(np.isfinite(values))
-        expected = meshgrid_group(a1, z, tau, radius)
-        assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-12
-        assert np.array_equal(values, fallback_group(a1, z, tau, radius))
+        linear, cross, floor = self.term_by_term_row(0.25 - 5.13j)
+        assert floor < linear + cross < math.log(sys.float_info.max)
+
+    def test_range_guard_cross_term(self):
+        # the linear phase alone stays below the margin; the top half's cross
+        # term takes the row past it, onto the term-by-term path
+        linear, cross, floor = self.term_by_term_row(0.25 - 100.5j)
+        assert linear < floor < linear + cross
 
 
 class TestSharedSetUp:
-    """The truncation shared by a table's top halves and the quadratic-phase
-    table cached per top half change no value."""
+    """The truncation shared by a table's top halves and the one
+    quadratic-phase table cached per tau change no value."""
 
     @staticmethod
     def table_chars(g: int) -> list[Characteristic]:
@@ -375,40 +393,71 @@ class TestSharedSetUp:
         theta_table(chars, [far], grown)
         after = theta_table(chars, batch, grown)
         radii = [theta_series(c, z, grown).radius for c in chars for z in batch]
-        assert all(grown._quad_tables[c.a1][0] > max(radii) for c in chars)
+        assert grown._quad_table[0] > max(radii)
         assert np.array_equal(together, alone)
         assert np.array_equal(shuffled, alone[:, order])
         assert np.array_equal(after, alone)
 
     @pytest.mark.parametrize("g, top", [(1, 12), (2, 9), (3, 7), (4, 6)])
     def test_quad_table_slice_equals_table_built_at_radius(self, g, top):
-        for a1 in itertools.product((0, 1), repeat=g):
-            tau = random_tau(g, seed=70 + g)
-            wide_top, wide = theta_eval._quad_table(a1, top, tau)
-            assert wide_top == top and wide.shape == (2 * top + 1,) * g
-            for r in range(1, top):
-                built_top, built = theta_eval._quad_table(a1, r, random_tau(g, seed=70 + g))
-                assert built_top == r
-                assert np.array_equal(wide[(slice(top - r, top + r + 1),) * g], built), (a1, r)
+        tau = random_tau(g, seed=70 + g)
+        wide_top, wide = theta_eval._quad_table(top, tau)
+        assert wide_top == top and wide.shape == (2 * top + 1,) * g
+        for r in range(1, top):
+            built_top, built = theta_eval._quad_table(r, random_tau(g, seed=70 + g))
+            assert built_top == r
+            assert np.array_equal(wide[(slice(top - r, top + r + 1),) * g], built), r
 
     @pytest.mark.parametrize("g, tops", [(1, (3, 4, 12)), (2, (2, 5, 9)), (3, (4, 5, 7)), (4, (2, 4, 6))])
     def test_grown_quad_table_equals_table_built_at_top(self, g, tops):
-        for a1 in itertools.product((0, 1), repeat=g):
-            tau = random_tau(g, seed=75 + g)
-            for top in tops:
-                grown = theta_eval._quad_table(a1, top, tau)
-                built = theta_eval._quad_table(a1, top, random_tau(g, seed=75 + g))
-                assert grown[0] == built[0] == top
-                assert np.array_equal(grown[1], built[1]), (a1, top)
+        tau = random_tau(g, seed=75 + g)
+        for top in tops:
+            grown = theta_eval._quad_table(top, tau)
+            built = theta_eval._quad_table(top, random_tau(g, seed=75 + g))
+            assert grown[0] == built[0] == top
+            assert np.array_equal(grown[1], built[1]), top
 
     def test_quad_table_grows_only(self):
+        # one table per tau, whatever the top half
         tau = random_tau(2, seed=3)
-        first = theta_eval._quad_table((0, 1), 5, tau)
-        assert theta_eval._quad_table((0, 1), 3, tau) is first
-        assert theta_eval._quad_table((0, 1), 5, tau) is first
-        assert theta_eval._quad_table((0, 1), 6, tau)[0] == 6
-        assert theta_eval._quad_table((1, 1), 2, tau)[0] == 2
-        assert sorted(tau._quad_tables) == [(0, 1), (1, 1)]
+        first = theta_eval._quad_table(5, tau)
+        assert theta_eval._quad_table(3, tau) is first
+        assert theta_eval._quad_table(5, tau) is first
+        assert theta_eval._quad_table(6, tau)[0] == 6
+        assert theta_eval._quad_table(2, tau)[0] == 6
+        assert tau._quad_table[0] == 6
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_table_is_one_stacked_batch(self, g, monkeypatch):
+        calls = []
+        build = theta_eval._theta_groups
+
+        def counting(a1s, points, *args):
+            calls.append([(tuple(a1), z.tobytes()) for a1, z in zip(a1s.tolist(), points)])
+            return build(a1s, points, *args)
+
+        monkeypatch.setattr(theta_eval, "_theta_groups", counting)
+        tau = random_tau(g, seed=85 + g)
+        points = list(sample_cell_points(tau, 2, seed=g))
+        distinct = points + [2.0 * points[1]]
+        theta_table(enumerate_characteristics(g), points + [points[0], 2.0 * points[1]], tau)
+        assert len(calls) == 1
+        top_halves = itertools.product((0, 1), repeat=g)
+        assert sorted(calls[0]) == sorted((a1, z.tobytes()) for a1 in top_halves for z in distinct)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_top_half_alone_equals_stacked(self, g):
+        seed = 95 + g
+        points = TestBatchedKernel.mixed_batch(random_tau(g, seed))[[0, 4, 10]]
+        chars = enumerate_characteristics(g)
+        stacked = theta_table(chars, points, random_tau(g, seed))
+        for a1 in itertools.product((0, 1), repeat=g):
+            for j, z in enumerate(points):
+                # a theta_series miss on a fresh tau sums the group of a1 at z on its own
+                fresh = random_tau(g, seed)
+                for i, c in enumerate(chars):
+                    if c.a1 == a1:
+                        assert theta_series(c, z, fresh).value == stacked[i, j], (c, j)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_truncation_once_per_distinct_point(self, g, monkeypatch):
@@ -556,6 +605,66 @@ class TestSymmetries:
                     -1j * np.pi * (q @ tau.tau @ q) - 2j * np.pi * (q @ (z + np.array(c.a2) / 2.0))
                 )
                 assert abs(shifted_tau - factor * base) <= 1e-9 * max(abs(factor * base), 1e-6)
+
+
+class TestLaws:
+    """Laws that hold whatever the evaluator, over all 4^g characteristics at
+    seeded points: each column within 1e-12 of its largest entry."""
+
+    @staticmethod
+    def assert_columns_close(got: np.ndarray, expected: np.ndarray) -> None:
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected).max(0))
+
+    @staticmethod
+    def halves(g: int) -> tuple[list[Characteristic], np.ndarray, np.ndarray]:
+        chars = enumerate_characteristics(g)
+        return chars, np.array([c.a1 for c in chars]), np.array([c.a2 for c in chars])
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_parity(self, g):
+        # theta[a](-z) = (-1)^(a1.a2) theta[a](z)
+        tau = random_tau(g, seed=110 + g)
+        chars, a1, a2 = self.halves(g)
+        z = sample_cell_points(tau, 4, seed=g)
+        signs = (-1) ** ((a1 * a2).sum(1) % 2)
+        self.assert_columns_close(theta_table(chars, -z, tau), signs[:, None] * theta_table(chars, z, tau))
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_quasi_periodicity(self, g):
+        # theta[a](z + p + tau n) = exp(-pi i n'tau n - 2 pi i n'z) (-1)^(a1.p - a2.n) theta[a](z)
+        tau = random_tau(g, seed=120 + g)
+        chars, a1, a2 = self.halves(g)
+        z = sample_cell_points(tau, 4, seed=g)
+        rng = np.random.default_rng(g)
+        p, n = rng.integers(-1, 2, size=(2, len(z), g))
+        factor = np.exp(-1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n * z).sum(1)))
+        signs = (-1) ** ((a1 @ p.T - a2 @ n.T) % 2)
+        shifted = theta_table(chars, z + p + n @ tau.tau, tau)
+        self.assert_columns_close(shifted, signs * factor * theta_table(chars, z, tau))
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_half_period_translation(self, g):
+        # theta[a](z + (b2 + tau b1)/2) = exp(-pi i (b1'tau b1/4 + b1'(z + (a2 + b2)/2)))
+        #                                 (-1)^((a1 + b1).(a2 b2)) theta[a + b](z),
+        # so it ties the values of different top halves together
+        tau = random_tau(g, seed=130 + g)
+        chars, a1, a2 = self.halves(g)
+        row = {c: i for i, c in enumerate(chars)}
+        z = sample_cell_points(tau, 4, seed=g)
+        rng = np.random.default_rng(g)
+        shifts = [Characteristic.from_ints(g, int(rng.integers(1, 2**g)), int(rng.integers(2**g))) for _ in z]
+        b1 = np.array([b.a1 for b in shifts])
+        b2 = np.array([b.a2 for b in shifts])
+        base = theta_table(chars, z, tau)
+        expected = np.empty_like(base)
+        for j in range(len(shifts)):
+            phase = (b1[j] @ tau.tau @ b1[j]) / 4.0 + (a2 + b2[j]) @ b1[j] / 2.0 + b1[j] @ z[j]
+            signs = (-1) ** (((a1 ^ b1[j]) * (a2 & b2[j])).sum(1) % 2)
+            rows = [row[Characteristic(tuple((a ^ b1[j]).tolist()), tuple((c ^ b2[j]).tolist()))]
+                    for a, c in zip(a1, a2)]
+            expected[:, j] = signs * np.exp(-1j * np.pi * phase) * base[rows, j]
+        moved = theta_table(chars, z + (b2 + b1 @ tau.tau) / 2.0, tau)
+        self.assert_columns_close(moved, expected)
 
 
 class TestTruncation:
