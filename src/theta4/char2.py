@@ -5,8 +5,11 @@ both a theta function and a two-torsion point, and carries a parity
 (-1)^(a1.a2).  The symplectic pairing and the quadratic forms kappa_c take
 values in {+1, -1}; signs are plain Python ints throughout.  Each
 characteristic also carries its halves as g-bit ints (MSB first, like the
-canonical index), so a GF(2) dot product is the parity of the popcount of an
-AND.
+canonical index), its canonical index a1||a2 and its half-swapped index
+a2||a1, so a GF(2) dot product is the parity of the popcount of an AND.  One
+table _SIGN[x] = (-1)^popcount(x) over every 2 MAX_GENUS-bit x turns such an
+AND into its sign: parity, kappa_value and weil_pairing all read it, and the
+pairing <a, b> is the single read _SIGN[a.index & swapped(b)].
 
 Coordinate conventions fixed here, used consistently by every other module:
 
@@ -26,6 +29,10 @@ from functools import lru_cache
 MAX_GENUS = 6
 
 Bits = tuple[int, ...]
+
+# (-1)^popcount(x) for every 2 MAX_GENUS-bit x: the one sign rule of parity,
+# weil_pairing and kappa_value
+_SIGN = tuple(-1 if x.bit_count() & 1 else 1 for x in range(4**MAX_GENUS))
 
 
 def d_plus(g: int) -> int:
@@ -84,9 +91,14 @@ class Characteristic:
         _check_genus(len(a1))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-        # the halves as g-bit ints; not fields, so ==, hash, repr and JSON ignore them
-        object.__setattr__(self, "_h1", _bits_to_int(a1))
-        object.__setattr__(self, "_h2", _bits_to_int(a2))
+        # the genus, the halves as g-bit ints, the canonical index a1||a2 and the
+        # swapped index a2||a1; not fields, so ==, hash, repr and JSON ignore them
+        h1, h2, g = _bits_to_int(a1), _bits_to_int(a2), len(a1)
+        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "_h1", h1)
+        object.__setattr__(self, "_h2", h2)
+        object.__setattr__(self, "_index", h1 << g | h2)
+        object.__setattr__(self, "_swapped", h2 << g | h1)
 
     @property
     def g(self) -> int:
@@ -95,7 +107,7 @@ class Characteristic:
     @property
     def index(self) -> int:
         """Canonical index: high g bits a1, low g bits a2, MSB first."""
-        return self._h1 << self.g | self._h2
+        return self._index
 
     @property
     def is_zero(self) -> bool:
@@ -149,7 +161,7 @@ class Characteristic:
 
 
 def _check_same_genus(a: Characteristic, b: Characteristic) -> None:
-    if len(a.a1) != len(b.a1):  # a.g != b.g without two property calls per pairing
+    if a._g != b._g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
 
 
@@ -166,13 +178,18 @@ def enumerate_characteristics(g: int) -> list[Characteristic]:
 
 def parity(c: Characteristic) -> int:
     """+1 for even characteristics (a1.a2 = 0 over GF(2)), -1 for odd."""
-    return -1 if (c._h1 & c._h2).bit_count() & 1 else 1
+    return _SIGN[c._h1 & c._h2]
 
 
 def weil_pairing(a: Characteristic, b: Characteristic) -> int:
-    """Symplectic pairing (-1)^(a1.b2 + a2.b1); symmetric and bilinear."""
-    _check_same_genus(a, b)
-    return -1 if ((a._h1 & b._h2) ^ (a._h2 & b._h1)).bit_count() & 1 else 1
+    """Symplectic pairing (-1)^(a1.b2 + a2.b1); symmetric and bilinear.
+
+    a.index & b's swapped index is (a1 & b2)||(a2 & b1), whose popcount is
+    a1.b2 + a2.b1, so the sign is one table read.
+    """
+    if a._g != b._g:
+        raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
+    return _SIGN[a._index & b._swapped]
 
 
 def kappa_value(c: Characteristic, a: Characteristic) -> int:
@@ -182,8 +199,7 @@ def kappa_value(c: Characteristic, a: Characteristic) -> int:
     for c = 0 it reduces to the parity of a.
     """
     _check_same_genus(c, a)
-    e = (a._h1 & a._h2) ^ (c._h1 & a._h2) ^ (c._h2 & a._h1)
-    return -1 if e.bit_count() & 1 else 1
+    return _SIGN[(a._h1 & a._h2) ^ (c._h1 & a._h2) ^ (c._h2 & a._h1)]
 
 
 def translate(b: Characteristic, c: Characteristic) -> Characteristic:

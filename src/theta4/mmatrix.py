@@ -7,9 +7,15 @@ denominator 2^(2g-1), and the verification identities are evaluated in
 integer arithmetic.  M^2 is formed by popcount: with each row of M and each
 row of M^T packed as bits (1 where the entry is -1), entry (i, j) of M^2 is
 d+ - 2 popcount(row_i XOR col_j), an integer count with no rounding and no
-overflow.  pairing_signs builds the same signs between any two lists of
+overflow; each row block adds up those popcounts one packed word at a time.
+pairing_signs builds the same signs between any two lists of
 characteristics; M and both identity sweeps of theta4.identities read them
 from there.
+
+The row-sum law is checked literally: row_sum makes one weil_pairing call per
+even pair, read from this module when it runs, so the check counts 4^g d+
+pairings at genus g.  Each call is one genus comparison and one read of the
+char2 sign table.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,7 +39,7 @@ from theta4.char2 import (
 
 MAX_GENUS = 5
 
-# uint64 words in one (row block, d+, words) XOR temporary of the popcount square
+# bound on rows x d+ x words of one row block of the popcount square
 _SQUARE_BLOCK_WORDS = 2**17
 
 Rational = Fraction | int
@@ -97,14 +104,16 @@ def _evens(g: int) -> tuple[Characteristic, ...]:
 def row_sum(g: int, a: Characteristic) -> int:
     """Sum of pairing signs of a against all even pairs, computed literally.
 
-    The closed form (d+ for a = 0, else parity(a) * 2^(g-1)) is in
-    row_sum_closed_form; keeping the literal sum separate is what makes the
-    comparison a real check.
+    One weil_pairing call per even pair, looked up in this module when
+    row_sum runs.  The closed form (d+ for a = 0, else parity(a) * 2^(g-1))
+    is in row_sum_closed_form; keeping the literal sum separate is what makes
+    the comparison a real check.
     """
     _check_genus(g)
     if a.g != g:
         raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
-    return sum(weil_pairing(a, b) for b in _evens(g))
+    evens = _evens(g)
+    return sum(map(weil_pairing, repeat(a, len(evens)), evens))
 
 
 def row_sum_closed_form(g: int, a: Characteristic) -> int:
@@ -160,15 +169,21 @@ def _popcount_square(e: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     Row i of e and column j of e agree in d - popcount(row_i XOR col_j)
     places and differ in the rest, so their dot product is
     d - 2 popcount(row_i XOR col_j).  The columns are packed from e.T, so
-    this is e @ e even when e is not symmetric.  Row blocks keep each XOR
-    temporary at or under _SQUARE_BLOCK_WORDS words.
+    this is e @ e even when e is not symmetric.  Row blocks hold at most
+    _SQUARE_BLOCK_WORDS packed words of row-column pairs; within a block the
+    popcounts are added one word at a time into a (rows, d) count, so no
+    temporary has a words axis.
     """
     d = e.shape[0]
     rows, cols = _pack_signs(e), _pack_signs(e.T)
     step = max(1, _SQUARE_BLOCK_WORDS // cols.size)
+    col_words = np.ascontiguousarray(cols.T)
     for start in range(0, d, step):
-        differ = np.bitwise_count(rows[start : start + step, None, :] ^ cols[None, :, :])
-        yield start, d - 2 * differ.sum(axis=2, dtype=np.int64)
+        block = rows[start : start + step]
+        differ = np.zeros((len(block), d), dtype=np.int64)
+        for w, col_word in enumerate(col_words):
+            differ += np.bitwise_count(block[:, w, None] ^ col_word)
+        yield start, d - 2 * differ
 
 
 def verify_sign_matrix(g: int) -> dict[str, bool]:

@@ -93,6 +93,8 @@ class TruncationPolicy:
             raise ValueError(f"target_eps must be >= 1e-14, got {self.target_eps}")
         if not 1 <= self.max_radius <= MAX_ALLOWED_RADIUS:
             raise ValueError(f"max_radius must be in 1..{MAX_ALLOWED_RADIUS}, got {self.max_radius}")
+        # the memo key: hashed in C, where the generated __hash__ is a Python call per read
+        object.__setattr__(self, "_key", (self.target_eps, self.max_radius))
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -126,7 +128,7 @@ class PeriodMatrix:
         arr.setflags(write=False)
         self._tau = arr
         self._lambda_min = lam
-        # (policy, a1, z bytes) -> (values, radius, tail_bound), filled by _fill
+        # (policy._key, a1, z bytes) -> (values, radius, tail_bound), filled by _fill
         self._theta_memo: dict = {}
         # (top, quadratic-phase table over [-top, top]^g) once built, see _quad_table
         self._quad_table: tuple[int, np.ndarray] | None = None
@@ -378,7 +380,8 @@ def _fill(a1s, points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
     """
     memo = tau._theta_memo
     unique = {z.tobytes(): z for z in points}
-    rows = [(a1, b) for a1 in a1s for b in unique if (policy, a1, b) not in memo]
+    key = policy._key
+    rows = [(a1, b) for a1 in a1s for b in unique if (key, a1, b) not in memo]
     if not rows:
         return
     index = {b: i for i, b in enumerate(dict.fromkeys(b for _, b in rows))}
@@ -386,7 +389,7 @@ def _fill(a1s, points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
     idx = [index[b] for _, b in rows]
     truncation = tuple(part[idx] for part in _truncation(union, tau, policy))
     groups = _theta_groups(np.array([a1 for a1, _ in rows]), union[idx], truncation, tau)
-    memo.update(((policy, a1, b), group) for (a1, b), group in zip(rows, groups))
+    memo.update(((key, a1, b), group) for (a1, b), group in zip(rows, groups))
 
 
 def theta_series(
@@ -412,17 +415,18 @@ def theta_series(
     memo = tau._theta_memo
     group = None
     if type(z) is np.ndarray and z.dtype is _COMPLEX and z.shape == (g,):
-        group = memo.get((policy, c.a1, z.tobytes()))
+        group = memo.get((policy._key, c.a1, z.tobytes()))
     if group is None:
         z = _as_point(z, g)
-        key = (policy, c.a1, z.tobytes())
+        key = (policy._key, c.a1, z.tobytes())
         group = memo.get(key)
         if group is None:
             _fill((c.a1,), [z], tau, policy)
             group = memo[key]
     values, radius, tail_bound = group
-    # c._h2 is the a2 bits as an int, MSB first: the index of a2 in the group
-    return ThetaValue(values[c._h2], tail_bound, radius)
+    # c._h2 is the a2 bits as an int, MSB first: the index of a2 in the group;
+    # tuple.__new__ builds the named tuple without its Python-level __new__
+    return tuple.__new__(ThetaValue, (values[c._h2], tail_bound, radius))
 
 
 def theta_table(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from theta4.char2 import (
+    _SIGN,
     MAX_GENUS,
     Characteristic,
     d_minus,
@@ -45,6 +46,15 @@ def ref_kappa(c, a):
 
 def ref_index(c):
     return int("".join(map(str, c.a1 + c.a2)), 2)
+
+
+def ref_swapped(c):
+    return int("".join(map(str, c.a2 + c.a1)), 2)
+
+
+def assert_stored_ints(c):
+    assert (c._g, c._h1, c._h2) == (len(c.a1), ref_index(c) >> c.g, ref_index(c) % 2**c.g)
+    assert (c._index, c._swapped) == (ref_index(c), ref_swapped(c))
 
 
 def sampled_pairs(g, n, seed):
@@ -169,8 +179,19 @@ class TestCharacteristic:
         assert Characteristic.from_json({"a1": 2, "a2": 1}, g=2) == char((1, 0), (0, 1))
 
 
+class TestSignTable:
+    def test_matches_popcount_parity_everywhere(self):
+        assert len(_SIGN) == 4**MAX_GENUS
+        assert all(s == (-1) ** bin(x).count("1") for x, s in enumerate(_SIGN))
+
+
 class TestIntegerHalves:
-    """The cached g-bit ints agree with the bit tuples and change nothing visible."""
+    """The cached ints agree with the bit tuples and change nothing visible."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3, MAX_GENUS])
+    def test_stored_ints_match_bit_reference(self, g):
+        for c in enumerate_characteristics(g):
+            assert_stored_ints(c)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_match_bit_reference_exhaustive(self, g):
@@ -205,12 +226,18 @@ class TestIntegerHalves:
         assert repr(c) == "Characteristic(a1=(1, 0), a2=(0, 1))"
         assert c.to_json() == {"a1": [1, 0], "a2": [0, 1]}
         assert [f.name for f in dataclasses.fields(c)] == ["a1", "a2"]
+        # a characteristic equal in its fields but with other stored ints is still equal
+        other = char((1, 0), (0, 1))
+        object.__setattr__(other, "_index", 0)
+        object.__setattr__(other, "_swapped", 0)
+        assert other == c and hash(other) == hash(c) and repr(other) == repr(c)
 
     def test_pickle_round_trip(self):
         chars = enumerate_characteristics(3)
         back = pickle.loads(pickle.dumps(chars))
         assert back == chars
         for a, b in zip(back, back[::-1]):
+            assert_stored_ints(a)
             assert a.index == ref_index(a)
             assert weil_pairing(a, b) == ref_pairing(a, b)
             assert kappa_value(a, b) == ref_kappa(a, b)
@@ -218,6 +245,7 @@ class TestIntegerHalves:
     def test_replace_recomputes_the_halves(self):
         c = char((1, 0, 1), (0, 0, 1))
         for new in (dataclasses.replace(c, a2=(1, 1, 0)), dataclasses.replace(c, a1=(0, 0, 0))):
+            assert_stored_ints(new)
             assert new.index == ref_index(new)
             assert parity(new) == ref_parity(new)
             for x in enumerate_characteristics(3):
@@ -281,6 +309,12 @@ class TestWeilPairing:
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
             weil_pairing(Characteristic.zero(1), Characteristic.zero(2))
+        # the AND of the indices would read a valid sign; the genus check comes first
+        for a, b in itertools.product(enumerate_characteristics(1), enumerate_characteristics(2)):
+            with pytest.raises(ValueError, match="genus mismatch"):
+                weil_pairing(a, b)
+            with pytest.raises(ValueError, match="genus mismatch"):
+                weil_pairing(b, a)
 
 
 class TestKappaValue:

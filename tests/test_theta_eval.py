@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import itertools
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 import theta4.theta_eval as theta_eval
 from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics, parity
 from theta4.theta_eval import (
+    DEFAULT_POLICY,
     PeriodMatrix,
+    ThetaValue,
     TruncationError,
     TruncationPolicy,
     block_diagonal_tau,
@@ -133,6 +137,15 @@ class TestPolicy:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TruncationPolicy(**kwargs)
+
+    def test_memo_key_follows_the_fields(self):
+        policy = TruncationPolicy(target_eps=1e-9, max_radius=40)
+        assert policy._key == (1e-9, 40)
+        assert dataclasses.replace(policy, max_radius=12)._key == (1e-9, 12)
+        back = pickle.loads(pickle.dumps(policy))
+        assert back == policy and back._key == policy._key
+        assert [f.name for f in dataclasses.fields(policy)] == ["target_eps", "max_radius"]
+        assert repr(policy) == "TruncationPolicy(target_eps=1e-09, max_radius=40)"
 
 
 class TestPeriodMatrix:
@@ -530,6 +543,21 @@ class TestMemoKeys:
         result = theta_series(c, other, tau)
         assert result == theta_series(c, other.astype(complex), random_tau(2, seed=4))
         assert result.value != memoized.value
+
+    def test_equal_policies_share_groups_and_hits_are_theta_values(self, group_builds):
+        tau = random_tau(2, seed=5)
+        c = Characteristic((1, 1), (0, 1))
+        z = np.array([0.1 + 0.3j, -0.2 + 0.1j])
+        first = theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9))
+        again = theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9, max_radius=64))
+        assert type(again) is ThetaValue and again._fields == ("value", "tail_bound", "radius")
+        assert again == first and (again.value, again.tail_bound, again.radius) == tuple(first)
+        assert len(group_builds) == 1
+        # another policy is another group; the default policy is its own key
+        theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9, max_radius=63))
+        theta_series(c, z, tau)
+        assert theta_series(c, z, tau, DEFAULT_POLICY) == theta_series(c, z, tau, TruncationPolicy())
+        assert len(group_builds) == 3
 
     def test_signed_zero_shares_group(self, group_builds):
         tau = random_tau(1, seed=2)
