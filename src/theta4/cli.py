@@ -283,17 +283,22 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         value = policies[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ValueError(f"policy {key} must be an integer >= {least}, got {value!r}")
+    for key in ("target_eps", "identity_eps", "sv_threshold", "null_threshold"):
+        value = policies[key]
+        # NaN fails the comparison, and it is exact for an int too large for a float
+        finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        if isinstance(value, bool) or not finite:
+            raise ValueError(f"policy {key} must be a finite number, got {value!r}")
+    if policies["identity_eps"] <= 0:
+        raise ValueError(f"policy identity_eps must be > 0, got {policies['identity_eps']!r}")
     seed = policies["seed"]
-    try:
-        settings = {
-            "policy": TruncationPolicy(target_eps=policies["target_eps"]),
-            "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
-            "samples": policies["samples"],
-            "identity_eps": float(policies["identity_eps"]),
-            "null_threshold": float(policies["null_threshold"]),
-        }
-    except TypeError as exc:
-        raise ValueError(f"corpus policies must be numbers: {exc}") from exc
+    settings = {
+        "policy": TruncationPolicy(target_eps=policies["target_eps"]),
+        "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
+        "samples": policies["samples"],
+        "identity_eps": float(policies["identity_eps"]),
+        "null_threshold": float(policies["null_threshold"]),
+    }
     check_null_threshold(settings["null_threshold"])
     entries = corpus.get("entries", [])
 

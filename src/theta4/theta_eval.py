@@ -6,10 +6,11 @@ The series for a genus-g characteristic (a1, a2) at the point z is
                                     + 2 (m + a1/2)' (z + a2/2) ])
 
 with the bits of a1, a2 lifted to the integers 0/1.  The sum is truncated to
-an integer box recentred where the summand's modulus peaks, with the radius
-chosen so that a rigorous Gaussian tail bound falls below the policy's
-target.  Everything runs in double-precision complex; the advertised
-accuracy is absolute, of the order of the policy target.
+an integer box recentred where the summand's modulus peaks, at
+c = -(a1/2 + Y^-1 Im z) with Y = Im tau, with the radius chosen so that a
+rigorous Gaussian tail bound, counted from c itself (see _tail_bound), falls
+below the policy's target.  Everything runs in double-precision complex; the
+advertised accuracy is absolute, of the order of the policy target.
 
 The top half a1 and the point z fix the box, the radius and the tail bound;
 the bottom half a2 only flips the sign of the term for m by (-1)^(m.a2) and
@@ -204,23 +205,39 @@ def _as_point(z, g: int) -> np.ndarray:
     return pt
 
 
-def _tail_bound(g: int, lam: float, amp: float, r0: float, radius: float) -> float:
-    # union of 2g half-space Gaussian tails; full-line factor 2 + 1/sqrt(lam)
-    t = radius - r0
-    if t <= 0.0:
-        return math.inf
+def _tail_bound(g: int, lam: float, amp: float, radius: int) -> float:
+    """Bound on the mass the box ceil(c - r) .. floor(c + r) leaves out, r >= 1.
+
+    With n = m + a1/2, y = Im z, Y = Im tau, w = Y^-1 y and the box centre
+    c = -(a1/2 + w), completing the square gives
+
+        |term(m)| = amp * exp(-pi (m - c)' Y (m - c)) <= amp * exp(-pi lam |m - c|^2),
+        amp = exp(pi y' Y^-1 y),
+
+    with lam the smallest eigenvalue of Y.  An integer m outside the box has
+    |m_j - c_j| > r on some axis j, so the left-out terms lie in the union of
+    the 2g half-spaces m_j - c_j < -r and m_j - c_j > r.  In one of them the
+    Gaussian splits over the axes.  On axis j the distances exceed r and are
+    1 apart, so they are at least r, r + 1, ..., and since (r + k)^2 >= r^2 +
+    2rk that axis sums to at most exp(-pi lam r^2) / (1 - exp(-2 pi lam r)).
+    Every other axis sums over a whole line of unit-spaced points: at most
+    the peak 1 plus the integral 1/sqrt(lam), and the bound keeps the looser
+    line factor 2 + 1/sqrt(lam).  Adding the 2g half-spaces gives
+
+        amp * 2g * (2 + 1/sqrt(lam))^(g-1) * exp(-pi lam r^2) / (1 - exp(-2 pi lam r)).
+    """
     line = 2.0 + 1.0 / math.sqrt(lam)
-    decay = math.exp(-math.pi * lam * t * t) / -math.expm1(-2.0 * math.pi * lam * t)
+    decay = math.exp(-math.pi * lam * radius * radius) / -math.expm1(-2.0 * math.pi * lam * radius)
     return amp * 2.0 * g * line ** (g - 1) * decay
 
 
-def _radius(g: int, lam: float, amp: float, r0: float, policy: TruncationPolicy) -> int:
+def _radius(g: int, lam: float, amp: float, policy: TruncationPolicy) -> int:
     """Smallest radius whose tail bound meets the policy target."""
-    for r in range(int(math.floor(r0)) + 1, policy.max_radius + 1):
-        if _tail_bound(g, lam, amp, r0, r) <= policy.target_eps:
+    for r in range(1, policy.max_radius + 1):
+        if _tail_bound(g, lam, amp, r) <= policy.target_eps:
             return r
     required = policy.max_radius + 1
-    while _tail_bound(g, lam, amp, r0, required) > policy.target_eps and required < 10**6:
+    while _tail_bound(g, lam, amp, required) > policy.target_eps and required < 10**6:
         required += 1
     raise TruncationError(required_radius=required, max_radius=policy.max_radius)
 
@@ -242,16 +259,16 @@ def _truncation(
     w = np.linalg.solve(np.broadcast_to(tau.tau.imag, (len(points), g, g)), y[:, :, None])[:, :, 0]
     exponents = math.pi * (y[:, None, :] @ w[:, :, None]).ravel()
     radii, tails = [], []
-    for z, exponent, r0 in zip(points, exponents.tolist(), (np.abs(w).max(1) + 1.0).tolist()):
+    for z, exponent in zip(points, exponents.tolist()):
         if exponent > _MAX_EXP_ARG:
             raise ValueError(
                 f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
                 f"(exponent {exponent:.4g} > {_MAX_EXP_ARG:.4g})"
             )
         amp = math.exp(exponent)
-        r = _radius(g, lam, amp, r0, policy)
+        r = _radius(g, lam, amp, policy)
         radii.append(r)
-        tails.append(_tail_bound(g, lam, amp, r0, r))
+        tails.append(_tail_bound(g, lam, amp, r))
     return w, np.array(radii), np.array(tails)
 
 

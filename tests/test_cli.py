@@ -388,6 +388,36 @@ class TestRunSuite:
         ],
     )
     def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
+        err = self.rejected_before_entries(capsys, tmp_path, policies)
+        if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}):
+            assert f"policy {next(iter(policies))} must be an integer" in err
+        if policies == {"seed": -3}:
+            assert "policy seed must be an integer >= 0" in err
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("identity_eps", True, "a finite number"),
+            ("target_eps", True, "a finite number"),
+            ("sv_threshold", True, "a finite number"),
+            ("null_threshold", "0.5", "a finite number"),
+            ("sv_threshold", "0.5", "a finite number"),
+            ("identity_eps", "NaN", "a finite number"),
+            ("identity_eps", float("nan"), "a finite number"),
+            ("target_eps", float("inf"), "a finite number"),
+            pytest.param("identity_eps", 10**400, "a finite number", id="identity_eps-int-past-float-max"),
+            ("identity_eps", 0, "> 0"),
+            ("identity_eps", -1, "> 0"),
+        ],
+    )
+    def test_float_policies_named_before_entries(self, capsys, tmp_path, key, value, rule):
+        err = self.rejected_before_entries(capsys, tmp_path, {key: value})
+        assert f"policy {key} must be {rule}" in err
+
+    @staticmethod
+    def rejected_before_entries(capsys, tmp_path, policies) -> str:
+        """Run a one-entry corpus with these policies; check that it exits 2
+        before the entry runs and writes no report, and return stderr."""
         entry = {"label": "g1", "tau": {"kind": "random", "g": 1, "seed": 0}}
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps({"policies": policies, "entries": [entry]}), encoding="utf-8")
@@ -397,10 +427,7 @@ class TestRunSuite:
         err = capsys.readouterr().err
         assert "[g1]" not in err
         assert not out.exists()
-        if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}):
-            assert f"policy {next(iter(policies))} must be an integer" in err
-        if policies == {"seed": -3}:
-            assert "policy seed must be an integer >= 0" in err
+        return err
 
     def test_warn_entry_rolls_up_to_warn(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.json"

@@ -98,9 +98,8 @@ def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int
     y = np.asarray(z).imag
     w = np.linalg.solve(tau.tau.imag, y)
     amp = math.exp(math.pi * float(y @ w))
-    r0 = float(np.max(np.abs(w))) + 1.0
-    for r in range(math.floor(r0) + 1, policy.max_radius + 1):
-        bound = theta_eval._tail_bound(tau.g, tau.lambda_min, amp, r0, r)
+    for r in range(1, policy.max_radius + 1):
+        bound = theta_eval._tail_bound(tau.g, tau.lambda_min, amp, r)
         if bound <= policy.target_eps:
             return r, bound
     raise AssertionError("no radius meets the target")
@@ -372,13 +371,13 @@ class TestBatchedKernel:
         # growth below log(float max) but within the margin g log(2r+1) that
         # covers a partial sum of (2r+1)^g factors: the point is summed term by
         # term, so it equals the term-by-term arithmetic exactly
-        linear, cross, floor = self.term_by_term_row(0.25 - 5.13j)
+        linear, cross, floor = self.term_by_term_row(0.25 - 41.9j)
         assert floor < linear + cross < math.log(sys.float_info.max)
 
     def test_range_guard_cross_term(self):
         # the linear phase alone stays below the margin; the top half's cross
         # term takes the row past it, onto the term-by-term path
-        linear, cross, floor = self.term_by_term_row(0.25 - 100.5j)
+        linear, cross, floor = self.term_by_term_row(0.25 - 110j)
         assert linear < floor < linear + cross
 
 
@@ -396,7 +395,7 @@ class TestSharedSetUp:
     def test_point_values_do_not_depend_on_batch(self, g):
         seed = 60 + g
         batch = TestBatchedKernel.mixed_batch(random_tau(g, seed))[:-1]
-        far = random_tau(g, seed).tau @ np.full(g, 2.5) - 0.7
+        far = random_tau(g, seed).tau @ np.full(g, 3.0) - 0.7
         chars = self.table_chars(g)
         alone = np.hstack([theta_table(chars, [z], random_tau(g, seed)) for z in batch])
         together = theta_table(chars, batch, random_tau(g, seed))
@@ -703,6 +702,32 @@ class TestTruncation:
             first = theta_series(c, z, tau_g2_random, policy)
             doubled = meshgrid_theta(c, z, tau_g2_random, 2 * first.radius)
             assert abs(first.value - doubled) < policy.target_eps
+
+    @pytest.mark.parametrize("floor", [1.0, 0.3])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_tail_bound_covers_brute_force(self, g, floor):
+        # the terms between the kernel's box and the same box 3 wider are part
+        # of the tail the bound covers; at target 1e-6 the bound is nearly tight,
+        # so a bound counted from one step past the centre fails here.  The
+        # allowance is the kernel's rounding, 1e-12 of the value as in
+        # assert_groups_match: 1e-13 is crossed by rounding alone
+        tau = random_tau(g, seed=140 + g, floor=floor)
+        cell = sample_cell_points(tau, 2, seed=g)
+        points = np.vstack([cell, 2.0 * cell, tau.tau @ np.full(g, 1.5) + 0.3])
+        top_halves = list(itertools.product((0, 1), repeat=g))
+        if g == 4:
+            top_halves = [top_halves[i] for i in np.random.default_rng(g).choice(2**g, size=2, replace=False)]
+        for eps in (1e-11, 1e-6):
+            policy = TruncationPolicy(target_eps=eps)
+            for j, z in enumerate(points):
+                for a1 in top_halves:
+                    radius = theta_series(Characteristic(a1, (0,) * g), z, tau, policy).radius
+                    wider = fallback_group(a1, z, tau, radius + 3)
+                    for a2, expected in zip(itertools.product((0, 1), repeat=g), wider.tolist()):
+                        result = theta_series(Characteristic(a1, a2), z, tau, policy)
+                        assert result.tail_bound <= eps
+                        allowance = 1e-12 * max(1.0, abs(expected))
+                        assert abs(result.value - expected) <= result.tail_bound + allowance, (eps, j, a1, a2)
 
     def test_reported_bound_meets_target(self, tau_g1_i, zero1):
         result = theta_series(Characteristic.zero(1), zero1, tau_g1_i)
