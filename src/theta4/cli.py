@@ -31,7 +31,7 @@ from theta4.basis_analysis import (
     split_nulls,
 )
 from theta4.char2 import Characteristic, d_plus, enumerate_characteristics, parity
-from theta4.identities import inversion_residuals, quartic_residuals
+from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals
 from theta4.jsonio import (
     atomic_write_text,
     canonical_dumps,
@@ -134,6 +134,7 @@ def _cmd_nulls(args) -> int:
 
 
 def _cmd_verify_identity(args, kind: str) -> int:
+    check_identity_eps(args.eps, "--eps")
     tau = load_tau_file(args.tau)
     policy = TruncationPolicy(target_eps=args.target_eps)
     if kind == "quartic":
@@ -289,8 +290,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
         if isinstance(value, bool) or not finite:
             raise ValueError(f"policy {key} must be a finite number, got {value!r}")
-    if policies["identity_eps"] <= 0:
-        raise ValueError(f"policy identity_eps must be > 0, got {policies['identity_eps']!r}")
+    check_identity_eps(policies["identity_eps"], "policy identity_eps")
     seed = policies["seed"]
     settings = {
         "policy": TruncationPolicy(target_eps=policies["target_eps"]),

@@ -88,6 +88,12 @@ class IdentityResidual:
         }
 
 
+def check_identity_eps(eps: float, name: str) -> None:
+    """Reject a residual gate for passes() that is not a finite number > 0."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {eps!r}")
+
+
 def _magnitude(x: np.ndarray) -> np.ndarray:
     # hypot is what abs() of a Python complex computes; np.abs rounds
     # differently in the last bit for a good share of values

@@ -12,29 +12,25 @@ rigorous Gaussian tail bound, counted from c itself (see _tail_bound), falls
 below the policy's target.  Everything runs in double-precision complex; the
 advertised accuracy is absolute, of the order of the policy target.
 
-The top half a1 and the point z fix the box, the radius and the tail bound;
-the bottom half a2 only flips the sign of the term for m by (-1)^(m.a2) and
-multiplies the sum by exp(pi i a1.a2 / 2).  One lattice sum per (a1, z)
-therefore serves all 2^g second halves.  _theta_groups evaluates such sums
-for a batch of rows at once, one row per (a1, z) pair: over the offsets k
+The top half a1 and the point z fix the box; the bottom half a2 only flips
+the sign of the term for m by (-1)^(m.a2) and multiplies the sum by
+exp(pi i a1.a2 / 2); the radius and the tail bound depend on z alone.  So
+_theta_groups sums a point as 2^g rows, one per top half: over the offsets k
 from a row's integer shift, the phase splits into exp(pi i k' tau k), one
-table for every row and top half, one factor per axis and row (the linear
-phase and the top half's cross term) and one constant per row, and BLAS
-contractions of the table with the axis factors give every row's 2^g
-values.  Each row keeps its own radius and box; a row whose axis factors
-could leave the double range is summed term by term instead.
+table for every row, one factor per axis and row (the linear phase and the
+top half's cross term) and one constant per row, and BLAS contractions of
+the table with the axis factors give each row's 2^g values, all 4^g per
+point.  Each row keeps its own box; a row whose axis factors could leave the
+double range is summed term by term instead.
 
-The groups are memoized on the PeriodMatrix, keyed by policy, a1 and the
-bytes of z, for the life of that object, so the nulls and the values at z and
-2z are computed once per tau however many stages read them.  _fill is the
-memo's one fill path.  It takes the top halves of one request (one for
-theta_series, every distinct a1 for theta_table), runs the per-point
-truncation (solve, scale, radius and tail bound, none of which depends on a1)
-once over the points any of them still needs, then sums every missing
-(a1, point) pair in one _theta_groups batch.  The quadratic-phase table is
-kept on the PeriodMatrix too, one per tau at the largest radius T asked of it
-so far ((2T+1)^g entries): a smaller radius reads its centred slice, which
-holds the same values bit for bit, and a larger one grows it in place.
+The memo on the PeriodMatrix holds one entry per (policy, bytes of z) for
+the life of that object: z's 4^g values by canonical index, its radius and
+its tail bound.  So the nulls and the values at z and 2z are summed once per
+tau, whatever the stages read.  _fill, its one fill path, truncates each
+point not memoized yet once and sums them all in one _theta_groups batch.
+The quadratic-phase table is kept there too, built at the largest radius T
+asked so far ((2T+1)^g entries): a smaller radius reads its centred slice,
+which holds the same values bit for bit; a larger one builds it anew.
 
 Every memo key is the bytes of a validated point: finite, of shape (g,),
 complex, and with no -0.0.  So theta_series, given a complex (g,) array,
@@ -90,8 +86,8 @@ class TruncationPolicy:
     max_radius: int = MAX_ALLOWED_RADIUS
 
     def __post_init__(self) -> None:
-        if not self.target_eps >= 1e-14:
-            raise ValueError(f"target_eps must be >= 1e-14, got {self.target_eps}")
+        if not 1e-14 <= self.target_eps < math.inf:
+            raise ValueError(f"target_eps must be finite and >= 1e-14, got {self.target_eps}")
         if not 1 <= self.max_radius <= MAX_ALLOWED_RADIUS:
             raise ValueError(f"max_radius must be in 1..{MAX_ALLOWED_RADIUS}, got {self.max_radius}")
         # the memo key: hashed in C, where the generated __hash__ is a Python call per read
@@ -129,7 +125,7 @@ class PeriodMatrix:
         arr.setflags(write=False)
         self._tau = arr
         self._lambda_min = lam
-        # (policy._key, a1, z bytes) -> (values, radius, tail_bound), filled by _fill
+        # (policy._key, z bytes) -> (4^g values by canonical index, radius, tail_bound), by _fill
         self._theta_memo: dict = {}
         # (top, quadratic-phase table over [-top, top]^g) once built, see _quad_table
         self._quad_table: tuple[int, np.ndarray] | None = None
@@ -233,13 +229,12 @@ def _tail_bound(g: int, lam: float, amp: float, radius: int) -> float:
 
 def _radius(g: int, lam: float, amp: float, policy: TruncationPolicy) -> int:
     """Smallest radius whose tail bound meets the policy target."""
-    for r in range(1, policy.max_radius + 1):
-        if _tail_bound(g, lam, amp, r) <= policy.target_eps:
-            return r
-    required = policy.max_radius + 1
-    while _tail_bound(g, lam, amp, required) > policy.target_eps and required < 10**6:
-        required += 1
-    raise TruncationError(required_radius=required, max_radius=policy.max_radius)
+    r = 1
+    while _tail_bound(g, lam, amp, r) > policy.target_eps and r < 10**6:
+        r += 1
+    if r > policy.max_radius:
+        raise TruncationError(required_radius=r, max_radius=policy.max_radius)
+    return r
 
 
 def _truncation(
@@ -249,7 +244,7 @@ def _truncation(
     the radius and the tail bound of each point.
 
     None of it depends on the characteristic, so _fill runs it once per point
-    for all the top halves it sums.  Solved one point per stacked matrix, each
+    for all the characteristics it sums.  Solved one point per stacked matrix, each
     w and exponent is bit for bit the point's own solve and dot product,
     whatever the batch.
     """
@@ -276,46 +271,33 @@ def _quad_table(top: int, tau: PeriodMatrix) -> tuple[int, np.ndarray]:
     """(T, Q) with Q[k] = exp(pi i k' tau k) over the offsets k in [-T, T]^g,
     for some T >= top.
 
-    The table does not depend on the characteristic, so tau keeps one, at
-    the largest top asked so far.  Each entry is computed from its own
+    The table does not depend on the characteristic, so tau keeps one, built
+    at the largest top asked so far.  Each entry is computed from its own
     offset alone, so the centred slice [-r, r]^g of the table holds bit for
-    bit the table built at r.  For the same reason a larger top grows the
-    table: the old one becomes its centre and only the new offsets are
-    computed.
+    bit the table built at r.
     """
     cached = tau._quad_table
     if cached is None or cached[0] < top:
-        g = tau.g
         offsets = np.arange(-top, top + 1)
-        k = np.stack(np.meshgrid(*[offsets] * g, indexing="ij"), axis=-1)
-        table = np.empty(k.shape[:-1], dtype=complex)
-        new = np.ones(table.shape, dtype=bool)
-        if cached is not None:
-            old_top, old = cached
-            centre = (slice(top - old_top, top + old_top + 1),) * g
-            table[centre] = old
-            new[centre] = False
-        k = k[new]
-        table[new] = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(-1))
-        cached = top, table
+        k = np.stack(np.meshgrid(*[offsets] * tau.g, indexing="ij"), axis=-1).reshape(-1, tau.g)
+        table = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(-1))
+        cached = top, table.reshape((len(offsets),) * tau.g)
         tau._quad_table = cached
     return cached
 
 
 def _theta_groups(
-    a1s: np.ndarray,
     points: np.ndarray,
     truncation: tuple[np.ndarray, np.ndarray, np.ndarray],
     tau: PeriodMatrix,
-) -> list[tuple[list[complex], int, float]]:
-    """One lattice sum per row, each resolved into all 2^g second halves:
-    row i is the top half a1s[i] at points[i], both (R, g) arrays.
+) -> np.ndarray:
+    """Every characteristic's value at each of the (P, g) points, as a
+    (P, 4^g) array whose column c.index holds theta[c].
 
-    truncation is _truncation(points, tau, policy): w = Y^-1 Im z, the radii
-    and the tail bounds of the rows.  Returns one (values, radius,
-    tail_bound) per row; values[k] belongs to the a2 whose bits, most
-    significant first, spell k.  Each row keeps its own radius r and its own
-    box ceil(c - r) .. floor(c + r) around c = -(alpha + w), alpha = a1/2.
+    truncation is _truncation(points, tau, policy).  A point is 2^g rows, one
+    per top half a1, each resolved into all 2^g second halves; a row keeps
+    its point's radius r and its own box ceil(c - r) .. floor(c + r) around
+    c = -(alpha + w), alpha = a1/2, w = Y^-1 Im z.
     With the shift s = rint(c) and the offset k = m - s in [-r, r]^g, the
     term for n = s + k + alpha is
 
@@ -334,10 +316,12 @@ def _theta_groups(
     double range is summed term by term over its box instead.
     """
     g = tau.g
-    alpha = a1s / 2.0
     bits = np.array(list(itertools.product((0, 1), repeat=g)))
-    a2_phase = np.exp(1j * np.pi * (alpha @ bits.T))
-    w, radii, tails = truncation
+    # row i is the top half bits[i % 2^g] at the point i // 2^g
+    alpha = np.tile(bits / 2.0, (len(points), 1))
+    a2_phase = np.exp(1j * np.pi * (bits @ bits.T / 2.0))
+    w, radii, _ = truncation
+    points, w, radii = (np.repeat(part, 2**g, axis=0) for part in (points, w, radii))
 
     center = -alpha - w
     shift = np.rint(center)
@@ -382,31 +366,26 @@ def _theta_groups(
         terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ points[p])))
         sums[p] = terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))
 
-    values = (sums * a2_phase).tolist()
-    return list(zip(values, radii.tolist(), tails.tolist()))
+    return (sums.reshape(-1, 2**g, 2**g) * a2_phase).reshape(-1, 4**g)
 
 
-def _fill(a1s, points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
-    """Memoize the groups of every top half in a1s at the points not in tau's
-    memo for it yet.
+def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
+    """Memoize every characteristic at the points not in tau's memo yet.
 
-    The points are deduplicated by key.  Every missing (a1, point) pair, top
-    half by top half and in point order within each, is one row of a single
-    _theta_groups batch; _truncation runs once over the points those rows
-    need, in the order they are first needed.
+    The points are deduplicated by key; _truncation runs once over the
+    missing ones, in order, and they are summed in one _theta_groups batch.
     """
     memo = tau._theta_memo
-    unique = {z.tobytes(): z for z in points}
     key = policy._key
-    rows = [(a1, b) for a1 in a1s for b in unique if (key, a1, b) not in memo]
-    if not rows:
+    unique = {z.tobytes(): z for z in points}
+    missing = [b for b in unique if (key, b) not in memo]
+    if not missing:
         return
-    index = {b: i for i, b in enumerate(dict.fromkeys(b for _, b in rows))}
-    union = np.array([unique[b] for b in index])
-    idx = [index[b] for _, b in rows]
-    truncation = tuple(part[idx] for part in _truncation(union, tau, policy))
-    groups = _theta_groups(np.array([a1 for a1, _ in rows]), union[idx], truncation, tau)
-    memo.update(((key, a1, b), group) for (a1, b), group in zip(rows, groups))
+    union = np.array([unique[b] for b in missing])
+    truncation = _truncation(union, tau, policy)
+    values = _theta_groups(union, truncation, tau).tolist()
+    entries = zip(values, truncation[1].tolist(), truncation[2].tolist())
+    memo.update(((key, b), entry) for b, entry in zip(missing, entries))
 
 
 def theta_series(
@@ -419,9 +398,9 @@ def theta_series(
     whose tail bound meets the policy target.  The returned tail_bound is an
     upper bound for the discarded mass.
 
-    The first call for a (policy, a1, z) evaluates the whole group of 2^g
-    second halves a2 through _fill and memoizes it on tau; later calls for
-    any a2 of that group are one lookup.  A z that is already a complex (g,)
+    The first call for a (policy, z) evaluates every characteristic at z
+    through _fill and memoizes them on tau; later calls for any
+    characteristic at z are one lookup.  A z that is already a complex (g,)
     array is looked up by its raw bytes before it is validated (see the
     module docstring); only a miss pays for validation.
     """
@@ -430,20 +409,20 @@ def theta_series(
     if len(c.a1) != g:
         raise ValueError(f"genus mismatch: characteristic {len(c.a1)}, tau {g}")
     memo = tau._theta_memo
-    group = None
+    entry = None
     if type(z) is np.ndarray and z.dtype is _COMPLEX and z.shape == (g,):
-        group = memo.get((policy._key, c.a1, z.tobytes()))
-    if group is None:
+        entry = memo.get((policy._key, z.tobytes()))
+    if entry is None:
         z = _as_point(z, g)
-        key = (policy._key, c.a1, z.tobytes())
-        group = memo.get(key)
-        if group is None:
-            _fill((c.a1,), [z], tau, policy)
-            group = memo[key]
-    values, radius, tail_bound = group
-    # c._h2 is the a2 bits as an int, MSB first: the index of a2 in the group;
-    # tuple.__new__ builds the named tuple without its Python-level __new__
-    return tuple.__new__(ThetaValue, (values[c._h2], tail_bound, radius))
+        key = (policy._key, z.tobytes())
+        entry = memo.get(key)
+        if entry is None:
+            _fill([z], tau, policy)
+            entry = memo[key]
+    values, radius, tail_bound = entry
+    # c._index is c.index without the property call; tuple.__new__ builds the
+    # named tuple without its Python-level __new__
+    return tuple.__new__(ThetaValue, (values[c._index], tail_bound, radius))
 
 
 def theta_table(
@@ -452,13 +431,12 @@ def theta_table(
     """Values theta[c](z) for c in chars (rows) and z in points (columns).
 
     Every characteristic's genus is checked before any lattice sum.  One
-    _fill call then covers the whole table: the truncation of each point
-    still missing for some top half runs once, and every (a1, point) pair
-    still missing is one row of a single _theta_groups batch.  The matrix is
-    read back through one theta_series lookup per (char, point), so every
-    value, radius and tail bound is the one theta_series reports, and the
-    benchmark tracer, which counts the theta_series reads of each stage,
-    sees one read per table entry.  Those reads hit the memo by raw bytes.
+    _fill call then sums every point not memoized yet in a single batch (and
+    none when chars is empty).  The matrix is read back through one
+    theta_series lookup per (char, point), so every value, radius and tail
+    bound is the one theta_series reports, and the benchmark tracer, which
+    counts the theta_series reads of each stage, sees one read per table
+    entry.  Those reads hit the memo by raw bytes.
     """
     policy = policy or DEFAULT_POLICY
     g = tau.g
@@ -466,7 +444,8 @@ def theta_table(
         if c.g != g:
             raise ValueError(f"genus mismatch: characteristic {c.g}, tau {g}")
     pts = [_as_point(z, g) for z in points]
-    _fill(dict.fromkeys(c.a1 for c in chars), pts, tau, policy)
+    if chars:
+        _fill(pts, tau, policy)
     values = [[theta_series(c, z, tau, policy).value for z in pts] for c in chars]
     return np.array(values, dtype=complex).reshape(len(chars), len(pts))
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import theta4
+import theta4.theta_eval as theta_eval
 from theta4 import cli
 from theta4.char2 import Characteristic
 from theta4.cli import main, standard_corpus
@@ -42,6 +43,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+@pytest.fixture()
+def no_lattice_sum(monkeypatch):
+    """Fail the test if anything reaches the lattice-sum kernel."""
+
+    def refuse(*args):
+        raise AssertionError("a lattice sum ran")
+
+    monkeypatch.setattr(theta_eval, "_theta_groups", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--char", "0,0", "--eps", "inf"],
+        ["nulls", "--eps", "inf"],
+        ["basis-report", "--eps", "inf"],
+        ["verify-quartic", "--target-eps", "inf"],
+    ],
+)
+def test_infinite_target_eps_rejected_before_any_sum(capsys, rand_g2, no_lattice_sum, argv):
+    code = main([*argv, "--tau", rand_g2])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: target_eps must be finite")
 
 
 class TestMain:
@@ -207,6 +235,16 @@ class TestVerifyIdentities:
             "--eps", "1e-15",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["quartic", "inversion"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_nonsense_gate_rejected_before_any_sum(self, capsys, rand_g2, no_lattice_sum, kind, eps):
+        # no residual can be judged against such a gate: an input error, not a math failure
+        code = main([f"verify-{kind}", "--tau", rand_g2, "--samples", "1", "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --eps must be > 0 and finite")
 
     def test_inversion_passes_on_product(self, capsys, diag_ii):
         # the vanishing-pair record is 0 = 0 and passes at term scale

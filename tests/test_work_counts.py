@@ -5,6 +5,8 @@ row_sum calls and 4^g d+ weil_pairing calls inside verify_sign_matrix, and one
 theta_series read per (characteristic, point) in each numerical stage.  These
 tests count the same calls with wrappers patched over the module globals the
 code reads at call time, so a change that drops a counted call fails here.
+They also count the lattice sums behind one run-suite entry: one row per
+(top half, point) for each distinct point the entry evaluates.
 """
 
 import sys
@@ -13,8 +15,9 @@ import pytest
 
 import theta4.mmatrix as mmatrix
 import theta4.theta_eval as theta_eval
-from theta4.basis_analysis import basis_report
-from theta4.char2 import d_plus
+from theta4.basis_analysis import DEFAULT_NULL_THRESHOLD, DEFAULT_RANK_POLICY, basis_report
+from theta4.char2 import Characteristic, d_plus
+from theta4.cli import DEFAULT_POLICIES, _run_entry
 from theta4.identities import inversion_residuals, quartic_residuals
 
 
@@ -61,3 +64,27 @@ def test_stages_read_theta_series_once_per_entry(samples, tau_g2_random, monkeyp
         calls[0] = 0
         run()
         assert calls[0] == expected[stage], stage
+
+
+@pytest.mark.parametrize("g, samples", [(1, 1), (2, 1), (2, 2), (3, 3)])
+def test_entry_sums_each_distinct_point_once(g, samples, monkeypatch):
+    # 2^g rows per distinct point: z = 0 and the identity samples z and 2z
+    # (1 + 2s points), the evaluation points 2 z_a other than 0 (d+ - 1) and
+    # the fourth-power samples (2 d+); no point is summed twice
+    rows = [0]
+    build = theta_eval._theta_groups
+
+    def counting(points, *args):
+        rows[0] += len(points) * 2**g
+        return build(points, *args)
+
+    monkeypatch.setattr(theta_eval, "_theta_groups", counting)
+    result = _run_entry(
+        "count", theta_eval.random_tau(g, seed=g), Characteristic.zero(g),
+        {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY,
+        rank_policy=DEFAULT_RANK_POLICY, samples=samples, identity_eps=DEFAULT_POLICIES["identity_eps"],
+        null_threshold=DEFAULT_NULL_THRESHOLD,
+    )
+    assert result["status"] == "pass"
+    d = d_plus(g)
+    assert rows[0] == 2**g * (1 + 2 * samples) + 2**g * (d - 1) + 2**g * 2 * d
