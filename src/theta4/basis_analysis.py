@@ -32,6 +32,7 @@ from theta4.mmatrix import build_m
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
+    check_seed,
     sample_cell_points,
     theta_nulls,
     theta_table,
@@ -222,6 +223,16 @@ def vanishing_nulls(
     return list(split_nulls(theta_nulls(tau, policy), null_threshold)[1])
 
 
+def sample_count(g: int, n_samples: int | None) -> int:
+    """Number of fourth-power samples at genus g: 2 d+ when n_samples is None,
+    else n_samples, which must be at least 2 d+."""
+    d = d_plus(g)
+    n = 2 * d if n_samples is None else n_samples
+    if n < 2 * d:
+        raise ValueError(f"need at least 2 d+ = {2 * d} samples, got {n}")
+    return n
+
+
 def fourth_power_rank(
     tau: PeriodMatrix,
     policy: TruncationPolicy | None = None,
@@ -237,10 +248,7 @@ def fourth_power_rank(
     across wildly different sample magnitudes.
     """
     g = tau.g
-    d = d_plus(g)
-    n = 2 * d if n_samples is None else n_samples
-    if n < 2 * d:
-        raise ValueError(f"need at least 2 d+ = {2 * d} samples, got {n}")
+    n = sample_count(g, n_samples)
     pts = sample_cell_points(tau, n, seed)
     if len(np.unique(pts, axis=0)) != n:
         raise ValueError("degenerate sampling: coincident sample points")
@@ -316,12 +324,17 @@ def basis_report(
     seed: int = 0,
     n_samples: int | None = None,
 ) -> BasisReport:
-    """Run the full analysis for one period matrix and one even kappa0."""
+    """Run the full analysis for one period matrix and one even kappa0;
+    every argument is checked before the first lattice sum."""
     policy = policy or TruncationPolicy()
     rank_policy = rank_policy or NumericalRankPolicy()
     g = tau.g
     d = d_plus(g)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(g)
+    check_kappa0(kappa0, g)
+    check_null_threshold(null_threshold)
+    n = sample_count(g, n_samples)
+    check_seed(seed)
 
     _, vanishing, near = split_nulls(theta_nulls(tau, policy), null_threshold)
 
@@ -329,7 +342,6 @@ def basis_report(
     ev_scaled = ev / np.max(np.abs(ev), axis=0, keepdims=True)
     ev_rank = numerical_rank(ev_scaled, rank_policy)
 
-    n = 2 * d if n_samples is None else n_samples
     fp_rank = fourth_power_rank(tau, policy, rank_policy, n, seed)
 
     m_dev = None

@@ -117,6 +117,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_nulls(args) -> int:
     tau = load_tau_file(args.tau)
+    check_null_threshold(args.null_threshold)
     nulls = theta_nulls(tau, TruncationPolicy(target_eps=args.eps))
     top, vanishing, _ = split_nulls(nulls, args.null_threshold)
     rows = [

@@ -16,9 +16,9 @@ relative to max(|lhs|, |rhs|, 1e-30) so that zeros of theta cannot blow up
 the quotient.
 
 A sweep forms its terms once as a (points x pairs) array and its signed
-sums as row reductions against mmatrix.pairing_signs (the signs of M), one
-point at a time; theta powers and products are taken on Python scalars, so
-a single check's record is bit for bit its record in a sweep.
+sums as row reductions against mmatrix.pairing_signs (the signs of M), all
+points in one broadcast; theta powers and products are taken on Python
+scalars, so a single check's record is bit for bit its record in a sweep.
 """
 
 from __future__ import annotations
@@ -101,12 +101,12 @@ def _magnitude(x: np.ndarray) -> np.ndarray:
 
 
 def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """(points x rows) sums of signs[i, j] * terms[p, j] over j, point by point.
+    """(points x rows) sums of signs[i, j] * terms[p, j] over j, in one broadcast.
 
-    No BLAS: its rounding depends on the product's shape, and a single check
-    must give its sweep record bit for bit."""
-    signs = signs.astype(complex)
-    return np.array([(row[None, :] * signs).sum(-1) for row in terms])
+    No BLAS: its rounding depends on the product's shape.  Each output here
+    is one pairwise sum over a contiguous row of the (points, rows, pairs)
+    products, so a single check gives its sweep record bit for bit."""
+    return (terms[:, None, :] * signs.astype(complex)).sum(-1)
 
 
 def _records(

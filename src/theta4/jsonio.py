@@ -68,16 +68,20 @@ def canonical_dumps(obj) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partials."""
+    """Write via a temporary file and rename, so readers never see partials;
+    an OSError names path, and the temporary file is never left behind."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

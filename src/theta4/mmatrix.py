@@ -3,14 +3,12 @@
 M is the d+ x d+ matrix of pairing signs (-1)^(a1.b2 + a2.b1) with rows and
 columns running over the even pairs in canonical order.  Everything here is
 exact: entries are +-1 integers, the closed-form inverse is rational with
-denominator 2^(2g-1), and the verification identities are evaluated in
-integer arithmetic.  M^2 is formed by popcount: with each row of M and each
-row of M^T packed as bits (1 where the entry is -1), entry (i, j) of M^2 is
-d+ - 2 popcount(row_i XOR col_j), an integer count with no rounding and no
-overflow; each row block adds up those popcounts one packed word at a time.
-pairing_signs builds the same signs between any two lists of
-characteristics; M and both identity sweeps of theta4.identities read them
-from there.
+denominator 2^(2g-1), and the verification identities are evaluated on
+integers.  M^2 is one float32 matrix product, which is exact here because
+every value it and the identity checks form is an integer below 2^24 (see
+verify_sign_matrix).  pairing_signs builds the same signs between any two
+lists of characteristics; M and both identity sweeps of theta4.identities
+read them from there.
 
 The row-sum law is checked literally: row_sum makes one weil_pairing call per
 even pair, read from this module when it runs, so the check counts 4^g d+
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +36,6 @@ from theta4.char2 import (
 )
 
 MAX_GENUS = 5
-
-# bound on rows x d+ x words of one row block of the popcount square
-_SQUARE_BLOCK_WORDS = 2**17
 
 Rational = Fraction | int
 
@@ -80,13 +75,14 @@ class RationalMatrix:
 
 
 def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]) -> np.ndarray:
-    """Int64 matrix of pairing signs (-1)^(a1.b2 + a2.b1), rows x cols, by popcount."""
-    (g,) = {len(c.a1) for c in (*rows, *cols)}  # ValueError unless one genus
-    r = np.array([c.index for c in rows], dtype=np.uint64)
-    c = np.array([c.index for c in cols], dtype=np.uint64)
-    r1, r2, c1, c2 = r >> g, r & (2**g - 1), c >> g, c & (2**g - 1)
-    cross = np.bitwise_count(r1[:, None] & c2[None, :]) + np.bitwise_count(r2[:, None] & c1[None, :])
-    return np.where(cross & 1, -1, 1).astype(np.int64)
+    """Int64 matrix of pairing signs (-1)^(a1.b2 + a2.b1), rows x cols.
+
+    The char2 rule: (-1)^popcount(index(a) & swapped(b)) for row a, column b.
+    """
+    (_,) = {c.g for c in (*rows, *cols)}  # ValueError unless one genus
+    r = np.array([c._index for c in rows], dtype=np.uint64)
+    s = np.array([c._swapped for c in cols], dtype=np.uint64)
+    return np.where(np.bitwise_count(r[:, None] & s) & 1, -1, 1)
 
 
 def build_m(g: int) -> SignMatrix:
@@ -154,60 +150,37 @@ def apply(m: SignMatrix | RationalMatrix, v: Sequence[Rational]) -> list[Fractio
     return [sum((e * x for e, x in zip(row, vec)), Fraction(0)) for row in rows]
 
 
-def _pack_signs(e: np.ndarray) -> np.ndarray:
-    """Rows of a +-1 matrix as bits (1 where -1), padded to whole uint64 words."""
-    bits = np.packbits(e == -1, axis=1)
-    padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, : bits.shape[1]] = bits
-    return padded.view(np.uint64)
-
-
-def _popcount_square(e: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, block): block is rows start, start + 1, ... of e @ e,
-    exactly, for a square +-1 matrix e.
-
-    Row i of e and column j of e agree in d - popcount(row_i XOR col_j)
-    places and differ in the rest, so their dot product is
-    d - 2 popcount(row_i XOR col_j).  The columns are packed from e.T, so
-    this is e @ e even when e is not symmetric.  Row blocks hold at most
-    _SQUARE_BLOCK_WORDS packed words of row-column pairs; within a block the
-    popcounts are added one word at a time into a (rows, d) count, so no
-    temporary has a words axis.
-    """
-    d = e.shape[0]
-    rows, cols = _pack_signs(e), _pack_signs(e.T)
-    step = max(1, _SQUARE_BLOCK_WORDS // cols.size)
-    col_words = np.ascontiguousarray(cols.T)
-    for start in range(0, d, step):
-        block = rows[start : start + step]
-        differ = np.zeros((len(block), d), dtype=np.int64)
-        for w, col_word in enumerate(col_words):
-            differ += np.bitwise_count(block[:, w, None] ^ col_word)
-        yield start, d - 2 * differ
-
-
 def verify_sign_matrix(g: int) -> dict[str, bool]:
     """Exact verification of the structural identities of the sign matrix.
 
-    Checks, all in integer arithmetic:
+    Checks, all on integer values (M^2 in float32, exact as shown below):
       * entries are +-1, the diagonal is +1, and M is symmetric;
-      * M^2 = 2^(g-1) M + 2^(2g-1) I, with M^2 counted by XOR-popcounts of
-        the packed rows and columns of M (exact for a +-1 matrix);
+      * M^2 = 2^(g-1) M + 2^(2g-1) I;
       * M (M - 2^(g-1) I) = 2^(2g-1) I, i.e. the closed-form inverse is
         exact; this is the same integer matrix M^2 - 2^(g-1) M, so it is read
         off the same square;
       * the literal row sum over even pairs matches its closed form for
         every one of the 4^g characteristics.
+
+    M^2 is one float32 product, and it is exact.  For a +-1 matrix every
+    product of two entries is +-1, so every partial sum is an integer of size
+    at most d+; every entry of M^2 - 2^(g-1) M - 2^(2g-1) I formed after it
+    has size at most d+ + 2^(g-1) + 2^(2g-1) (1,056 at g = 5).  All of these
+    are integers below 2^24, which float32 holds exactly, so no BLAS
+    blocking, summation order or fused multiply-add can round them.  The
+    bound needs +-1 entries, so the square counts only when they are.
     """
     _check_genus(g)
     m = build_m(g)
     e = m.entries
     k, c = 2 ** (g - 1), 2 ** (2 * g - 1)
     entries_pm1 = bool(np.all(np.abs(e) == 1))
-    square_ok = entries_pm1  # the popcount square is e @ e only for a +-1 matrix
-    for start, block in _popcount_square(e):
-        target = k * e[start : start + len(block)] + c * np.eye(len(block), m.dim, start, dtype=int)
-        square_ok = square_ok and np.array_equal(block, target)
+    f = e.astype(np.float32)
+    sq = f @ f
+    f *= k
+    sq -= f
+    sq.flat[:: m.dim + 1] -= c
+    square_ok = entries_pm1 and not sq.any()
     checks = {
         "entries_pm1": entries_pm1,
         "diagonal_plus1": bool(np.all(np.diagonal(e) == 1)),

@@ -519,10 +519,17 @@ def block_diagonal_tau(blocks) -> PeriodMatrix:
     return PeriodMatrix(out)
 
 
+def check_seed(seed: int) -> None:
+    """Reject a sampling seed that is not a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def sample_cell_points(tau: PeriodMatrix, n: int, seed: int) -> np.ndarray:
     """n seeded points u + tau v with u, v uniform in [0, 1)^g, as an (n, g) array."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=(n, tau.g))
     v = rng.uniform(0.0, 1.0, size=(n, tau.g))

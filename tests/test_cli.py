@@ -16,7 +16,7 @@ from theta4.char2 import Characteristic
 from theta4.cli import main, standard_corpus
 from theta4.jsonio import canonical_dumps
 from theta4.mmatrix import build_m
-from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, theta_series
+from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, random_tau, theta_series
 
 
 @pytest.fixture()
@@ -119,6 +119,28 @@ class TestChars:
         assert code == 2
 
 
+class TestOutputErrors:
+    """A failed --out write names the given path, never the temporary file,
+    and leaves no temporary file behind."""
+
+    def test_directory_target(self, capsys, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        code = main(["chars", "--genus", "1", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(target) in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
+    def test_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code = main(["chars", "--genus", "1", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(target) in err and ".tmp" not in err
+        assert not any(tmp_path.iterdir())
+
+
 class TestMmatrix:
     def test_verify_passes(self, capsys):
         code, payload = run(capsys, "mmatrix", "--genus", "2", "--verify")
@@ -213,7 +235,7 @@ class TestNulls:
 
 @pytest.mark.parametrize("command", ["nulls", "basis-report"])
 @pytest.mark.parametrize("threshold", ["0", "1.5"])
-def test_out_of_range_null_threshold_rejected(capsys, diag_ii, command, threshold):
+def test_out_of_range_null_threshold_rejected(capsys, diag_ii, no_lattice_sum, command, threshold):
     code, payload = run(capsys, command, "--tau", diag_ii, "--null-threshold", threshold)
     assert code == 2
     assert payload is None
@@ -282,6 +304,29 @@ class TestBasisReport:
     def test_odd_kappa0_rejected(self, capsys, rand_g2):
         code, _ = run(capsys, "basis-report", "--tau", rand_g2, "--kappa0", "10,10")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "3"], "need at least 2 d+ = 272 samples, got 3"),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--kappa0", "1000,1000"], "kappa0 must be even"),
+            (["--null-threshold", "0"], "null_threshold must be in (0, 1)"),
+        ],
+    )
+    def test_bad_argument_rejected_before_any_sum(self, capsys, tau_file, monkeypatch, flags, message):
+        points = []
+        build = theta_eval._theta_groups
+
+        def counting(pts, *args):
+            points.append(len(pts))
+            return build(pts, *args)
+
+        monkeypatch.setattr(theta_eval, "_theta_groups", counting)
+        code = main(["basis-report", "--tau", tau_file("g4.json", random_tau(4, 3)), *flags])
+        captured = capsys.readouterr()
+        assert (code, sum(points), captured.out) == (2, 0, "")
+        assert captured.err.startswith(f"error: {message}")
 
 
 class TestRunSuite:

@@ -831,3 +831,8 @@ class TestSampling:
         assert np.array_equal(a, b)
         with pytest.raises(ValueError):
             sample_cell_points(tau_g2_random, 0, seed=3)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_bad_seed_named(self, tau_g2_random, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            sample_cell_points(tau_g2_random, 1, seed)
