@@ -55,7 +55,6 @@ from theta4.identities import (
 )
 from theta4.basis_analysis import (
     BasisReport,
-    NearZeroThetaError,
     NumericalRankPolicy,
     VanishingNullError,
     basis_report,
@@ -73,7 +72,6 @@ __all__ = [
     "BasisReport",
     "Characteristic",
     "IdentityResidual",
-    "NearZeroThetaError",
     "NumericalRankPolicy",
     "PeriodMatrix",
     "RationalMatrix",

@@ -41,7 +41,6 @@ from theta4.theta_eval import (
 
 DEFAULT_NULL_THRESHOLD = 1e-8
 WARN_NULL_THRESHOLD = 1e-4
-MU_GUARD = 1e-9
 
 
 class VanishingNullError(ValueError):
@@ -55,23 +54,6 @@ class VanishingNullError(ValueError):
             f"({labels}); the evaluation matrix is rank-deficient and the "
             "sign normalization would divide by a zero section value"
         )
-
-
-class NearZeroThetaError(ArithmeticError):
-    """A mu denominator is numerically zero; which factor is reported."""
-
-    def __init__(self, kind: str, characteristic: Characteristic, point: Characteristic):
-        self.kind = kind
-        self.characteristic = characteristic
-        self.point = point
-        if kind == "vanishing-null":
-            msg = f"theta[{characteristic}](0) is numerically zero (vanishing theta-null)"
-        else:
-            msg = (
-                f"theta[{characteristic}] is numerically zero at the two-torsion point "
-                f"{point} (unlucky point or degenerate input)"
-            )
-        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -134,19 +116,22 @@ def mu(
     every choice of scaling for sections and evaluation maps cancels, and the
     value equals kappa_value(kappa, a) * kappa_value(kappa', a) up to
     numerical error.
+
+    Raises VanishingNullError when the null of kappa or kappa' vanishes by
+    the rule of vanishing_nulls at its default threshold.  No other
+    denominator can be zero: 2 z_a = a2 + tau a1 is a lattice period, so
+    quasi-periodicity gives |theta[kappa](2 z_a)| = exp(pi a1' Y a1)
+    |theta[kappa](0)| >= |theta[kappa](0)| with Y = Im tau.
     """
     if parity(kappa) != 1 or parity(kappa_prime) != 1:
         raise ValueError("mu is defined for even characteristics")
     z2 = 2.0 * two_torsion_point(a, tau)
     table = theta_table([kappa, kappa_prime], [np.zeros(tau.g), z2], tau, policy)
+    # the table filled every null at z = 0, so this reads the memo
+    vanishing = [c for c in vanishing_nulls(tau, policy) if c in (kappa, kappa_prime)]
+    if vanishing:
+        raise VanishingNullError(vanishing)
     (null_k, val_k), (null_kp, val_kp) = table.tolist()
-    scale = max(abs(null_k), abs(null_kp), abs(val_k), abs(val_kp), 1e-300)
-    if abs(null_kp) < MU_GUARD * scale:
-        raise NearZeroThetaError("vanishing-null", kappa_prime, a)
-    if abs(val_k) < MU_GUARD * scale:
-        if abs(null_k) < MU_GUARD * scale:
-            raise NearZeroThetaError("vanishing-null", kappa, a)
-        raise NearZeroThetaError("point-value", kappa, a)
     return (null_k * val_kp) / (val_k * null_kp)
 
 

@@ -45,9 +45,10 @@ def d_minus(g: int) -> int:
     return 2 ** (g - 1) * (2**g - 1)
 
 
-def _check_genus(g: int) -> None:
-    if not isinstance(g, int) or not 1 <= g <= MAX_GENUS:
-        raise ValueError(f"genus must be an integer in 1..{MAX_GENUS}, got {g!r}")
+def check_genus(g: int, cap: int = MAX_GENUS) -> None:
+    """Reject a genus that is not an integer in 1..cap."""
+    if not isinstance(g, int) or not 1 <= g <= cap:
+        raise ValueError(f"genus must be an integer in 1..{cap}, got {g!r}")
 
 
 def _bit(value: object) -> int:
@@ -88,7 +89,7 @@ class Characteristic:
         a2 = tuple(map(_bit, self.a2))
         if len(a1) != len(a2):
             raise ValueError(f"a1 and a2 must have equal length, got {len(a1)} and {len(a2)}")
-        _check_genus(len(a1))
+        check_genus(len(a1))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
         # the genus, the halves as g-bit ints, the canonical index a1||a2 and the
@@ -115,12 +116,12 @@ class Characteristic:
 
     @classmethod
     def zero(cls, g: int) -> "Characteristic":
-        _check_genus(g)
+        check_genus(g)
         return cls((0,) * g, (0,) * g)
 
     @classmethod
     def from_index(cls, g: int, index: int) -> "Characteristic":
-        _check_genus(g)
+        check_genus(g)
         if not 0 <= index < 4**g:
             raise ValueError(f"index {index} out of range for genus {g}")
         return cls(_int_to_bits(index >> g, g), _int_to_bits(index & (2**g - 1), g))
@@ -128,7 +129,7 @@ class Characteristic:
     @classmethod
     def from_ints(cls, g: int, a1: int, a2: int) -> "Characteristic":
         """Build from two integers read as g-bit vectors, MSB first."""
-        _check_genus(g)
+        check_genus(g)
         if not (0 <= a1 < 2**g and 0 <= a2 < 2**g):
             raise ValueError(f"integer halves must lie in 0..{2 ** g - 1}, got {a1}, {a2}")
         return cls(_int_to_bits(a1, g), _int_to_bits(a2, g))
@@ -172,7 +173,7 @@ def _all_characteristics(g: int) -> tuple[Characteristic, ...]:
 
 def enumerate_characteristics(g: int) -> list[Characteristic]:
     """All 4^g characteristics of genus g, ascending by canonical index."""
-    _check_genus(g)
+    check_genus(g)
     return list(_all_characteristics(g))
 
 
@@ -226,7 +227,7 @@ def even_points(c: Characteristic) -> list[Characteristic]:
 
 def even_characteristics(g: int) -> list[Characteristic]:
     """The d+ even characteristics of genus g, in canonical order."""
-    _check_genus(g)
+    check_genus(g)
     return list(_even_points_cached(Characteristic.zero(g)))
 
 

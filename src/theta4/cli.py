@@ -30,7 +30,7 @@ from theta4.basis_analysis import (
     check_null_threshold,
     split_nulls,
 )
-from theta4.char2 import Characteristic, d_plus, enumerate_characteristics, parity
+from theta4.char2 import Characteristic, check_genus, d_plus, enumerate_characteristics, parity
 from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals
 from theta4.jsonio import (
     atomic_write_text,
@@ -41,7 +41,7 @@ from theta4.jsonio import (
     parse_char_spec,
     parse_point_spec,
 )
-from theta4.mmatrix import build_m, verify_sign_matrix
+from theta4.mmatrix import MAX_GENUS, build_m, verify_sign_matrix
 from theta4.theta_eval import (
     DEFAULT_TARGET_EPS,
     PeriodMatrix,
@@ -210,8 +210,9 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
             raise ValueError(f"random tau source floor must be a number, got {floor!r}")
         return random_tau(g, seed, float(floor))
     if kind == "diagonal":
-        entries = [complex(e["re"], e["im"]) for e in source["entries"]]
-        return block_diagonal_tau(entries)
+        return block_diagonal_tau(
+            [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in source["entries"]]
+        )
     if kind == "block":
         return block_diagonal_tau([_tau_from_source(b, base_dir) for b in source["blocks"]])
     raise ValueError(f"unknown tau source kind {kind!r}")
@@ -316,6 +317,10 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
             tau = _tau_from_source(entry["tau"], base_dir)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
+        try:
+            check_genus(tau.g, MAX_GENUS)
+        except ValueError as exc:
+            raise ValueError(f"corpus entry {i} has an unsupported genus: {exc}") from exc
         try:
             kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
             check_kappa0(kappa0, tau.g)

@@ -29,6 +29,7 @@ import numpy as np
 
 from theta4.char2 import (
     Characteristic,
+    check_genus,
     enumerate_characteristics,
     even_characteristics,
     parity,
@@ -186,16 +187,13 @@ def quartic_residuals(
     n_samples: int,
     seed: int,
     policy: TruncationPolicy | None = None,
-    chars: list[Characteristic] | None = None,
 ) -> list[IdentityResidual]:
-    """Quartic residuals for seeded cell samples, sharing theta evaluations.
-
-    For each sample all characteristics are checked by default; the nulls are
-    computed once per tau and the values at z and 2z once per sample.
+    """Quartic residuals for all 4^g characteristics at seeded cell samples,
+    sharing theta evaluations: the nulls are computed once per tau and the
+    values at z and 2z once per sample.
     """
-    chars = enumerate_characteristics(tau.g) if chars is None else chars
     points = sample_cell_points(tau, n_samples, seed)
-    return _quartic_records(tau, points, chars, policy or TruncationPolicy())
+    return _quartic_records(tau, points, enumerate_characteristics(tau.g), policy or TruncationPolicy())
 
 
 def inversion_residuals(
@@ -216,6 +214,5 @@ def derive_inversion_coefficients(g: int) -> RationalMatrix:
     the even fourth powers theta[a](z)^4: the matrix (2 M - 2^g I) / 2^g with
     rows and columns in canonical even-pair order.
     """
-    if not isinstance(g, int) or not 1 <= g <= MAX_GENUS_COEFFICIENTS:
-        raise ValueError(f"genus must be an integer in 1..{MAX_GENUS_COEFFICIENTS}, got {g!r}")
+    check_genus(g, MAX_GENUS_COEFFICIENTS)
     return affine_table(g, 2, -(2**g), 2**g)

@@ -28,6 +28,7 @@ import numpy as np
 
 from theta4.char2 import (
     Characteristic,
+    check_genus,
     d_plus,
     enumerate_characteristics,
     even_characteristics,
@@ -38,11 +39,6 @@ from theta4.char2 import (
 MAX_GENUS = 5
 
 Rational = Fraction | int
-
-
-def _check_genus(g: int) -> None:
-    if not isinstance(g, int) or not 1 <= g <= MAX_GENUS:
-        raise ValueError(f"genus must be an integer in 1..{MAX_GENUS}, got {g!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]
 
 def build_m(g: int) -> SignMatrix:
     """Assemble the sign matrix for genus g in canonical even-pair order."""
-    _check_genus(g)
+    check_genus(g, MAX_GENUS)
     evens = even_characteristics(g)
     return SignMatrix(g=g, dim=len(evens), entries=pairing_signs(evens, evens), index_map=tuple(evens))
 
@@ -105,7 +101,7 @@ def row_sum(g: int, a: Characteristic) -> int:
     is in row_sum_closed_form; keeping the literal sum separate is what makes
     the comparison a real check.
     """
-    _check_genus(g)
+    check_genus(g, MAX_GENUS)
     if a.g != g:
         raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
     evens = _evens(g)
@@ -114,7 +110,7 @@ def row_sum(g: int, a: Characteristic) -> int:
 
 def row_sum_closed_form(g: int, a: Characteristic) -> int:
     """Closed form of the even-pair row sum."""
-    _check_genus(g)
+    check_genus(g, MAX_GENUS)
     if a.g != g:
         raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
     if a.is_zero:
@@ -134,7 +130,7 @@ def affine_table(g: int, p: int, q: int, denom: int) -> RationalMatrix:
 
 def inverse_m(g: int) -> RationalMatrix:
     """Exact inverse (M - 2^(g-1) I) / 2^(2g-1)."""
-    _check_genus(g)
+    check_genus(g, MAX_GENUS)
     return affine_table(g, 1, -(2 ** (g - 1)), 2 ** (2 * g - 1))
 
 
@@ -170,7 +166,7 @@ def verify_sign_matrix(g: int) -> dict[str, bool]:
     blocking, summation order or fused multiply-add can round them.  The
     bound needs +-1 entries, so the square counts only when they are.
     """
-    _check_genus(g)
+    check_genus(g, MAX_GENUS)
     m = build_m(g)
     e = m.entries
     k, c = 2 ** (g - 1), 2 ** (2 * g - 1)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from theta4.basis_analysis import (
-    NearZeroThetaError,
     NumericalRankPolicy,
     VanishingNullError,
     basis_report,
@@ -105,17 +104,52 @@ class TestMu:
     def test_vanishing_null_reported(self, tau_g2_product):
         healthy = Characteristic.zero(2)
         point = even_characteristics(2)[1]
-        with pytest.raises(NearZeroThetaError) as err:
+        with pytest.raises(VanishingNullError) as err:
             mu(point, healthy, VANISHING_G2, tau_g2_product)
-        assert err.value.kind == "vanishing-null"
-        assert err.value.characteristic == VANISHING_G2
+        assert err.value.nulls == [VANISHING_G2]
 
     def test_zero_point_value_reported(self, tau_g2_product):
         healthy = Characteristic.zero(2)
         point = even_characteristics(2)[1]
-        with pytest.raises(NearZeroThetaError) as err:
+        with pytest.raises(VanishingNullError) as err:
             mu(point, VANISHING_G2, healthy, tau_g2_product)
-        assert err.value.kind == "vanishing-null"  # cause is the null, not the point
+        assert err.value.nulls == [VANISHING_G2]  # cause is the null, not the point
+
+    def test_small_null_is_not_vanishing(self):
+        # theta[1,0](0) is about 0.018 of the largest null at tau = 6i, far
+        # above the vanishing-null threshold: mu divides by it
+        tau = PeriodMatrix([[6j]])
+        zero, half = Characteristic.zero(1), Characteristic((1,), (0,))
+        assert vanishing_nulls(tau) == []
+        value = mu(half, zero, half, tau)
+        assert abs(value - kappa_value(zero, half) * kappa_value(half, half)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            PeriodMatrix([[6j]]),
+            block_diagonal_tau([1j, 1j]),
+            block_diagonal_tau([0.3 + 1.1j, -0.2 + 0.8j]),
+            random_tau(2, 0),
+            random_tau(2, 1),
+            random_tau(2, 2),
+        ],
+        ids=["6i", "product-ii", "product-generic", "random-0", "random-1", "random-2"],
+    )
+    def test_raises_exactly_on_vanishing_nulls(self, tau):
+        evens = even_characteristics(tau.g)
+        vanishing = vanishing_nulls(tau)
+        for a in evens:
+            for k in evens:
+                for kp in evens:
+                    named = [c for c in vanishing if c in (k, kp)]
+                    if named:
+                        with pytest.raises(VanishingNullError) as err:
+                            mu(a, k, kp, tau)
+                        assert err.value.nulls == named
+                    else:
+                        value = mu(a, k, kp, tau)
+                        assert abs(value - kappa_value(k, a) * kappa_value(kp, a)) < 1e-7
 
     def test_rejects_odd(self, tau_g1_i):
         odd = Characteristic((1,), (1,))

@@ -441,6 +441,11 @@ class TestRunSuite:
             {"tau": {"kind": "random", "g": "1", "seed": 2}},
             {"tau": {"kind": "random", "g": 1, "seed": 2, "floor": "1.0"}},
             {"tau": {"kind": "random", "g": 1, "seed": 2, "floor": True}},
+            {"tau": {"kind": "random", "g": 6, "seed": 1}},
+            {"tau": {"kind": "random", "g": 7, "seed": 1}},
+            {"tau": {"kind": "diagonal", "entries": [{"re": True, "im": 1.0}]}},
+            {"tau": {"kind": "spiral", "g": 1}},
+            {"tau": 5},
         ],
     )
     def test_malformed_tau_source_names_entry(self, capsys, tmp_path, fields):
@@ -454,6 +459,47 @@ class TestRunSuite:
         assert code == 2
         assert "corpus entry 1" in err and "[ok]" not in err
         assert not out.exists()
+        source = fields.get("tau")
+        if isinstance(source, dict) and source.get("g") in (6, 7):
+            # a genus the exact layer cannot run is an input error, not a kappa0 one
+            assert "1..5" in err and "kappa0" not in err
+
+    @pytest.mark.parametrize(
+        "use_corpus, message",
+        [(True, "corpus entry 0 must have label and tau"), (False, "needs --corpus FILE or --standard")],
+        ids=["entry-without-tau", "no-corpus"],
+    )
+    def test_missing_input_rejected(self, capsys, tmp_path, use_corpus, message):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"entries": [{"label": "x"}]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        source = ["--corpus", str(corpus)] if use_corpus else []
+        assert main(["run-suite", *source, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncation_failure_is_entry_error(self, capsys, tmp_path):
+        good = {"label": "ok", "tau": {"kind": "random", "g": 1, "seed": 0}}
+        flat = {"label": "flat", "tau": {"kind": "literal", "re": [[0.0]], "im": [[0.001]]}}
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"entries": [good, flat]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["run-suite", "--corpus", str(corpus), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["rollup"] == "fail"
+        assert [e["status"] for e in report["entries"]] == ["pass", "error"]
+        assert report["entries"][1]["error"] == (
+            "lattice-sum radius 93 needed to meet the tail target, cap is 64"
+        )
+
+    def test_emitted_corpus_reruns_identically(self, capsys, tmp_path):
+        emitted = tmp_path / "corpus.json"
+        first = tmp_path / "standard.json"
+        second = tmp_path / "rerun.json"
+        assert main(["run-suite", "--standard", "--emit-corpus", str(emitted), "--out", str(first)]) == 0
+        assert main(["run-suite", "--corpus", str(emitted), "--out", str(second)]) == 0
+        capsys.readouterr()
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
         "policies",
@@ -545,6 +591,7 @@ class TestRunSuite:
                     "policies": {"samples": 2},
                     "entries": [
                         {"label": "from-file", "tau": tau_path},
+                        {"label": "file-kind", "tau": {"kind": "file", "path": "inner.json"}},
                         {
                             "label": "block",
                             "tau": {
@@ -563,7 +610,7 @@ class TestRunSuite:
         )
         code, payload = run(capsys, "run-suite", "--corpus", str(corpus))
         assert code == 0
-        assert [e["status"] for e in payload["entries"]] == ["pass", "pass"]
+        assert [e["status"] for e in payload["entries"]] == ["pass", "pass", "pass"]
 
 
 class TestCanonicalJson:
