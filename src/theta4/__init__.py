@@ -54,8 +54,6 @@ from theta4.identities import (
     quartic_residuals,
 )
 from theta4.basis_analysis import (
-    BasisReport,
-    NumericalRankPolicy,
     VanishingNullError,
     basis_report,
     evaluation_matrix,
@@ -69,10 +67,8 @@ from theta4.basis_analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisReport",
     "Characteristic",
     "IdentityResidual",
-    "NumericalRankPolicy",
     "PeriodMatrix",
     "RationalMatrix",
     "SignMatrix",

@@ -15,12 +15,11 @@ logic reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from theta4.char2 import (
     Characteristic,
+    check_genus,
     d_plus,
     even_characteristics,
     even_points,
@@ -28,7 +27,7 @@ from theta4.char2 import (
     parity,
     translate,
 )
-from theta4.mmatrix import build_m
+from theta4.mmatrix import MAX_GENUS, build_m
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
@@ -41,6 +40,7 @@ from theta4.theta_eval import (
 
 DEFAULT_NULL_THRESHOLD = 1e-8
 WARN_NULL_THRESHOLD = 1e-4
+DEFAULT_SV_THRESHOLD = 1e-7
 
 
 class VanishingNullError(ValueError):
@@ -56,27 +56,19 @@ class VanishingNullError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class NumericalRankPolicy:
-    """Relative singular-value cutoff used as the numerical rank surrogate."""
-
-    rel_sv_threshold: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_sv_threshold < 1.0:
-            raise ValueError(f"rel_sv_threshold must be in (0, 1), got {self.rel_sv_threshold}")
+def check_threshold(name: str, value: float) -> None:
+    """Reject a relative threshold outside (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
-DEFAULT_RANK_POLICY = NumericalRankPolicy()
-
-
-def numerical_rank(matrix, rank_policy: NumericalRankPolicy | None = None) -> int:
-    """Count singular values above rel_sv_threshold times the largest."""
-    rank_policy = rank_policy or DEFAULT_RANK_POLICY
+def numerical_rank(matrix, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> int:
+    """Count singular values above sv_threshold times the largest."""
+    check_threshold("sv_threshold", sv_threshold)
     s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_policy.rel_sv_threshold * s[0]))
+    return int(np.count_nonzero(s > sv_threshold * s[0]))
 
 
 def check_kappa0(kappa0: Characteristic, g: int) -> None:
@@ -167,8 +159,10 @@ def normalized_evaluation_matrix(
     and its maximum entrywise deviation from the sign matrix.
 
     Raises VanishingNullError when a null vanishes at the given relative
-    threshold: the normalization is then meaningless.
+    threshold: the normalization is then meaningless.  The sign matrix caps
+    the genus at MAX_GENUS, checked before the first lattice sum.
     """
+    check_genus(tau.g, MAX_GENUS)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(tau.g)
     vanishing = vanishing_nulls(tau, policy, null_threshold)
     if vanishing:
@@ -177,18 +171,12 @@ def normalized_evaluation_matrix(
     return _normalize_and_align(ev, kappa0, tau.g)
 
 
-def check_null_threshold(null_threshold: float) -> None:
-    """Reject a relative null threshold outside (0, 1)."""
-    if not 0.0 < null_threshold < 1.0:
-        raise ValueError(f"null_threshold must be in (0, 1), got {null_threshold}")
-
-
 def split_nulls(
     nulls: dict[Characteristic, complex], null_threshold: float
 ) -> tuple[float, tuple[Characteristic, ...], tuple[Characteristic, ...]]:
     """Largest null modulus top, the nulls below null_threshold * top
     (vanishing) and those from there up to WARN_NULL_THRESHOLD * top (near)."""
-    check_null_threshold(null_threshold)
+    check_threshold("null_threshold", null_threshold)
     top = max(abs(v) for v in nulls.values())
     vanishing = tuple(c for c, v in nulls.items() if abs(v) < null_threshold * top)
     near = tuple(
@@ -221,7 +209,7 @@ def sample_count(g: int, n_samples: int | None) -> int:
 def fourth_power_rank(
     tau: PeriodMatrix,
     policy: TruncationPolicy | None = None,
-    rank_policy: NumericalRankPolicy | None = None,
+    sv_threshold: float = DEFAULT_SV_THRESHOLD,
     n_samples: int | None = None,
     seed: int = 0,
 ) -> int:
@@ -232,6 +220,7 @@ def fourth_power_rank(
     which leaves the rank unchanged and keeps the relative cutoff meaningful
     across wildly different sample magnitudes.
     """
+    check_threshold("sv_threshold", sv_threshold)
     g = tau.g
     n = sample_count(g, n_samples)
     pts = sample_cell_points(tau, n, seed)
@@ -239,12 +228,22 @@ def fourth_power_rank(
         raise ValueError("degenerate sampling: coincident sample points")
     v = theta_table(even_characteristics(g), pts, tau, policy).T ** 4
     v = v / np.max(np.abs(v), axis=1, keepdims=True)
-    return numerical_rank(v, rank_policy)
+    return numerical_rank(v, sv_threshold)
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    """Aggregated verdicts and evidence for one period matrix.
+def basis_report(
+    tau: PeriodMatrix,
+    kappa0: Characteristic | None = None,
+    policy: TruncationPolicy | None = None,
+    sv_threshold: float = DEFAULT_SV_THRESHOLD,
+    null_threshold: float = DEFAULT_NULL_THRESHOLD,
+    seed: int = 0,
+    n_samples: int | None = None,
+) -> dict:
+    """Run the full analysis for one period matrix and one even kappa0 and
+    return the verdicts and their evidence as canonical-JSON data; every
+    argument, the genus cap MAX_GENUS of the sign matrix included, is checked
+    before the first lattice sum.
 
     point_basis_verdict is full rank of the evaluation matrix (the even
     two-torsion points are a projective basis); fourth_power_basis_verdict is
@@ -253,71 +252,18 @@ class BasisReport:
     expected to equal the vanishing-null count; `consistent` records whether
     this held.  Near-vanishing nulls (between null_threshold and
     warn_threshold, relative) set status "warn": the verdicts are then
-    ill-conditioned and should not be trusted either way.
+    ill-conditioned and should not be trusted either way.  m_deviation, the
+    normalized matrix's distance from the sign matrix, is None when a null
+    vanishes.
     """
-
-    tau: PeriodMatrix
-    kappa0: Characteristic
-    g: int
-    dim: int
-    null_threshold: float
-    warn_threshold: float
-    vanishing: tuple[Characteristic, ...]
-    near_vanishing: tuple[Characteristic, ...]
-    ev_matrix_rank: int
-    fourth_power_rank: int
-    m_deviation: float | None
-    point_basis_verdict: bool
-    fourth_power_basis_verdict: bool
-    consistent: bool
-    status: str
-    rel_sv_threshold: float
-    target_eps: float
-    seed: int
-    n_samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "tau": self.tau.to_json(),
-            "kappa0": self.kappa0.to_json(),
-            "g": self.g,
-            "dim": self.dim,
-            "null_threshold": self.null_threshold,
-            "warn_threshold": self.warn_threshold,
-            "vanishing_nulls": [c.to_json() for c in self.vanishing],
-            "near_vanishing_nulls": [c.to_json() for c in self.near_vanishing],
-            "ev_matrix_rank": self.ev_matrix_rank,
-            "fourth_power_rank": self.fourth_power_rank,
-            "m_deviation": self.m_deviation,
-            "point_basis_verdict": self.point_basis_verdict,
-            "fourth_power_basis_verdict": self.fourth_power_basis_verdict,
-            "consistent": self.consistent,
-            "status": self.status,
-            "rel_sv_threshold": self.rel_sv_threshold,
-            "target_eps": self.target_eps,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-        }
-
-
-def basis_report(
-    tau: PeriodMatrix,
-    kappa0: Characteristic | None = None,
-    policy: TruncationPolicy | None = None,
-    rank_policy: NumericalRankPolicy | None = None,
-    null_threshold: float = DEFAULT_NULL_THRESHOLD,
-    seed: int = 0,
-    n_samples: int | None = None,
-) -> BasisReport:
-    """Run the full analysis for one period matrix and one even kappa0;
-    every argument is checked before the first lattice sum."""
     policy = policy or TruncationPolicy()
-    rank_policy = rank_policy or NumericalRankPolicy()
     g = tau.g
+    check_genus(g, MAX_GENUS)
     d = d_plus(g)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(g)
     check_kappa0(kappa0, g)
-    check_null_threshold(null_threshold)
+    check_threshold("null_threshold", null_threshold)
+    check_threshold("sv_threshold", sv_threshold)
     n = sample_count(g, n_samples)
     check_seed(seed)
 
@@ -325,9 +271,9 @@ def basis_report(
 
     ev = evaluation_matrix(tau, kappa0, policy)
     ev_scaled = ev / np.max(np.abs(ev), axis=0, keepdims=True)
-    ev_rank = numerical_rank(ev_scaled, rank_policy)
+    ev_rank = numerical_rank(ev_scaled, sv_threshold)
 
-    fp_rank = fourth_power_rank(tau, policy, rank_policy, n, seed)
+    fp_rank = fourth_power_rank(tau, policy, sv_threshold, n, seed)
 
     m_dev = None
     if not vanishing:
@@ -336,29 +282,28 @@ def basis_report(
     point_verdict = ev_rank == d
     fourth_verdict = fp_rank == d
     no_vanishing = not vanishing
-    consistent = (
-        point_verdict == no_vanishing
-        and fourth_verdict == no_vanishing
-        and d - fp_rank == len(vanishing)
-    )
-    return BasisReport(
-        tau=tau,
-        kappa0=kappa0,
-        g=g,
-        dim=d,
-        null_threshold=null_threshold,
-        warn_threshold=WARN_NULL_THRESHOLD,
-        vanishing=vanishing,
-        near_vanishing=near,
-        ev_matrix_rank=ev_rank,
-        fourth_power_rank=fp_rank,
-        m_deviation=m_dev,
-        point_basis_verdict=point_verdict,
-        fourth_power_basis_verdict=fourth_verdict,
-        consistent=consistent,
-        status="warn" if near else "ok",
-        rel_sv_threshold=rank_policy.rel_sv_threshold,
-        target_eps=policy.target_eps,
-        seed=seed,
-        n_samples=n,
-    )
+    return {
+        "tau": tau.to_json(),
+        "kappa0": kappa0.to_json(),
+        "g": g,
+        "dim": d,
+        "null_threshold": null_threshold,
+        "warn_threshold": WARN_NULL_THRESHOLD,
+        "vanishing_nulls": [c.to_json() for c in vanishing],
+        "near_vanishing_nulls": [c.to_json() for c in near],
+        "ev_matrix_rank": ev_rank,
+        "fourth_power_rank": fp_rank,
+        "m_deviation": m_dev,
+        "point_basis_verdict": point_verdict,
+        "fourth_power_basis_verdict": fourth_verdict,
+        "consistent": (
+            point_verdict == no_vanishing
+            and fourth_verdict == no_vanishing
+            and d - fp_rank == len(vanishing)
+        ),
+        "status": "warn" if near else "ok",
+        "rel_sv_threshold": sv_threshold,
+        "target_eps": policy.target_eps,
+        "seed": seed,
+        "n_samples": n,
+    }

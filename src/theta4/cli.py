@@ -23,11 +23,10 @@ import numpy as np
 from theta4 import __version__
 from theta4.basis_analysis import (
     DEFAULT_NULL_THRESHOLD,
-    DEFAULT_RANK_POLICY,
-    NumericalRankPolicy,
+    DEFAULT_SV_THRESHOLD,
     basis_report,
     check_kappa0,
-    check_null_threshold,
+    check_threshold,
     split_nulls,
 )
 from theta4.char2 import Characteristic, check_genus, d_plus, enumerate_characteristics, parity
@@ -61,7 +60,7 @@ EXIT_WARN = 3
 DEFAULT_POLICIES = {
     "target_eps": DEFAULT_TARGET_EPS,
     "identity_eps": 1e-8,
-    "sv_threshold": DEFAULT_RANK_POLICY.rel_sv_threshold,
+    "sv_threshold": DEFAULT_SV_THRESHOLD,
     "null_threshold": DEFAULT_NULL_THRESHOLD,
     "samples": 5,
     "seed": 0,
@@ -117,7 +116,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_nulls(args) -> int:
     tau = load_tau_file(args.tau)
-    check_null_threshold(args.null_threshold)
+    check_threshold("null_threshold", args.null_threshold)
     nulls = theta_nulls(tau, TruncationPolicy(target_eps=args.eps))
     top, vanishing, _ = split_nulls(nulls, args.null_threshold)
     rows = [
@@ -154,20 +153,19 @@ def _cmd_basis_report(args) -> int:
     tau = load_tau_file(args.tau)
     kappa0 = parse_char_spec(args.kappa0, tau.g) if args.kappa0 else None
     policy = TruncationPolicy(target_eps=args.eps)
-    rank_policy = NumericalRankPolicy(rel_sv_threshold=args.sv_threshold)
     report = basis_report(
         tau,
         kappa0=kappa0,
         policy=policy,
-        rank_policy=rank_policy,
+        sv_threshold=args.sv_threshold,
         null_threshold=args.null_threshold,
         seed=args.seed,
         n_samples=args.samples,
     )
-    _emit(report.to_json(), args.out)
-    if report.status == "warn":
+    _emit(report, args.out)
+    if report["status"] == "warn":
         return EXIT_WARN
-    return EXIT_PASS if report.consistent else EXIT_MATH_FAIL
+    return EXIT_PASS if report["consistent"] else EXIT_MATH_FAIL
 
 
 def standard_corpus() -> dict:
@@ -191,31 +189,54 @@ def standard_corpus() -> dict:
     }
 
 
+class _GenusError(ValueError):
+    """A tau source whose genus is outside 1..MAX_GENUS."""
+
+
+def _check_source_genus(g: int) -> None:
+    try:
+        check_genus(g, MAX_GENUS)
+    except ValueError as exc:
+        raise _GenusError(exc) from None
+
+
 def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
+    """Build a corpus entry's tau; a genus outside 1..MAX_GENUS raises
+    _GenusError.  A random, diagonal or block source is checked before its
+    g x g matrix is built, a literal or file one (as large as its input)
+    after."""
     if isinstance(source, str):
-        return load_tau_file(base_dir / source)
+        source = {"kind": "file", "path": source}
     if not isinstance(source, dict):
         raise ValueError(f"tau source must be a path or an object, got {source!r}")
     kind = source.get("kind")
     if kind == "file":
-        return load_tau_file(base_dir / source["path"])
-    if kind == "literal":
-        return PeriodMatrix.from_json({k: v for k, v in source.items() if k != "kind"})
-    if kind == "random":
+        tau = load_tau_file(base_dir / source["path"])
+    elif kind == "literal":
+        tau = PeriodMatrix.from_json({k: v for k, v in source.items() if k != "kind"})
+    elif kind == "random":
         g, seed, floor = source["g"], source["seed"], source.get("floor", 1.0)
         for key, value in (("g", g), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"random tau source {key} must be an integer, got {value!r}")
         if isinstance(floor, bool) or not isinstance(floor, (int, float)):
             raise ValueError(f"random tau source floor must be a number, got {floor!r}")
-        return random_tau(g, seed, float(floor))
-    if kind == "diagonal":
-        return block_diagonal_tau(
-            [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in source["entries"]]
+        _check_source_genus(g)
+        tau = random_tau(g, seed, float(floor))
+    elif kind == "diagonal":
+        entries = source["entries"]
+        _check_source_genus(len(entries))
+        tau = block_diagonal_tau(
+            [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in entries]
         )
-    if kind == "block":
-        return block_diagonal_tau([_tau_from_source(b, base_dir) for b in source["blocks"]])
-    raise ValueError(f"unknown tau source kind {kind!r}")
+    elif kind == "block":
+        blocks = [_tau_from_source(b, base_dir) for b in source["blocks"]]
+        _check_source_genus(sum(b.g for b in blocks))
+        tau = block_diagonal_tau(blocks)
+    else:
+        raise ValueError(f"unknown tau source kind {kind!r}")
+    _check_source_genus(tau.g)
+    return tau
 
 
 def _load_corpus(args) -> tuple[dict, Path]:
@@ -233,7 +254,7 @@ def _load_corpus(args) -> tuple[dict, Path]:
 
 def _run_entry(
     label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy,
-    rank_policy: NumericalRankPolicy, samples: int, identity_eps: float, null_threshold: float,
+    sv_threshold: float, samples: int, identity_eps: float, null_threshold: float,
 ) -> dict:
     result = {"label": label, "g": tau.g, "expected": expect}
     try:
@@ -246,15 +267,14 @@ def _run_entry(
         result["quartic_ok"] = all(r.passes(identity_eps) for r in quartic)
         result["inversion_ok"] = all(r.passes(identity_eps) for r in inversion)
         result["identity_eps"] = identity_eps
-        report = basis_report(
+        report = result["basis"] = basis_report(
             tau,
             kappa0=kappa0,
             policy=policy,
-            rank_policy=rank_policy,
+            sv_threshold=sv_threshold,
             null_threshold=null_threshold,
             seed=seed,
         )
-        result["basis"] = report.to_json()
     except (ValueError, ArithmeticError, TruncationError) as exc:
         result["status"] = "error"
         result["error"] = str(exc)
@@ -262,13 +282,13 @@ def _run_entry(
 
     identities_ok = result["mmatrix_ok"] and result["quartic_ok"] and result["inversion_ok"]
     expected_ok = (
-        len(report.vanishing) == expect["vanishing_nulls"]
-        and report.point_basis_verdict == expect["verdicts"]
-        and report.fourth_power_basis_verdict == expect["verdicts"]
+        len(report["vanishing_nulls"]) == expect["vanishing_nulls"]
+        and report["point_basis_verdict"] == expect["verdicts"]
+        and report["fourth_power_basis_verdict"] == expect["verdicts"]
     )
-    if report.status == "warn":
+    if report["status"] == "warn":
         result["status"] = "warn"
-    elif identities_ok and expected_ok and report.consistent:
+    elif identities_ok and expected_ok and report["consistent"]:
         result["status"] = "pass"
     else:
         result["status"] = "fail"
@@ -296,12 +316,13 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     seed = policies["seed"]
     settings = {
         "policy": TruncationPolicy(target_eps=policies["target_eps"]),
-        "rank_policy": NumericalRankPolicy(rel_sv_threshold=policies["sv_threshold"]),
+        "sv_threshold": float(policies["sv_threshold"]),
         "samples": policies["samples"],
         "identity_eps": float(policies["identity_eps"]),
         "null_threshold": float(policies["null_threshold"]),
     }
-    check_null_threshold(settings["null_threshold"])
+    for key in ("sv_threshold", "null_threshold"):
+        check_threshold(key, settings[key])
     entries = corpus.get("entries", [])
 
     prepared = []
@@ -315,12 +336,10 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         labels.add(label)
         try:
             tau = _tau_from_source(entry["tau"], base_dir)
+        except _GenusError as exc:
+            raise ValueError(f"corpus entry {i} has an unsupported genus: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
-        try:
-            check_genus(tau.g, MAX_GENUS)
-        except ValueError as exc:
-            raise ValueError(f"corpus entry {i} has an unsupported genus: {exc}") from exc
         try:
             kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
             check_kappa0(kappa0, tau.g)
@@ -442,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TruncationError, ValueError, OSError) as exc:
+    except (TruncationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+import theta4.theta_eval as theta_eval
 from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, random_tau
+
+
+@pytest.fixture()
+def no_lattice_sum(monkeypatch):
+    """Fail the test if anything reaches the lattice-sum kernel."""
+
+    def refuse(*args):
+        raise AssertionError("a lattice sum ran")
+
+    monkeypatch.setattr(theta_eval, "_theta_groups", refuse)
 
 
 @pytest.fixture(scope="session")

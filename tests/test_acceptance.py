@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from theta4.basis_analysis import (
-    NumericalRankPolicy,
     basis_report,
     fourth_power_rank,
     normalized_evaluation_matrix,
@@ -151,7 +150,7 @@ def test_criterion_6_rank_and_corank_law():
 
     for tau, expected in ((tau_rand, 10), (tau_prod2, 9), (tau_prod3, 27)):
         ranks = {
-            fourth_power_rank(tau, rank_policy=NumericalRankPolicy(t), seed=2)
+            fourth_power_rank(tau, sv_threshold=t, seed=2)
             for t in (1e-8, 1e-7, 1e-6)
         }
         assert ranks == {expected}, (expected, ranks)

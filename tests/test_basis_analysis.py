@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from theta4.basis_analysis import (
-    NumericalRankPolicy,
     VanishingNullError,
     basis_report,
     evaluation_matrix,
@@ -42,14 +41,14 @@ class TestNumericalRank:
     def test_known_rank(self):
         m = np.diag([1.0, 1e-3, 1e-12])
         assert numerical_rank(m) == 2
-        assert numerical_rank(m, NumericalRankPolicy(rel_sv_threshold=1e-15)) == 3
+        assert numerical_rank(m, sv_threshold=1e-15) == 3
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            NumericalRankPolicy(rel_sv_threshold=2.0)
+        with pytest.raises(ValueError, match=r"sv_threshold must be in \(0, 1\), got 2.0"):
+            numerical_rank(np.eye(2), sv_threshold=2.0)
 
 
 class TestEvaluationMatrix:
@@ -207,6 +206,10 @@ class TestNormalizedEvaluationMatrix:
             normalized_evaluation_matrix(tau_g2_product)
         assert VANISHING_G2 in err.value.nulls
 
+    def test_genus_above_sign_matrix_cap_rejected_before_any_sum(self, no_lattice_sum):
+        with pytest.raises(ValueError, match=r"genus must be an integer in 1\.\.5, got 6"):
+            normalized_evaluation_matrix(random_tau(6, 1))
+
 
 class TestVanishingNulls:
     def test_g1_empty(self, tau_g1_i):
@@ -245,7 +248,7 @@ class TestFourthPowerRank:
     def test_threshold_stability(self, tau_g1_i, tau_g2_random, tau_g2_product):
         for tau, expected in ((tau_g1_i, 3), (tau_g2_random, 10), (tau_g2_product, 9)):
             ranks = {
-                fourth_power_rank(tau, rank_policy=NumericalRankPolicy(t), seed=2)
+                fourth_power_rank(tau, sv_threshold=t, seed=2)
                 for t in (1e-8, 1e-7, 1e-6)
             }
             assert ranks == {expected}
@@ -254,48 +257,48 @@ class TestFourthPowerRank:
 class TestBasisReport:
     def test_g2_random(self, tau_g2_random):
         report = basis_report(tau_g2_random)
-        assert report.ev_matrix_rank == 10
-        assert report.fourth_power_rank == 10
-        assert report.vanishing == ()
-        assert report.point_basis_verdict and report.fourth_power_basis_verdict
-        assert report.consistent
-        assert report.status == "ok"
-        assert report.m_deviation is not None and report.m_deviation < 1e-7
+        assert report["ev_matrix_rank"] == 10
+        assert report["fourth_power_rank"] == 10
+        assert report["vanishing_nulls"] == []
+        assert report["point_basis_verdict"] and report["fourth_power_basis_verdict"]
+        assert report["consistent"]
+        assert report["status"] == "ok"
+        assert report["m_deviation"] is not None and report["m_deviation"] < 1e-7
 
     def test_g2_product(self, tau_g2_product):
         report = basis_report(tau_g2_product)
-        assert report.ev_matrix_rank == 9
-        assert report.fourth_power_rank == 9
-        assert report.vanishing == (VANISHING_G2,)
-        assert not report.point_basis_verdict and not report.fourth_power_basis_verdict
-        assert report.consistent
-        assert report.m_deviation is None
+        assert report["ev_matrix_rank"] == 9
+        assert report["fourth_power_rank"] == 9
+        assert report["vanishing_nulls"] == [VANISHING_G2.to_json()]
+        assert not report["point_basis_verdict"] and not report["fourth_power_basis_verdict"]
+        assert report["consistent"]
+        assert report["m_deviation"] is None
 
     def test_g1_2i(self):
         report = basis_report(PeriodMatrix([[2j]]))
-        assert report.ev_matrix_rank == 3
-        assert report.fourth_power_rank == 3
-        assert report.point_basis_verdict and report.fourth_power_basis_verdict
+        assert report["ev_matrix_rank"] == 3
+        assert report["fourth_power_rank"] == 3
+        assert report["point_basis_verdict"] and report["fourth_power_basis_verdict"]
 
     def test_kappa0_invariance_of_verdicts(self, tau_g2_random):
         reports = [basis_report(tau_g2_random, kappa0=k0) for k0 in even_characteristics(2)]
-        assert len({r.point_basis_verdict for r in reports}) == 1
-        assert len({r.fourth_power_basis_verdict for r in reports}) == 1
-        assert all(r.consistent for r in reports)
-        assert all(r.m_deviation < 1e-7 for r in reports)
+        assert len({r["point_basis_verdict"] for r in reports}) == 1
+        assert len({r["fourth_power_basis_verdict"] for r in reports}) == 1
+        assert all(r["consistent"] for r in reports)
+        assert all(r["m_deviation"] < 1e-7 for r in reports)
 
     def test_warn_status_near_vanishing(self, tau_g2_warn):
         report = basis_report(tau_g2_warn)
-        assert report.status == "warn"
-        assert VANISHING_G2 in report.near_vanishing
-        assert report.vanishing == ()
+        assert report["status"] == "warn"
+        assert VANISHING_G2.to_json() in report["near_vanishing_nulls"]
+        assert report["vanishing_nulls"] == []
 
     def test_rejects_odd_kappa0(self, tau_g1_i):
         with pytest.raises(ValueError):
             basis_report(tau_g1_i, kappa0=Characteristic((1,), (1,)))
 
     def test_json_fields(self, tau_g2_random):
-        payload = basis_report(tau_g2_random).to_json()
+        payload = basis_report(tau_g2_random)
         for key in (
             "tau",
             "kappa0",

@@ -45,16 +45,6 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
-@pytest.fixture()
-def no_lattice_sum(monkeypatch):
-    """Fail the test if anything reaches the lattice-sum kernel."""
-
-    def refuse(*args):
-        raise AssertionError("a lattice sum ran")
-
-    monkeypatch.setattr(theta_eval, "_theta_groups", refuse)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,6 +173,23 @@ class TestTheta:
         code, _ = run(capsys, "theta", "--tau", rand_g2, "--char", "012,10")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--char", "0"], 'characteristic must look like "a1,a2"'),
+            (["--char", "0,x"], "cannot parse characteristic half 'x'"),
+            (["--z", "1,2"], "point must have 2 components, got 1"),
+            (["--z", "1;2"], 'point component must look like "re,im"'),
+            (["--z", "a,b;c,d"], "cannot parse point component 'a,b'"),
+        ],
+    )
+    def test_malformed_spec_is_input_error(self, capsys, rand_g2, flags, message):
+        code = main(["theta", "--tau", rand_g2, "--char", "0,0", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+
     def test_missing_tau_file(self, capsys, tmp_path):
         code, _ = run(capsys, "theta", "--tau", str(tmp_path / "nope.json"), "--char", "0,0")
         assert code == 2
@@ -198,6 +205,22 @@ class TestTheta:
         assert "30j" in captured.err
 
 
+# (fields over a valid genus-1 tau file, start of the error message)
+TAU_FILE_CASES = [
+    ({"g": [1]}, '"g" must be the integer size of the (1, 1) matrix, got [1]'),
+    ({"g": 1.5}, '"g" must be the integer size'),
+    ({"g": True}, '"g" must be the integer size'),
+    ({"g": "1"}, '"g" must be the integer size'),
+    ({"re": [[{"x": 1}]]}, "re entries must be numbers, got {'x': 1}"),
+    ({"re": [["0.5"]], "im": [["1"]]}, "re entries must be numbers, got '0.5'"),
+    ({"im": [["1"]]}, "im entries must be numbers, got '1'"),
+    ({"re": [[True]]}, "re entries must be numbers, got True"),
+    ({"g": 2, "re": [[0, 0], [0]], "im": [[1, 0], [0, 1]]}, "re and im blocks must be arrays of numbers"),
+    ({"g": 2, "re": [0, 0], "im": [[1, 0], [0, 1]]}, "re block must be an array of arrays of numbers"),
+    ({"g": 2, "im": [[1, 0], [0, 1]]}, "re and im blocks must have the same shape"),
+]
+
+
 class TestNulls:
     def test_product_lists_vanishing(self, capsys, diag_ii):
         code, payload = run(capsys, "nulls", "--tau", diag_ii)
@@ -211,26 +234,17 @@ class TestNulls:
         assert payload["vanishing"] == []
 
     @pytest.mark.parametrize(
-        "fields",
-        [
-            {"g": [1]},
-            {"g": 1.5},
-            {"g": True},
-            {"g": "1"},
-            {"re": [[{"x": 1}]]},
-            {"re": [["0.5"]], "im": [["1"]]},
-            {"im": [["1"]]},
-            {"re": [[True]]},
-        ],
+        "fields, message", TAU_FILE_CASES, ids=[f"fields{i}" for i in range(len(TAU_FILE_CASES))]
     )
-    def test_malformed_tau_file_is_input_error(self, capsys, tmp_path, fields):
+    def test_malformed_tau_file_is_input_error(self, capsys, tmp_path, fields, message):
         path = tmp_path / "tau.json"
         path.write_text(json.dumps({"g": 1, "re": [[0.0]], "im": [[1.0]], **fields}), encoding="utf-8")
         code = main(["nulls", "--tau", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["nulls", "basis-report"])
@@ -312,9 +326,11 @@ class TestBasisReport:
             (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
             (["--kappa0", "1000,1000"], "kappa0 must be even"),
             (["--null-threshold", "0"], "null_threshold must be in (0, 1)"),
+            (["--tau", "g6.json"], "genus must be an integer in 1..5, got 6"),
+            (["--sv-threshold", "2"], "sv_threshold must be in (0, 1), got 2.0"),
         ],
     )
-    def test_bad_argument_rejected_before_any_sum(self, capsys, tau_file, monkeypatch, flags, message):
+    def test_bad_argument_rejected_before_any_sum(self, capsys, tau_file, monkeypatch, tmp_path, flags, message):
         points = []
         build = theta_eval._theta_groups
 
@@ -323,10 +339,21 @@ class TestBasisReport:
             return build(pts, *args)
 
         monkeypatch.setattr(theta_eval, "_theta_groups", counting)
+        # a case picks the genus-6 tau with a second --tau, which argparse lets win
+        monkeypatch.chdir(tmp_path)
+        tau_file("g6.json", random_tau(6, 1))
         code = main(["basis-report", "--tau", tau_file("g4.json", random_tau(4, 3)), *flags])
         captured = capsys.readouterr()
         assert (code, sum(points), captured.out) == (2, 0, "")
         assert captured.err.startswith(f"error: {message}")
+
+
+# a genus-1000 source of each kind that states its genus: each is rejected before its tau is built
+HUGE_SOURCES = [
+    {"kind": "random", "g": 1000, "seed": 1},
+    {"kind": "diagonal", "entries": [{"re": 0.0, "im": 1.0}] * 1000},
+    {"kind": "block", "blocks": [{"kind": "literal", "re": [[0.0]], "im": [[1.0]]}] * 1000},
+]
 
 
 class TestRunSuite:
@@ -446,9 +473,18 @@ class TestRunSuite:
             {"tau": {"kind": "diagonal", "entries": [{"re": True, "im": 1.0}]}},
             {"tau": {"kind": "spiral", "g": 1}},
             {"tau": 5},
+            *({"tau": source} for source in HUGE_SOURCES),
         ],
     )
-    def test_malformed_tau_source_names_entry(self, capsys, tmp_path, fields):
+    def test_malformed_tau_source_names_entry(self, capsys, monkeypatch, tmp_path, fields):
+        built = []  # the genus of every tau a source builds
+        random_tau_, block_diagonal_tau_ = cli.random_tau, cli.block_diagonal_tau
+        monkeypatch.setattr(cli, "random_tau", lambda g, *args: built.append(g) or random_tau_(g, *args))
+        monkeypatch.setattr(
+            cli,
+            "block_diagonal_tau",
+            lambda blocks: built.append(sum(b.g for b in blocks)) or block_diagonal_tau_(blocks),
+        )
         good = {"label": "ok", "tau": {"kind": "random", "g": 1, "seed": 0}}
         bad = {"label": "bad", "tau": {"kind": "random", "g": 1, "seed": 1}, **fields}
         corpus = tmp_path / "corpus.json"
@@ -463,6 +499,9 @@ class TestRunSuite:
         if isinstance(source, dict) and source.get("g") in (6, 7):
             # a genus the exact layer cannot run is an input error, not a kappa0 one
             assert "1..5" in err and "kappa0" not in err
+        if source in HUGE_SOURCES:
+            assert "corpus entry 1 has an unsupported genus: genus must be an integer in 1..5, got 1000" in err
+        assert max(built) <= 5  # no tau above the cap was built
 
     @pytest.mark.parametrize(
         "use_corpus, message",
@@ -611,6 +650,25 @@ class TestRunSuite:
         code, payload = run(capsys, "run-suite", "--corpus", str(corpus))
         assert code == 0
         assert [e["status"] for e in payload["entries"]] == ["pass", "pass", "pass"]
+
+
+@pytest.mark.parametrize("command", ["run-suite", "verify-quartic"])
+def test_infeasible_allocation_is_input_error(capsys, tmp_path, rand_g2, command):
+    # 10^15 samples is petabytes, past any address space: numpy refuses at once
+    samples = 10**15
+    if command == "run-suite":
+        corpus = tmp_path / "corpus.json"
+        entry = {"label": "g1", "tau": {"kind": "random", "g": 1, "seed": 0}}
+        corpus.write_text(json.dumps({"policies": {"samples": samples}, "entries": [entry]}), encoding="utf-8")
+        argv = ["run-suite", "--corpus", str(corpus), "--out", str(tmp_path / "report.json")]
+    else:
+        argv = ["verify-quartic", "--tau", rand_g2, "--samples", str(samples)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "report.json").exists()
 
 
 class TestCanonicalJson:

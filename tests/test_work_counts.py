@@ -15,7 +15,7 @@ import pytest
 
 import theta4.mmatrix as mmatrix
 import theta4.theta_eval as theta_eval
-from theta4.basis_analysis import DEFAULT_NULL_THRESHOLD, DEFAULT_RANK_POLICY, basis_report
+from theta4.basis_analysis import DEFAULT_NULL_THRESHOLD, DEFAULT_SV_THRESHOLD, basis_report
 from theta4.char2 import Characteristic, d_plus
 from theta4.cli import DEFAULT_POLICIES, _run_entry
 from theta4.identities import inversion_residuals, quartic_residuals
@@ -82,7 +82,7 @@ def test_entry_sums_each_distinct_point_once(g, samples, monkeypatch):
     result = _run_entry(
         "count", theta_eval.random_tau(g, seed=g), Characteristic.zero(g),
         {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY,
-        rank_policy=DEFAULT_RANK_POLICY, samples=samples, identity_eps=DEFAULT_POLICIES["identity_eps"],
+        sv_threshold=DEFAULT_SV_THRESHOLD, samples=samples, identity_eps=DEFAULT_POLICIES["identity_eps"],
         null_threshold=DEFAULT_NULL_THRESHOLD,
     )
     assert result["status"] == "pass"
