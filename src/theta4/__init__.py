@@ -5,9 +5,11 @@ The package is organised around one chain of objects:
 * ``char2``          -- theta characteristics as pairs of g-bit vectors,
                         parity, the symplectic pairing and quadratic forms,
                         all exact over GF(2).
-* ``mmatrix``        -- the d+ x d+ sign matrix over even pairs, its row-sum
-                        law and closed-form rational inverse, verified in
-                        exact arithmetic.
+* ``mmatrix``        -- the d+ x d+ int64 sign matrix M over even pairs and
+                        its row-sum law, verified in exact integer arithmetic
+                        through M^2 = 2^(g-1) M + 2^(2g-1) I; the inverse
+                        identity M (M - 2^(g-1) I) = 2^(2g-1) I is the same
+                        square read off once.
 * ``theta_eval``     -- numerical theta series with characteristics on the
                         Siegel upper half-space, truncated with a Gaussian
                         tail bound.
@@ -32,7 +34,7 @@ from theta4.char2 import (
     translate,
     weil_pairing,
 )
-from theta4.mmatrix import RationalMatrix, SignMatrix, apply, build_m, inverse_m, pairing_signs, row_sum
+from theta4.mmatrix import build_m, pairing_signs, row_sum
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationError,
@@ -47,7 +49,6 @@ from theta4.theta_eval import (
 )
 from theta4.identities import (
     IdentityResidual,
-    derive_inversion_coefficients,
     inversion_check,
     inversion_residuals,
     riemann_quartic_check,
@@ -70,24 +71,19 @@ __all__ = [
     "Characteristic",
     "IdentityResidual",
     "PeriodMatrix",
-    "RationalMatrix",
-    "SignMatrix",
     "TruncationError",
     "TruncationPolicy",
     "VanishingNullError",
-    "apply",
     "basis_report",
     "block_diagonal_tau",
     "build_m",
     "d_minus",
     "d_plus",
-    "derive_inversion_coefficients",
     "enumerate_characteristics",
     "evaluation_matrix",
     "even_characteristics",
     "even_points",
     "fourth_power_rank",
-    "inverse_m",
     "inversion_check",
     "inversion_residuals",
     "isometry_to_even_points",

@@ -139,7 +139,7 @@ def _normalize_and_align(
     rows = [row_pos[translate(isometry_to_even_points(kappa0, b), kappa0)] for b in evens]
     cols = [col_pos[isometry_to_even_points(kappa0, a)] for a in evens]
     aligned = scaled[np.ix_(rows, cols)]
-    deviation = float(np.max(np.abs(aligned - build_m(g).entries)))
+    deviation = float(np.max(np.abs(aligned - build_m(g))))
     return aligned, deviation
 
 

@@ -89,7 +89,7 @@ def _cmd_chars(args) -> int:
 def _cmd_mmatrix(args) -> int:
     if args.emit or not args.verify:
         m = build_m(args.genus)
-        _emit({"g": m.g, "dim": m.dim, "entries": m.entries.tolist()}, args.emit)
+        _emit({"g": args.genus, "dim": len(m), "entries": m.tolist()}, args.emit)
     if not args.verify:
         return EXIT_PASS
     checks = verify_sign_matrix(args.genus)

@@ -29,13 +29,12 @@ import numpy as np
 
 from theta4.char2 import (
     Characteristic,
-    check_genus,
     enumerate_characteristics,
     even_characteristics,
     parity,
 )
 from theta4.jsonio import complex_json
-from theta4.mmatrix import RationalMatrix, affine_table, pairing_signs
+from theta4.mmatrix import pairing_signs
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
@@ -44,8 +43,6 @@ from theta4.theta_eval import (
 )
 
 RESIDUAL_FLOOR = 1e-30
-
-MAX_GENUS_COEFFICIENTS = 4
 
 
 @dataclass(frozen=True)
@@ -205,14 +202,3 @@ def inversion_residuals(
     """Inversion residuals for all even pairs at seeded cell samples."""
     points = sample_cell_points(tau, n_samples, seed)
     return _inversion_records(tau, points, even_characteristics(tau.g), policy or TruncationPolicy())
-
-
-def derive_inversion_coefficients(g: int) -> RationalMatrix:
-    """Exact coefficient table of the inversion over even pairs.
-
-    Row c expresses theta[c](0)^3 theta[c](2z) as a rational combination of
-    the even fourth powers theta[a](z)^4: the matrix (2 M - 2^g I) / 2^g with
-    rows and columns in canonical even-pair order.
-    """
-    check_genus(g, MAX_GENUS_COEFFICIENTS)
-    return affine_table(g, 2, -(2**g), 2**g)

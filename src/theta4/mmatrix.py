@@ -1,11 +1,13 @@
 """The sign matrix over even pairs, exactly.
 
-M is the d+ x d+ matrix of pairing signs (-1)^(a1.b2 + a2.b1) with rows and
-columns running over the even pairs in canonical order.  Everything here is
-exact: entries are +-1 integers, the closed-form inverse is rational with
-denominator 2^(2g-1), and the verification identities are evaluated on
-integers.  M^2 is one float32 matrix product, which is exact here because
-every value it and the identity checks form is an integer below 2^24 (see
+M is the d+ x d+ int64 array of pairing signs (-1)^(a1.b2 + a2.b1) with rows
+and columns running over the even pairs in canonical order
+(even_characteristics(g)).  Every exact fact about M follows from one
+integer identity, M^2 = 2^(g-1) M + 2^(2g-1) I: it makes M invertible with
+M^-1 = (M - 2^(g-1) I) / 2^(2g-1), and the inverse identity
+M (M - 2^(g-1) I) = 2^(2g-1) I is the same integer square read off once.
+M^2 is one float32 matrix product, which is exact here because every value
+it and the identity checks form is an integer below 2^24 (see
 verify_sign_matrix).  pairing_signs builds the same signs between any two
 lists of characteristics; M and both identity sweeps of theta4.identities
 read them from there.
@@ -18,8 +20,6 @@ char2 sign table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
@@ -38,59 +38,37 @@ from theta4.char2 import (
 
 MAX_GENUS = 5
 
-Rational = Fraction | int
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    """Pairing signs between even pairs; entries int64 in {+1, -1}."""
-
-    g: int
-    dim: int
-    entries: np.ndarray
-    index_map: tuple[Characteristic, ...]
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim} x {self.dim}")
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense exact rational matrix, rows as tuples of Fractions."""
-
-    dim: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.dim or any(len(r) != self.dim for r in self.entries):
-            raise ValueError(f"entries must be {self.dim} x {self.dim}")
-
 
 def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]) -> np.ndarray:
     """Int64 matrix of pairing signs (-1)^(a1.b2 + a2.b1), rows x cols.
 
     The char2 rule: (-1)^popcount(index(a) & swapped(b)) for row a, column b.
     """
-    (_,) = {c.g for c in (*rows, *cols)}  # ValueError unless one genus
+    genera = {c.g for c in (*rows, *cols)}
+    if len(genera) != 1:
+        raise ValueError(f"characteristics must share exactly one genus, got genera {sorted(genera)}")
     r = np.array([c._index for c in rows], dtype=np.uint64)
     s = np.array([c._swapped for c in cols], dtype=np.uint64)
     return np.where(np.bitwise_count(r[:, None] & s) & 1, -1, 1)
 
 
-def build_m(g: int) -> SignMatrix:
-    """Assemble the sign matrix for genus g in canonical even-pair order."""
+def build_m(g: int) -> np.ndarray:
+    """The d+ x d+ int64 sign matrix for genus g in even_characteristics(g) order."""
     check_genus(g, MAX_GENUS)
     evens = even_characteristics(g)
-    return SignMatrix(g=g, dim=len(evens), entries=pairing_signs(evens, evens), index_map=tuple(evens))
+    return pairing_signs(evens, evens)
 
 
 @lru_cache(maxsize=None)
 def _evens(g: int) -> tuple[Characteristic, ...]:
     return tuple(even_characteristics(g))
+
+
+def _check_row(g: int, a: Characteristic) -> None:
+    """Reject a genus out of range or a characteristic of another genus."""
+    check_genus(g, MAX_GENUS)
+    if a.g != g:
+        raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
 
 
 def row_sum(g: int, a: Characteristic) -> int:
@@ -101,49 +79,17 @@ def row_sum(g: int, a: Characteristic) -> int:
     is in row_sum_closed_form; keeping the literal sum separate is what makes
     the comparison a real check.
     """
-    check_genus(g, MAX_GENUS)
-    if a.g != g:
-        raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
+    _check_row(g, a)
     evens = _evens(g)
     return sum(map(weil_pairing, repeat(a, len(evens)), evens))
 
 
 def row_sum_closed_form(g: int, a: Characteristic) -> int:
     """Closed form of the even-pair row sum."""
-    check_genus(g, MAX_GENUS)
-    if a.g != g:
-        raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
+    _check_row(g, a)
     if a.is_zero:
         return d_plus(g)
     return parity(a) * 2 ** (g - 1)
-
-
-def affine_table(g: int, p: int, q: int, denom: int) -> RationalMatrix:
-    """Exact rational table (p M + q I) / denom in canonical even-pair order."""
-    m = build_m(g)
-    rows = tuple(
-        tuple(Fraction(p * int(e) + (q if i == j else 0), denom) for j, e in enumerate(row))
-        for i, row in enumerate(m.entries)
-    )
-    return RationalMatrix(dim=m.dim, entries=rows)
-
-
-def inverse_m(g: int) -> RationalMatrix:
-    """Exact inverse (M - 2^(g-1) I) / 2^(2g-1)."""
-    check_genus(g, MAX_GENUS)
-    return affine_table(g, 1, -(2 ** (g - 1)), 2 ** (2 * g - 1))
-
-
-def apply(m: SignMatrix | RationalMatrix, v: Sequence[Rational]) -> list[Fraction]:
-    """Exact matrix-vector product over the rationals."""
-    if len(v) != m.dim:
-        raise ValueError(f"vector length {len(v)} does not match dimension {m.dim}")
-    vec = [Fraction(x) for x in v]
-    if isinstance(m, SignMatrix):
-        rows = ([int(e) for e in row] for row in m.entries)
-    else:
-        rows = iter(m.entries)
-    return [sum((e * x for e, x in zip(row, vec)), Fraction(0)) for row in rows]
 
 
 def verify_sign_matrix(g: int) -> dict[str, bool]:
@@ -152,9 +98,9 @@ def verify_sign_matrix(g: int) -> dict[str, bool]:
     Checks, all on integer values (M^2 in float32, exact as shown below):
       * entries are +-1, the diagonal is +1, and M is symmetric;
       * M^2 = 2^(g-1) M + 2^(2g-1) I;
-      * M (M - 2^(g-1) I) = 2^(2g-1) I, i.e. the closed-form inverse is
-        exact; this is the same integer matrix M^2 - 2^(g-1) M, so it is read
-        off the same square;
+      * M (M - 2^(g-1) I) = 2^(2g-1) I, i.e. (M - 2^(g-1) I) / 2^(2g-1)
+        inverts M; the left side is the same integer matrix M^2 - 2^(g-1) M,
+        so inverse_identity is the same square read off once;
       * the literal row sum over even pairs matches its closed form for
         every one of the 4^g characteristics.
 
@@ -167,15 +113,14 @@ def verify_sign_matrix(g: int) -> dict[str, bool]:
     bound needs +-1 entries, so the square counts only when they are.
     """
     check_genus(g, MAX_GENUS)
-    m = build_m(g)
-    e = m.entries
+    e = build_m(g)
     k, c = 2 ** (g - 1), 2 ** (2 * g - 1)
     entries_pm1 = bool(np.all(np.abs(e) == 1))
     f = e.astype(np.float32)
     sq = f @ f
     f *= k
     sq -= f
-    sq.flat[:: m.dim + 1] -= c
+    sq.flat[:: len(e) + 1] -= c
     square_ok = entries_pm1 and not sq.any()
     checks = {
         "entries_pm1": entries_pm1,

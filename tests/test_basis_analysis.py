@@ -188,7 +188,7 @@ class TestNormalizedEvaluationMatrix:
     def test_g1_equals_sign_matrix(self, tau_g1_i):
         matrix, deviation = normalized_evaluation_matrix(tau_g1_i)
         assert deviation < 1e-8
-        assert np.max(np.abs(matrix - build_m(1).entries)) == deviation
+        assert np.max(np.abs(matrix - build_m(1))) == deviation
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_g2_random_kappa0_zero(self, seed):

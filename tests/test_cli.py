@@ -12,10 +12,9 @@ import pytest
 import theta4
 import theta4.theta_eval as theta_eval
 from theta4 import cli
-from theta4.char2 import Characteristic
+from theta4.char2 import Characteristic, d_plus
 from theta4.cli import main, standard_corpus
 from theta4.jsonio import canonical_dumps
-from theta4.mmatrix import build_m
 from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, random_tau, theta_series
 
 
@@ -133,17 +132,21 @@ class TestOutputErrors:
 
 class TestMmatrix:
     def test_verify_passes(self, capsys):
-        code, payload = run(capsys, "mmatrix", "--genus", "2", "--verify")
-        assert code == 0
-        assert payload["ok"] is True
-        assert payload["dim"] == 10
+        keys = {"entries_pm1", "diagonal_plus1", "symmetric", "quadratic_identity", "inverse_identity",
+                "row_sum_closed_form"}
+        for g in range(1, 6):
+            code, payload = run(capsys, "mmatrix", "--genus", str(g), "--verify")
+            assert code == 0
+            assert payload["g"] == g and payload["dim"] == d_plus(g)
+            assert payload["checks"] == dict.fromkeys(keys, True)
+            assert payload["ok"] is True
 
     def test_emit_matches_library(self, capsys, tmp_path):
         out = tmp_path / "m.json"
         code, _ = run(capsys, "mmatrix", "--genus", "1", "--emit", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["entries"] == build_m(1).entries.tolist()
+        assert payload["entries"] == [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
         assert payload["g"] == 1 and payload["dim"] == 3
 
 

@@ -12,25 +12,12 @@ from theta4.char2 import (
     weil_pairing,
 )
 from theta4.mmatrix import (
-    RationalMatrix,
-    SignMatrix,
-    apply,
     build_m,
-    inverse_m,
     pairing_signs,
     row_sum,
     row_sum_closed_form,
     verify_sign_matrix,
 )
-
-
-def fraction_matmul(a: RationalMatrix | SignMatrix, b: RationalMatrix) -> list[list[Fraction]]:
-    rows_a = a.entries if isinstance(a, RationalMatrix) else [[int(e) for e in r] for r in a.entries]
-    return [
-        [sum((Fraction(rows_a[i][k]) * b.entries[k][j] for k in range(b.dim)), Fraction(0))
-         for j in range(b.dim)]
-        for i in range(b.dim)
-    ]
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -52,24 +39,26 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
 class TestBuild:
     def test_g1_explicit(self):
         m = build_m(1)
-        assert m.entries.tolist() == [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
-        assert [(c.a1, c.a2) for c in m.index_map] == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
+        assert m.dtype == np.int64
+        assert m.tolist() == [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
+        assert [(c.a1, c.a2) for c in even_characteristics(1)] == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_entries_match_pairing(self, g):
         m = build_m(g)
-        for i, a in enumerate(m.index_map):
-            for j, b in enumerate(m.index_map):
-                assert m.entries[i, j] == weil_pairing(a, b)
+        evens = even_characteristics(g)
+        for i, a in enumerate(evens):
+            for j, b in enumerate(evens):
+                assert m[i, j] == weil_pairing(a, b)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_shape_diagonal_symmetry_trace(self, g):
         m = build_m(g)
-        assert m.dim == d_plus(g)
-        assert np.all(np.diagonal(m.entries) == 1)
-        assert np.array_equal(m.entries, m.entries.T)
-        assert np.trace(m.entries) == d_plus(g)
-        assert np.all(m.entries[0, :] == 1) and np.all(m.entries[:, 0] == 1)
+        assert m.shape == (d_plus(g), d_plus(g))
+        assert np.all(np.diagonal(m) == 1)
+        assert np.array_equal(m, m.T)
+        assert np.trace(m) == d_plus(g)
+        assert np.all(m[0, :] == 1) and np.all(m[:, 0] == 1)
 
     @pytest.mark.parametrize("g", [0, 6])
     def test_genus_range(self, g):
@@ -88,14 +77,18 @@ class TestPairingSigns:
             assert signs.tolist() == expected
 
     def test_mixed_genus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="share exactly one genus"):
             pairing_signs(even_characteristics(1), even_characteristics(2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="share exactly one genus"):
+            pairing_signs([], [])
 
 
 class TestQuadraticIdentity:
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_exact(self, g):
-        m = build_m(g).entries
+        m = build_m(g)
         eye = np.eye(m.shape[0], dtype=np.int64)
         assert np.array_equal(m @ m, 2 ** (g - 1) * m + 2 ** (2 * g - 1) * eye)
 
@@ -118,67 +111,42 @@ class TestRowSum:
 
 
 class TestInverse:
-    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_product_is_identity_in_rationals(self, g):
+        # M times the closed-form inverse (M - 2^(g-1) I) / 2^(2g-1) is I;
+        # cleared of its denominator, M (M - 2^(g-1) I) = 2^(2g-1) I in int64
         m = build_m(g)
-        inv = inverse_m(g)
-        product = fraction_matmul(m, inv)
-        for i in range(m.dim):
-            for j in range(m.dim):
-                assert product[i][j] == (1 if i == j else 0)
-
-    def test_g4_identity_via_integers(self):
-        # M (M - 2^(g-1) I) = 2^(2g-1) I is the same statement cleared of denominators
-        g = 4
-        m = build_m(g).entries
-        eye = np.eye(m.shape[0], dtype=np.int64)
+        eye = np.eye(len(m), dtype=np.int64)
         assert np.array_equal(m @ (m - 2 ** (g - 1) * eye), 2 ** (2 * g - 1) * eye)
 
     def test_g1_explicit(self):
-        inv = inverse_m(1)
-        expected = [
-            [Fraction(0), Fraction(1, 2), Fraction(1, 2)],
-            [Fraction(1, 2), Fraction(0), Fraction(-1, 2)],
-            [Fraction(1, 2), Fraction(-1, 2), Fraction(0)],
-        ]
-        assert [list(r) for r in inv.entries] == expected
-
-    def test_denominators_divide_power_of_two(self):
-        for g in (1, 2, 3):
-            bound = 2 ** (2 * g - 1)
-            for row in inverse_m(g).entries:
-                for e in row:
-                    assert bound % e.denominator == 0
+        # the numerator of the g = 1 inverse (M - I) / 2, which is also the
+        # g = 1 inversion coefficient table (2 M - 2 I) / 2
+        m = build_m(1)
+        assert (m - np.eye(3, dtype=np.int64)).tolist() == [[0, 1, 1], [1, 0, -1], [1, -1, 0]]
 
 
 class TestApply:
     def test_times_ones_gives_row_sums(self):
         g = 2
-        m = build_m(g)
-        result = apply(m, [1] * m.dim)
-        for value, a in zip(result, m.index_map):
-            assert value == row_sum_closed_form(g, a)
+        result = build_m(g) @ np.ones(d_plus(g), dtype=np.int64)
+        assert result.tolist() == [row_sum_closed_form(g, a) for a in even_characteristics(g)]
 
     def test_times_unit_vector_gives_column(self):
         m = build_m(2)
-        e0 = [1] + [0] * (m.dim - 1)
-        assert apply(m, e0) == [Fraction(1)] * m.dim
+        e0 = np.zeros(len(m), dtype=np.int64)
+        e0[0] = 1
+        assert (m @ e0).tolist() == [1] * len(m)
 
     def test_roundtrip_matches_solve_oracle(self):
         g = 2
         m = build_m(g)
-        inv = inverse_m(g)
-        rng = np.random.default_rng(5)
-        v = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, m.dim), rng.integers(1, 8, m.dim))]
-        roundtrip = apply(inv, apply(m, v))
-        assert roundtrip == v
+        v = np.random.default_rng(5).integers(-9, 10, len(m))
+        eye = np.eye(len(m), dtype=np.int64)
+        assert np.array_equal((m - 2 ** (g - 1) * eye) @ (m @ v), 2 ** (2 * g - 1) * v)
         # independent check: solve M x = M v directly
-        rows = [[Fraction(int(e)) for e in row] for row in m.entries]
-        assert solve_exact(rows, apply(m, v)) == v
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(build_m(1), [1, 2])
+        rows = [[Fraction(int(e)) for e in row] for row in m]
+        assert solve_exact(rows, [Fraction(int(x)) for x in m @ v]) == v.tolist()
 
 
 class TestVerify:
@@ -195,11 +163,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("g", [2, 5])
     def test_flipped_symmetric_pair_fails_identities(self, g, monkeypatch):
-        true_m = build_m(g)
-        entries = true_m.entries.copy()
-        entries[1, 2] *= -1
-        entries[2, 1] *= -1
-        flipped = SignMatrix(g=g, dim=true_m.dim, entries=entries, index_map=true_m.index_map)
+        flipped = build_m(g)
+        flipped[1, 2] *= -1
+        flipped[2, 1] *= -1
         monkeypatch.setattr(mmatrix, "build_m", lambda _: flipped)
         checks = verify_sign_matrix(g)
         assert checks["entries_pm1"] and checks["diagonal_plus1"] and checks["symmetric"]
@@ -209,10 +175,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("g", [2, 5])
     def test_flipped_single_entry_fails_symmetry_and_identities(self, g, monkeypatch):
-        true_m = build_m(g)
-        entries = true_m.entries.copy()
-        entries[1, 2] *= -1
-        flipped = SignMatrix(g=g, dim=true_m.dim, entries=entries, index_map=true_m.index_map)
+        flipped = build_m(g)
+        flipped[1, 2] *= -1
         monkeypatch.setattr(mmatrix, "build_m", lambda _: flipped)
         checks = verify_sign_matrix(g)
         assert checks["entries_pm1"] and checks["diagonal_plus1"]
@@ -225,9 +189,7 @@ class TestVerify:
         # e = 3J - 2I is not a sign matrix: its square 15J + 4I misses the
         # g = 1 identity e^2 = e + 2I = 3J, and the +-1 precondition, which
         # the square's exactness bound needs, fails both identities anyway
-        true_m = build_m(1)
-        entries = np.full((3, 3), 3) - 2 * np.eye(3, dtype=int)
-        bad = SignMatrix(g=1, dim=3, entries=entries, index_map=true_m.index_map)
+        bad = np.full((3, 3), 3, dtype=np.int64) - 2 * np.eye(3, dtype=np.int64)
         monkeypatch.setattr(mmatrix, "build_m", lambda _: bad)
         checks = verify_sign_matrix(1)
         assert not checks["entries_pm1"] and checks["diagonal_plus1"] and checks["symmetric"]
@@ -236,7 +198,7 @@ class TestVerify:
 
     def test_wrong_pairing_fails_row_sums(self, monkeypatch):
         g = 3
-        last, last_even = enumerate_characteristics(g)[-1], build_m(g).index_map[-1]
+        last, last_even = enumerate_characteristics(g)[-1], even_characteristics(g)[-1]
 
         def wrong(a, b):
             sign = weil_pairing(a, b)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import theta4
@@ -17,3 +20,13 @@ def test_all_lists_every_public_import_once():
         for alias in node.names
     }
     assert {name for name in imported if not name.startswith("_")} <= set(exported)
+
+
+def test_import_loads_no_exact_rational_modules():
+    # the exact layer is int64 arrays; fractions and decimal would only add
+    # to every fresh interpreter's start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1])}
+    code = "import theta4, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
