@@ -194,6 +194,12 @@ class TestCoefficients:
     # The inversion writes theta[c](0)^3 theta[c](2z) as row c of the
     # coefficient table (2 M - 2^g I) / 2^g applied to the even fourth powers
 
+    def test_g1_first_row(self):
+        # at g = 1 the table is (2 M - 2 I) / 2 = M - I, integral
+        m = build_m(1)
+        table = m - np.eye(3, dtype=np.int64)
+        assert table[0].tolist() == [0, 1, 1]
+
     @pytest.mark.parametrize("g", [1, 2])
     def test_reproduces_inversion_numerically(self, g):
         tau = random_tau(g, seed=g + 30, floor=1.0)
