@@ -29,6 +29,7 @@ from theta4.char2 import (
 )
 from theta4.mmatrix import MAX_GENUS, build_m
 from theta4.theta_eval import (
+    DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
     check_seed,
@@ -256,7 +257,7 @@ def basis_report(
     normalized matrix's distance from the sign matrix, is None when a null
     vanishes.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or DEFAULT_POLICY
     g = tau.g
     check_genus(g, MAX_GENUS)
     d = d_plus(g)

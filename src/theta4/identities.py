@@ -16,9 +16,11 @@ relative to max(|lhs|, |rhs|, 1e-30) so that zeros of theta cannot blow up
 the quotient.
 
 A sweep forms its terms once as a (points x pairs) array and its signed
-sums as row reductions against mmatrix.pairing_signs (the signs of M), all
-points in one broadcast; theta powers and products are taken on Python
-scalars, so a single check's record is bit for bit its record in a sweep.
+sums as row reductions against mmatrix.pairing_signs (the signs of M), one
+point and one block of rows at a time; theta powers and products are taken
+on Python scalars, so a single check's record is bit for bit its record in a
+sweep.  A sweep has one tau and one policy (None reads as theta_eval's
+DEFAULT_POLICY in theta_table), so its records carry neither.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from theta4.theta_eval import (
 )
 
 RESIDUAL_FLOOR = 1e-30
+_BLOCK_ENTRIES = 2**20  # products per _signed_sums block: 16 MB of complex
 
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """One identity evaluation: both sides plus residuals and the inputs.
+    """One identity evaluation at one point: both sides plus residuals.
 
     scale is the magnitude of the largest term entering the identity.  When
     both sides vanish together (a vanishing null makes the whole relation
@@ -65,8 +68,6 @@ class IdentityResidual:
     abs_residual: float
     rel_residual: float
     scale: float
-    tau: PeriodMatrix
-    policy: TruncationPolicy
 
     def passes(self, eps: float) -> bool:
         return self.rel_residual < eps or self.abs_residual < eps * self.scale
@@ -81,8 +82,6 @@ class IdentityResidual:
             "abs_residual": self.abs_residual,
             "rel_residual": self.rel_residual,
             "scale": self.scale,
-            "tau": self.tau.to_json(),
-            "policy": {"target_eps": self.policy.target_eps, "max_radius": self.policy.max_radius},
         }
 
 
@@ -99,17 +98,23 @@ def _magnitude(x: np.ndarray) -> np.ndarray:
 
 
 def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """(points x rows) sums of signs[i, j] * terms[p, j] over j, in one broadcast.
+    """(points x rows) sums of signs[i, j] * terms[p, j] over j.
 
     No BLAS: its rounding depends on the product's shape.  Each output here
-    is one pairwise sum over a contiguous row of the (points, rows, pairs)
-    products, so a single check gives its sweep record bit for bit."""
-    return (terms[:, None, :] * signs.astype(complex)).sum(-1)
+    is one pairwise sum over a contiguous row of a (rows, pairs) block of
+    products, so a single check gives its sweep record bit for bit.  One
+    point and at most _BLOCK_ENTRIES products are formed at a time."""
+    out = np.empty((len(terms), len(signs)), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // signs.shape[1])
+    for p, row in enumerate(terms):
+        for i in range(0, len(signs), step):
+            out[p, i : i + step] = (row * signs[i : i + step]).sum(-1)
+    return out
 
 
 def _records(
-    kind: str, chars: list[Characteristic], points: np.ndarray, tau: PeriodMatrix,
-    policy: TruncationPolicy, lhs: np.ndarray, rhs: np.ndarray, term_scale: np.ndarray,
+    kind: str, chars: list[Characteristic], points: np.ndarray,
+    lhs: np.ndarray, rhs: np.ndarray, term_scale: np.ndarray,
 ) -> list[IdentityResidual]:
     """One record per (point, char) from (points x chars) sides and largest-term moduli."""
     top = np.maximum(_magnitude(lhs), _magnitude(rhs))
@@ -121,12 +126,12 @@ def _records(
     for z, row in zip(points, per_point):
         zt = tuple(np.atleast_1d(z).tolist())
         for c, fields in zip(chars, zip(*row)):
-            out.append(IdentityResidual(kind, c, zt, *fields, tau, policy))
+            out.append(IdentityResidual(kind, c, zt, *fields))
     return out
 
 
 def _quartic_records(
-    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy
+    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy | None
 ) -> list[IdentityResidual]:
     """Quartic records for chars at each point; the nulls are shared by all points."""
     g = tau.g
@@ -138,7 +143,7 @@ def _quartic_records(
     terms = np.array([[n3 * v for n3, v in zip(cubes, row)] for row in doubled]) / 2**g
     rhs = _signed_sums(terms, pairing_signs(chars, all_chars))
     term_scale = _magnitude(terms).max(axis=1, keepdims=True)
-    return _records("quartic", chars, points, tau, policy, lhs, rhs, term_scale)
+    return _records("quartic", chars, points, lhs, rhs, term_scale)
 
 
 def riemann_quartic_check(
@@ -150,11 +155,11 @@ def riemann_quartic_check(
     so keeping them doubles as an odd-null check at no extra cost at desk
     scale.
     """
-    return _quartic_records(tau, [z], [c], policy or TruncationPolicy())[0]
+    return _quartic_records(tau, [z], [c], policy)[0]
 
 
 def _inversion_records(
-    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy
+    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy | None
 ) -> list[IdentityResidual]:
     """Inversion records for the even chars at each point; the sums run over all even pairs."""
     g = tau.g
@@ -164,10 +169,11 @@ def _inversion_records(
     fourths = np.array([[v**4 for v in row] for row in theta_table(evens, points, tau, policy).T.tolist()])
     doubled = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
     lhs = np.array([[2**g * n**3 * v for n, v in zip(nulls, row)] for row in doubled])
-    own = -(2**g) * fourths[:, [evens.index(c) for c in chars]]
+    position = {c: i for i, c in enumerate(evens)}
+    own = -(2**g) * fourths[:, [position[c] for c in chars]]
     rhs = own + _signed_sums(2 * fourths, pairing_signs(chars, evens))
     term_scale = np.maximum(_magnitude(own), 2 * _magnitude(fourths).max(axis=1, keepdims=True))
-    return _records("inversion", chars, points, tau, policy, lhs, rhs, term_scale)
+    return _records("inversion", chars, points, lhs, rhs, term_scale)
 
 
 def inversion_check(
@@ -176,29 +182,23 @@ def inversion_check(
     """Check the even-pair inversion of the quartic relation at one even c."""
     if parity(c) != 1:
         raise ValueError(f"inversion is stated for even pairs only, got odd {c}")
-    return _inversion_records(tau, [z], [c], policy or TruncationPolicy())[0]
+    return _inversion_records(tau, [z], [c], policy)[0]
 
 
 def quartic_residuals(
-    tau: PeriodMatrix,
-    n_samples: int,
-    seed: int,
-    policy: TruncationPolicy | None = None,
+    tau: PeriodMatrix, n_samples: int, seed: int, policy: TruncationPolicy | None = None
 ) -> list[IdentityResidual]:
     """Quartic residuals for all 4^g characteristics at seeded cell samples,
     sharing theta evaluations: the nulls are computed once per tau and the
     values at z and 2z once per sample.
     """
     points = sample_cell_points(tau, n_samples, seed)
-    return _quartic_records(tau, points, enumerate_characteristics(tau.g), policy or TruncationPolicy())
+    return _quartic_records(tau, points, enumerate_characteristics(tau.g), policy)
 
 
 def inversion_residuals(
-    tau: PeriodMatrix,
-    n_samples: int,
-    seed: int,
-    policy: TruncationPolicy | None = None,
+    tau: PeriodMatrix, n_samples: int, seed: int, policy: TruncationPolicy | None = None
 ) -> list[IdentityResidual]:
     """Inversion residuals for all even pairs at seeded cell samples."""
     points = sample_cell_points(tau, n_samples, seed)
-    return _inversion_records(tau, points, even_characteristics(tau.g), policy or TruncationPolicy())
+    return _inversion_records(tau, points, even_characteristics(tau.g), policy)

@@ -43,12 +43,13 @@ def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]
     """Int64 matrix of pairing signs (-1)^(a1.b2 + a2.b1), rows x cols.
 
     The char2 rule: (-1)^popcount(index(a) & swapped(b)) for row a, column b.
+    The ANDs are uint16: every index is below 4^6, char2's genus cap.
     """
     genera = {c.g for c in (*rows, *cols)}
     if len(genera) != 1:
         raise ValueError(f"characteristics must share exactly one genus, got genera {sorted(genera)}")
-    r = np.array([c._index for c in rows], dtype=np.uint64)
-    s = np.array([c._swapped for c in cols], dtype=np.uint64)
+    r = np.array([c._index for c in rows], dtype=np.uint16)
+    s = np.array([c._swapped for c in cols], dtype=np.uint16)
     return np.where(np.bitwise_count(r[:, None] & s) & 1, -1, 1)
 
 

@@ -9,8 +9,9 @@ with the bits of a1, a2 lifted to the integers 0/1.  The sum is truncated to
 an integer box recentred where the summand's modulus peaks, at
 c = -(a1/2 + Y^-1 Im z) with Y = Im tau, with the radius chosen so that a
 rigorous Gaussian tail bound, counted from c itself (see _tail_bound), falls
-below the policy's target.  Everything runs in double-precision complex; the
-advertised accuracy is absolute, of the order of the policy target.
+below the policy's target, and past MAX_ALLOWED_RADIUS raises TruncationError.
+Everything runs in double-precision complex; the advertised accuracy is
+absolute, of the order of the policy target.
 
 The top half a1 and the point z fix the box; the bottom half a2 only flips
 the sign of the term for m by (-1)^(m.a2) and multiplies the sum by
@@ -23,7 +24,7 @@ the table with the axis factors give each row's 2^g values, all 4^g per
 point.  Each row keeps its own box; a row whose axis factors could leave the
 double range is summed term by term instead.
 
-The memo on the PeriodMatrix holds one entry per (policy, bytes of z) for
+The memo on the PeriodMatrix holds one entry per (target, bytes of z) for
 the life of that object: z's 4^g values by canonical index, its radius and
 its tail bound.  So the nulls and the values at z and 2z are summed once per
 tau, whatever the stages read.  _fill, its one fill path, truncates each
@@ -67,31 +68,23 @@ _COMPLEX = np.dtype(complex)
 
 
 class TruncationError(RuntimeError):
-    """Raised when the radius cap is reached before the tail bound is met."""
+    """Raised when the tail target needs a radius above MAX_ALLOWED_RADIUS."""
 
-    def __init__(self, required_radius: int, max_radius: int):
+    def __init__(self, required_radius: int):
         self.required_radius = required_radius
-        self.max_radius = max_radius
-        super().__init__(
-            f"lattice-sum radius {required_radius} needed to meet the tail target, "
-            f"cap is {max_radius}"
-        )
+        super().__init__(f"lattice-sum radius {required_radius} needed to meet the tail target, "
+                         f"cap is {MAX_ALLOWED_RADIUS}")
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute tail target and radius cap for the truncated series."""
+    """Absolute tail target for the truncated series; it is also the memo key."""
 
     target_eps: float = DEFAULT_TARGET_EPS
-    max_radius: int = MAX_ALLOWED_RADIUS
 
     def __post_init__(self) -> None:
         if not 1e-14 <= self.target_eps < math.inf:
             raise ValueError(f"target_eps must be finite and >= 1e-14, got {self.target_eps}")
-        if not 1 <= self.max_radius <= MAX_ALLOWED_RADIUS:
-            raise ValueError(f"max_radius must be in 1..{MAX_ALLOWED_RADIUS}, got {self.max_radius}")
-        # the memo key: hashed in C, where the generated __hash__ is a Python call per read
-        object.__setattr__(self, "_key", (self.target_eps, self.max_radius))
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -125,7 +118,7 @@ class PeriodMatrix:
         arr.setflags(write=False)
         self._tau = arr
         self._lambda_min = lam
-        # (policy._key, z bytes) -> (4^g values by canonical index, radius, tail_bound), by _fill
+        # (policy.target_eps, z bytes) -> (4^g values by canonical index, radius, tail_bound), by _fill
         self._theta_memo: dict = {}
         # (top, quadratic-phase table over [-top, top]^g) once built, see _quad_table
         self._quad_table: tuple[int, np.ndarray] | None = None
@@ -228,12 +221,12 @@ def _tail_bound(g: int, lam: float, amp: float, radius: int) -> float:
 
 
 def _radius(g: int, lam: float, amp: float, policy: TruncationPolicy) -> int:
-    """Smallest radius whose tail bound meets the policy target."""
+    """Smallest radius whose tail bound meets the policy target; past MAX_ALLOWED_RADIUS it raises."""
     r = 1
     while _tail_bound(g, lam, amp, r) > policy.target_eps and r < 10**6:
         r += 1
-    if r > policy.max_radius:
-        raise TruncationError(required_radius=r, max_radius=policy.max_radius)
+    if r > MAX_ALLOWED_RADIUS:
+        raise TruncationError(r)
     return r
 
 
@@ -376,7 +369,7 @@ def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
     missing ones, in order, and they are summed in one _theta_groups batch.
     """
     memo = tau._theta_memo
-    key = policy._key
+    key = policy.target_eps
     unique = {z.tobytes(): z for z in points}
     missing = [b for b in unique if (key, b) not in memo]
     if not missing:
@@ -398,7 +391,7 @@ def theta_series(
     whose tail bound meets the policy target.  The returned tail_bound is an
     upper bound for the discarded mass.
 
-    The first call for a (policy, z) evaluates every characteristic at z
+    The first call for a (target, z) evaluates every characteristic at z
     through _fill and memoizes them on tau; later calls for any
     characteristic at z are one lookup.  A z that is already a complex (g,)
     array is looked up by its raw bytes before it is validated (see the
@@ -411,10 +404,10 @@ def theta_series(
     memo = tau._theta_memo
     entry = None
     if type(z) is np.ndarray and z.dtype is _COMPLEX and z.shape == (g,):
-        entry = memo.get((policy._key, z.tobytes()))
+        entry = memo.get((policy.target_eps, z.tobytes()))
     if entry is None:
         z = _as_point(z, g)
-        key = (policy._key, z.tobytes())
+        key = (policy.target_eps, z.tobytes())
         entry = memo.get(key)
         if entry is None:
             _fill([z], tau, policy)

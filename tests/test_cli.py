@@ -207,6 +207,22 @@ class TestTheta:
         assert captured.err.startswith("error: ")
         assert "30j" in captured.err
 
+    def test_radius_past_cap_is_input_error(self, capsys, tau_file):
+        # Im tau = 1e-3 passes the degeneracy check, but the tail target needs radius 93
+        flat = tau_file("flat.json", PeriodMatrix([[0.001j]]))
+        code = main(["theta", "--tau", flat, "--char", "0,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: lattice-sum radius 93 needed to meet the tail target, cap is 64\n"
+
+    def test_max_radius_flag_is_gone(self, capsys, rand_g2):
+        # the cap is fixed at 64: the flag is an unknown argument, a usage error
+        with pytest.raises(SystemExit) as err:
+            main(["theta", "--tau", rand_g2, "--char", "0,0", "--max-radius", "5"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --max-radius 5" in captured.err
+
 
 # (fields over a valid genus-1 tau file, start of the error message)
 TAU_FILE_CASES = [
@@ -265,8 +281,13 @@ class TestVerifyIdentities:
             "--eps", "1e-8",
         )
         assert code == 0
-        assert len(payload) == 3 * 16
-        assert all(rec["rel_residual"] < 1e-8 for rec in payload)
+        assert sorted(payload) == ["records", "target_eps", "tau"]
+        assert payload["tau"] == json.loads(Path(rand_g2).read_text())
+        assert payload["target_eps"] == 1e-11
+        records = payload["records"]
+        assert len(records) == 3 * 16
+        assert all(rec["rel_residual"] < 1e-8 for rec in records)
+        assert not any("tau" in rec or "policy" in rec for rec in records)
 
     def test_quartic_impossible_gate_fails(self, capsys, rand_g2):
         code, _ = run(
@@ -292,7 +313,24 @@ class TestVerifyIdentities:
             "--eps", "1e-8",
         )
         assert code == 0
-        assert len(payload) == 2 * 10
+        assert len(payload["records"]) == 2 * 10
+
+    @pytest.mark.parametrize("kind, line", [
+        ("quartic", "quartic: 20 checks, max rel residual 1.004e+00 (8 pass only at term scale)\n"),
+        ("inversion", "inversion: 15 checks, max rel residual 1.000e+00 (5 pass only at term scale)\n"),
+    ])
+    def test_summary_counts_term_scale_passes(self, capsys, tau_file, kind, line):
+        # at tau = 25i some records' sides are ~1e-22 of their largest term, so
+        # cancellation leaves a relative residual ~1: they pass only at term scale
+        path = tau_file("tau_25i.json", PeriodMatrix([[25j]]))
+        code = main([f"verify-{kind}", "--tau", path, "--samples", "5"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == line
+        records = json.loads(captured.out)["records"]
+        at_scale = [r for r in records if not r["rel_residual"] < 1e-8]
+        assert all(r["abs_residual"] < 1e-8 * r["scale"] for r in at_scale)
+        assert f"({len(at_scale)} pass only at term scale)" in line
 
 
 class TestBasisReport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,11 @@ class TestQuartic:
         assert res.abs_residual == abs(res.lhs - res.rhs)
         assert res.rel_residual == res.abs_residual / max(abs(res.lhs), abs(res.rhs), 1e-30)
         assert res.abs_residual >= 0.0 and res.scale > 0.0
-        assert res.kind == "quartic" and res.tau is tau_g2_random
+        assert res.kind == "quartic"
+        # a record holds no inputs but its point: tau and the policy belong to the sweep
+        fields = ["kind", "char", "z", "lhs", "rhs", "abs_residual", "rel_residual", "scale"]
+        assert [f.name for f in dataclasses.fields(res)] == fields
+        assert sorted(res.to_json()) == sorted(fields)
 
     def test_batch_matches_single(self):
         # every record of a sweep is bit for bit the record of its own single check
@@ -74,6 +80,18 @@ class TestQuartic:
                     for field in ("z", "lhs", "rhs", "scale", "abs_residual", "rel_residual"):
                         bits = [np.asarray(getattr(r, field)).tobytes() for r in (single, res)]
                         assert bits[0] == bits[1], (g, res.kind, res.char, field)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # row blocks of 48 products (3 quartic rows, 4 inversion rows, a partial last
+        # block included) give the sums of one block bit for bit
+        tau = random_tau(2, seed=12)
+        whole = [quartic_residuals(tau, 3, seed=4), inversion_residuals(tau, 3, seed=4)]
+        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", 3 * 16)
+        blocked = [quartic_residuals(random_tau(2, seed=12), 3, seed=4),
+                   inversion_residuals(random_tau(2, seed=12), 3, seed=4)]
+        for records, again in zip(whole, blocked):
+            assert [r.to_json() for r in records] == [r.to_json() for r in again]
+            assert [r.rhs for r in records] == [r.rhs for r in again]
 
     def test_flipped_sign_fails_gate(self, monkeypatch, tau_g2_random):
         # one wrong sign on the b = 0 term of c = 0 must break the relation

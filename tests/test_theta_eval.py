@@ -98,7 +98,7 @@ def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int
     y = np.asarray(z).imag
     w = np.linalg.solve(tau.tau.imag, y)
     amp = math.exp(math.pi * float(y @ w))
-    for r in range(1, policy.max_radius + 1):
+    for r in range(1, theta_eval.MAX_ALLOWED_RADIUS + 1):
         bound = theta_eval._tail_bound(tau.g, tau.lambda_min, amp, r)
         if bound <= policy.target_eps:
             return r, bound
@@ -136,23 +136,30 @@ class TestPolicy:
     def test_defaults_valid(self):
         policy = TruncationPolicy()
         assert policy.target_eps == 1e-11
-        assert policy.max_radius == 64
+        assert theta_eval.MAX_ALLOWED_RADIUS == 64
 
     @pytest.mark.parametrize(
-        "kwargs", [{"target_eps": 1e-15}, {"target_eps": math.inf}, {"max_radius": 0}, {"max_radius": 65}]
+        "kwargs", [{"target_eps": 1e-15}, {"target_eps": math.inf}, {"target_eps": math.nan}, {"target_eps": -1.0}]
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             TruncationPolicy(**kwargs)
 
-    def test_memo_key_follows_the_fields(self):
-        policy = TruncationPolicy(target_eps=1e-9, max_radius=40)
-        assert policy._key == (1e-9, 40)
-        assert dataclasses.replace(policy, max_radius=12)._key == (1e-9, 12)
-        back = pickle.loads(pickle.dumps(policy))
-        assert back == policy and back._key == policy._key
-        assert [f.name for f in dataclasses.fields(policy)] == ["target_eps", "max_radius"]
-        assert repr(policy) == "TruncationPolicy(target_eps=1e-09, max_radius=40)"
+    def test_memo_key_follows_the_fields(self, group_builds):
+        # the one field is the target, and the target is the memo key
+        policy = TruncationPolicy(target_eps=1e-9)
+        assert [f.name for f in dataclasses.fields(policy)] == ["target_eps"]
+        assert repr(policy) == "TruncationPolicy(target_eps=1e-09)"
+        assert pickle.loads(pickle.dumps(policy)) == policy
+        with pytest.raises(TypeError, match="max_radius"):
+            TruncationPolicy(target_eps=1e-9, max_radius=40)
+        tau = random_tau(2, seed=5)
+        c = Characteristic((1, 1), (0, 1))
+        z = np.array([0.1 + 0.3j, -0.2 + 0.1j])
+        for p in (policy, TruncationPolicy(target_eps=1e-9), dataclasses.replace(policy, target_eps=1e-7)):
+            theta_series(c, z, tau, p)
+        assert sorted(tau._theta_memo) == sorted((eps, z.tobytes()) for eps in (1e-9, 1e-7))
+        assert len(group_builds) == 2
 
 
 class TestPeriodMatrix:
@@ -271,7 +278,7 @@ class TestGroupKernel:
             theta_series(c, z, tau)
             theta_series(c, 2.0 * z, tau)
         assert group_builds == [z.tobytes(), (2.0 * z).tobytes()]
-        assert sorted(tau._theta_memo) == sorted((DEFAULT_POLICY._key, p.tobytes()) for p in (z, 2.0 * z))
+        assert sorted(tau._theta_memo) == sorted((DEFAULT_POLICY.target_eps, p.tobytes()) for p in (z, 2.0 * z))
         assert all(len(values) == 4**2 for values, _, _ in tau._theta_memo.values())
 
     def test_overflowing_scale_names_point(self, tau_g1_i):
@@ -561,12 +568,12 @@ class TestMemoKeys:
         c = Characteristic((1, 1), (0, 1))
         z = np.array([0.1 + 0.3j, -0.2 + 0.1j])
         first = theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9))
-        again = theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9, max_radius=64))
+        again = theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9))
         assert type(again) is ThetaValue and again._fields == ("value", "tail_bound", "radius")
         assert again == first and (again.value, again.tail_bound, again.radius) == tuple(first)
         assert len(group_builds) == 1
-        # another policy is another group; the default policy is its own key
-        theta_series(c, z, tau, TruncationPolicy(target_eps=1e-9, max_radius=63))
+        # another target is another group; the default target is its own key
+        theta_series(c, z, tau, TruncationPolicy(target_eps=1e-10))
         theta_series(c, z, tau)
         assert theta_series(c, z, tau, DEFAULT_POLICY) == theta_series(c, z, tau, TruncationPolicy())
         assert len(group_builds) == 3
@@ -777,12 +784,15 @@ class TestTruncation:
         result = theta_series(Characteristic.zero(1), zero1, tau_g1_i)
         assert 0.0 < result.tail_bound <= TruncationPolicy().target_eps
 
-    def test_radius_cap_error_reports_requirement(self):
-        tau = PeriodMatrix([[0.01j]])
-        policy = TruncationPolicy(target_eps=1e-14, max_radius=4)
+    def test_radius_cap_error_reports_requirement(self, group_builds):
+        # lambda = 1e-3 is above the degeneracy floor, but the default target
+        # needs radius 93 there, past the fixed cap; nothing is summed
+        tau = PeriodMatrix([[0.001j]])
         with pytest.raises(TruncationError) as err:
-            theta_series(Characteristic.zero(1), [0.0], tau, policy)
-        assert err.value.required_radius > 4
+            theta_series(Characteristic.zero(1), [0.0], tau)
+        assert err.value.required_radius == 93
+        assert str(err.value) == "lattice-sum radius 93 needed to meet the tail target, cap is 64"
+        assert tau._theta_memo == {} and group_builds == []
 
 
 class TestTwoTorsionPoint:
