@@ -81,18 +81,6 @@ class TestQuartic:
                         bits = [np.asarray(getattr(r, field)).tobytes() for r in (single, res)]
                         assert bits[0] == bits[1], (g, res.kind, res.char, field)
 
-    def test_row_blocks_match_one_block(self, monkeypatch):
-        # row blocks of 48 products (3 quartic rows, 4 inversion rows, a partial last
-        # block included) give the sums of one block bit for bit
-        tau = random_tau(2, seed=12)
-        whole = [quartic_residuals(tau, 3, seed=4), inversion_residuals(tau, 3, seed=4)]
-        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", 3 * 16)
-        blocked = [quartic_residuals(random_tau(2, seed=12), 3, seed=4),
-                   inversion_residuals(random_tau(2, seed=12), 3, seed=4)]
-        for records, again in zip(whole, blocked):
-            assert [r.to_json() for r in records] == [r.to_json() for r in again]
-            assert [r.rhs for r in records] == [r.rhs for r in again]
-
     def test_flipped_sign_fails_gate(self, monkeypatch, tau_g2_random):
         # one wrong sign on the b = 0 term of c = 0 must break the relation
         def flipped(rows, cols):
