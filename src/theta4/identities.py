@@ -17,9 +17,10 @@ the quotient.
 
 A sweep forms its terms once as a (points x pairs) array and its signed
 sums as row reductions against mmatrix.pairing_signs (the signs of M), one
-one point at a time; theta powers and products are taken
-on Python scalars, so a single check's record is bit for bit its record in a
-sweep.  A sweep has one tau and one policy (None reads as theta_eval's
+point and one block of at most _BLOCK_ENTRIES products at a time (a point is
+one block up to genus 5); theta powers and products are taken on Python
+scalars, so a single check's record is bit for bit its record in a sweep.
+A sweep has one tau and one policy (None reads as theta_eval's
 DEFAULT_POLICY in theta_table), so its records carry neither.
 """
 
@@ -45,6 +46,7 @@ from theta4.theta_eval import (
 )
 
 RESIDUAL_FLOOR = 1e-30
+_BLOCK_ENTRIES = 2**20  # products per _signed_sums block: 16 MB of complex
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,15 @@ def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
     No BLAS: its rounding depends on the product's shape.  Each output here
     is one pairwise sum over a contiguous row of one point's (rows, pairs)
-    products, so a single check gives its sweep record bit for bit."""
+    products, so a single check gives its sweep record bit for bit.  The
+    rows go in blocks of at most _BLOCK_ENTRIES products (at least one row):
+    at genus 6 a quartic point (4096 x 4096) is 16 blocks and an inversion
+    point (2080 x 2080) is 5."""
     out = np.empty((len(terms), len(signs)), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // signs.shape[1])
     for p, row in enumerate(terms):
-        out[p] = (row * signs).sum(-1)
+        for i in range(0, len(signs), step):
+            out[p, i : i + step] = (row * signs[i : i + step]).sum(-1)
     return out
 
 

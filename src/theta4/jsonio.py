@@ -3,7 +3,9 @@
 Reports must be byte-identical across runs with the same inputs and seeds,
 so serialization is pinned down: keys sorted, compact separators, floats
 formatted with 17 significant digits (lossless for doubles), no NaN or
-infinities, one trailing newline.  Output files are written atomically.
+infinities, one trailing newline.  _canonical returns each value's text, an
+object or array being the comma join of its members' texts, with floats in
+format(x, ".17g"), not json's repr.  Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -20,51 +23,34 @@ from theta4.char2 import Characteristic
 from theta4.theta_eval import PeriodMatrix
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite float {x!r} cannot enter a canonical report")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
-
-
-def _canonical(obj, out: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+def _canonical(obj) -> str:
+    """The canonical text of obj, without the trailing newline."""
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} cannot enter a canonical report")
+        return format(obj if obj else 0.0, ".17g")  # -0.0 is written as 0
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        for key in obj:
             if not isinstance(key, str):
                 raise ValueError(f"canonical JSON object keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _canonical(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _canonical(item, out)
-        out.append("]")
-    else:
-        raise ValueError(f"type {type(obj).__name__} is not canonical-JSON serializable")
+        return "{" + ",".join(encode_basestring_ascii(key) + ":" + _canonical(obj[key])
+                              for key in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_canonical, obj)) + "]"
+    raise ValueError(f"type {type(obj).__name__} is not canonical-JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
     """Serialize to canonical JSON with a trailing newline."""
-    out: list[str] = []
-    _canonical(obj, out)
-    out.append("\n")
-    return "".join(out)
+    return _canonical(obj) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

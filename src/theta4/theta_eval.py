@@ -60,8 +60,9 @@ MAX_ALLOWED_RADIUS = 64
 
 # largest argument math.exp takes without overflowing
 _MAX_EXP_ARG = math.log(sys.float_info.max)
-# rows per chunk: as many as keep the first contraction (2 per row times K^(g-1) complex
-# entries) within _CHUNK_ENTRIES, to bound peak memory, but at least _CHUNK_ROWS
+# chunks that bound peak memory: _quad_table computes _CHUNK_ENTRIES entries at a time, and
+# _theta_groups takes as many rows as keep its first contraction (2 per row times K^(g-1)
+# complex entries) within _CHUNK_ENTRIES, but at least _CHUNK_ROWS
 _CHUNK_ENTRIES = 2**13
 _CHUNK_ROWS = 16
 _COMPLEX = np.dtype(complex)
@@ -265,16 +266,20 @@ def _quad_table(top: int, tau: PeriodMatrix) -> tuple[int, np.ndarray]:
     for some T >= top.
 
     The table does not depend on the characteristic, so tau keeps one, built
-    at the largest top asked so far.  Each entry is computed from its own
-    offset alone, so the centred slice [-r, r]^g of the table holds bit for
-    bit the table built at r.
+    at the largest top asked so far, _CHUNK_ENTRIES offsets at a time into
+    one array.  Each entry is computed from its own offset alone, so the
+    centred slice [-r, r]^g of the table holds bit for bit the table built
+    at r, however either build was chunked.
     """
     cached = tau._quad_table
     if cached is None or cached[0] < top:
-        offsets = np.arange(-top, top + 1)
-        k = np.stack(np.meshgrid(*[offsets] * tau.g, indexing="ij"), axis=-1).reshape(-1, tau.g)
-        table = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(-1))
-        cached = top, table.reshape((len(offsets),) * tau.g)
+        shape = (2 * top + 1,) * tau.g
+        table = np.empty(math.prod(shape), dtype=complex)
+        for start in range(0, len(table), _CHUNK_ENTRIES):
+            flat = np.arange(start, min(start + _CHUNK_ENTRIES, len(table)))
+            k = np.stack(np.unravel_index(flat, shape), axis=-1) - top
+            table[start : start + len(k)] = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(-1))
+        cached = top, table.reshape(shape)
         tau._quad_table = cached
     return cached
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,22 @@ def no_lattice_sum(monkeypatch):
         raise AssertionError("a lattice sum ran")
 
     monkeypatch.setattr(theta_eval, "_theta_groups", refuse)
+
+
+@pytest.fixture()
+def traced_peak():
+    """measure(fn) -> (fn(), the tracemalloc peak of the call above the memory traced before it)."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -250,6 +251,15 @@ class TestNulls:
     def test_generic_has_none(self, capsys, rand_g2):
         code, payload = run(capsys, "nulls", "--tau", rand_g2)
         assert code == 0
+        assert payload["vanishing"] == []
+
+    def test_genus_6(self, capsys, tau_file):
+        # the top genus nulls runs at: every even null is finite and none vanishes
+        code, payload = run(capsys, "nulls", "--tau", tau_file("g6.json", random_tau(6, seed=3)))
+        assert code == 0
+        assert len(payload["nulls"]) == d_plus(6) == 2080
+        values = [v for row in payload["nulls"] for v in (row["value"]["re"], row["value"]["im"], row["abs"])]
+        assert all(map(math.isfinite, values))
         assert payload["vanishing"] == []
 
     @pytest.mark.parametrize(
@@ -726,3 +736,42 @@ class TestCanonicalJson:
     def test_roundtrip_standard_corpus(self):
         text = canonical_dumps(standard_corpus())
         assert json.loads(text) == json.loads(canonical_dumps(json.loads(text)))
+
+    @pytest.mark.parametrize(
+        "obj, text",
+        [
+            ({"a": {}, "b": [], "c": [{}, [[]]]}, '{"a":{},"b":[],"c":[{},[[]]]}'),
+            ((1, "x", (2.5,)), '[1,"x",[2.5]]'),
+            ("\u00e9\n", '"\\u00e9\\n"'),
+            ({"\u00e9": 1}, '{"\\u00e9":1}'),
+            ([1, True, 2, False], "[1,true,2,false]"),
+            (2**80, "1208925819614629174706176"),
+            ({"x": [{"y": -0.0}], "z": -0.1}, '{"x":[{"y":0}],"z":-0.10000000000000001}'),
+        ],
+        ids=["empty-containers", "tuple", "non-ascii-string", "non-ascii-key", "bools-among-ints",
+             "large-int", "nested-negative-zero"],
+    )
+    def test_edge_cases_byte_for_byte(self, obj, text):
+        assert canonical_dumps(obj) == text + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{1: 2}, {"a": 1, 2: 3}, [np.int64(1)], {1, 2}],
+        ids=["int-key", "mixed-keys", "numpy-int", "set"],
+    )
+    def test_rejects_unsupported(self, obj):
+        # mixed key types are a ValueError of their own, not sorted()'s TypeError
+        with pytest.raises(ValueError):
+            canonical_dumps(obj)
+
+    def test_peak_memory_below_three_times_text(self, traced_peak):
+        # the writer holds the members' texts and their join, not a token per value
+        rng = np.random.default_rng(5)
+        records = [
+            {"kind": "quartic", "char": {"a1": [i & 1, 1], "a2": [0, i & 1]},
+             "z": [{"re": float(x), "im": float(y)} for x, y in rng.normal(size=(2, 2))],
+             "abs_residual": float(rng.random()), "rel_residual": float(rng.random())}
+            for i in range(10_000)
+        ]
+        text, peak = traced_peak(lambda: canonical_dumps({"records": records}))
+        assert peak < 3 * len(text), (peak, len(text))

@@ -81,6 +81,28 @@ class TestQuartic:
                         bits = [np.asarray(getattr(r, field)).tobytes() for r in (single, res)]
                         assert bits[0] == bits[1], (g, res.kind, res.char, field)
 
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # row blocks of 48 products (3 quartic rows, 4 inversion rows, a partial last
+        # block included) give the sums of one block bit for bit
+        tau = random_tau(2, seed=12)
+        whole = [quartic_residuals(tau, 3, seed=4), inversion_residuals(tau, 3, seed=4)]
+        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", 3 * 16)
+        blocked = [quartic_residuals(random_tau(2, seed=12), 3, seed=4),
+                   inversion_residuals(random_tau(2, seed=12), 3, seed=4)]
+        for records, again in zip(whole, blocked):
+            assert [r.to_json() for r in records] == [r.to_json() for r in again]
+            assert [r.rhs for r in records] == [r.rhs for r in again]
+
+    def test_row_blocks_bound_peak_memory(self, monkeypatch, traced_peak):
+        # 64-row blocks of a 1024 x 1024 sign matrix: one unblocked product is 16 MB
+        rng = np.random.default_rng(3)
+        terms = rng.normal(size=(2, 1024)) + 1j * rng.normal(size=(2, 1024))
+        signs = rng.choice([-1, 1], size=(1024, 1024))
+        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", 64 * 1024)
+        sums, peak = traced_peak(lambda: identities._signed_sums(terms, signs))
+        assert np.array_equal(sums[1, :5], [(terms[1] * row).sum() for row in signs[:5]])
+        assert peak < 1024 * 1024 * 16 / 8, peak
+
     def test_flipped_sign_fails_gate(self, monkeypatch, tau_g2_random):
         # one wrong sign on the b = 0 term of c = 0 must break the relation
         def flipped(rows, cols):

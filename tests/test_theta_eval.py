@@ -445,6 +445,21 @@ class TestSharedSetUp:
             assert grown[0] == built[0] == top
             assert np.array_equal(grown[1], built[1]), top
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_quad_table_chunks_do_not_change_bits(self, g, monkeypatch):
+        # chunks of 7 offsets, the last one partial (9^g entries), give the default build
+        whole = theta_eval._quad_table(4, random_tau(g, seed=80 + g))
+        monkeypatch.setattr(theta_eval, "_CHUNK_ENTRIES", 7)
+        chunked = theta_eval._quad_table(4, random_tau(g, seed=80 + g))
+        assert chunked[0] == whole[0] == 4
+        assert chunked[1].tobytes() == whole[1].tobytes()
+
+    def test_quad_table_peak_memory_near_table_size(self, traced_peak):
+        tau = random_tau(5, seed=11)
+        (_, table), peak = traced_peak(lambda: theta_eval._quad_table(6, tau))
+        assert table.nbytes == 13**5 * 16
+        assert peak < 3 * table.nbytes, (peak, table.nbytes)
+
     def test_quad_table_grows_only(self):
         # one table per tau, whatever the top half
         tau = random_tau(2, seed=3)
