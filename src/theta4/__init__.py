@@ -14,7 +14,9 @@ The package is organised around one chain of objects:
                         Siegel upper half-space, truncated with a Gaussian
                         tail bound.
 * ``identities``     -- residual checks for the quartic addition relation and
-                        its inversion over even pairs.
+                        its inversion over even pairs, one JSON-ready record
+                        dict per (point, characteristic), and the one pass
+                        rule over them (``summarize``).
 * ``basis_analysis`` -- evaluation matrices at two-torsion points, the
                         normalized sign structure, fourth-power span ranks and
                         vanishing-null detection.
@@ -48,7 +50,6 @@ from theta4.theta_eval import (
     two_torsion_point,
 )
 from theta4.identities import (
-    IdentityResidual,
     inversion_check,
     inversion_residuals,
     riemann_quartic_check,
@@ -69,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Characteristic",
-    "IdentityResidual",
     "PeriodMatrix",
     "TruncationError",
     "TruncationPolicy",

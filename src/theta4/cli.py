@@ -30,7 +30,7 @@ from theta4.basis_analysis import (
     split_nulls,
 )
 from theta4.char2 import Characteristic, check_genus, d_plus, enumerate_characteristics, parity
-from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals
+from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals, summarize
 from theta4.jsonio import (
     atomic_write_text,
     canonical_dumps,
@@ -136,20 +136,13 @@ def _cmd_verify_identity(args, kind: str) -> int:
     check_identity_eps(args.eps, "--eps")
     tau = load_tau_file(args.tau)
     policy = TruncationPolicy(target_eps=args.target_eps)
-    if kind == "quartic":
-        residuals = quartic_residuals(tau, args.samples, args.seed, policy)
-    else:
-        residuals = inversion_residuals(tau, args.samples, args.seed, policy)
-    records = [r.to_json() for r in residuals]
+    sweep = quartic_residuals if kind == "quartic" else inversion_residuals
+    records = sweep(tau, args.samples, args.seed, policy)
     _emit({"tau": tau.to_json(), "target_eps": policy.target_eps, "records": records}, args.out)
-    worst = max((r.rel_residual for r in residuals), default=0.0)
-    # a record passes when the residual is small relative to the sides or
-    # absolutely at the term scale (the sides may legitimately both vanish)
-    passed = [r.passes(args.eps) for r in residuals]
-    at_scale = sum(ok and not r.rel_residual < args.eps for ok, r in zip(passed, residuals))
-    print(f"{kind}: {len(residuals)} checks, max rel residual {worst:.3e} "
+    worst, ok, at_scale = summarize(records, args.eps)
+    print(f"{kind}: {len(records)} checks, max rel residual {worst:.3e} "
           f"({at_scale} pass only at term scale)", file=sys.stderr)
-    return EXIT_PASS if all(passed) else EXIT_MATH_FAIL
+    return EXIT_PASS if ok else EXIT_MATH_FAIL
 
 
 def _cmd_basis_report(args) -> int:
@@ -258,17 +251,18 @@ def _load_corpus(args) -> tuple[dict, Path]:
 def _run_entry(
     label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy,
     sv_threshold: float, samples: int, identity_eps: float, null_threshold: float,
-) -> dict:
+) -> tuple[dict, dict]:
+    """The entry's report, and how many records of each finished sweep
+    passed only at term scale."""
     result = {"label": label, "g": tau.g, "expected": expect}
+    at_scale = {}
     try:
         checks = verify_sign_matrix(tau.g)
         result["mmatrix_ok"] = all(checks.values())
-        quartic = quartic_residuals(tau, samples, seed, policy)
-        inversion = inversion_residuals(tau, samples, seed, policy)
-        result["quartic_max_rel_residual"] = max(r.rel_residual for r in quartic)
-        result["inversion_max_rel_residual"] = max(r.rel_residual for r in inversion)
-        result["quartic_ok"] = all(r.passes(identity_eps) for r in quartic)
-        result["inversion_ok"] = all(r.passes(identity_eps) for r in inversion)
+        for kind, sweep in (("quartic", quartic_residuals), ("inversion", inversion_residuals)):
+            worst, ok, at_scale[kind] = summarize(sweep(tau, samples, seed, policy), identity_eps)
+            result[f"{kind}_max_rel_residual"] = worst
+            result[f"{kind}_ok"] = ok
         result["identity_eps"] = identity_eps
         report = result["basis"] = basis_report(
             tau,
@@ -281,7 +275,7 @@ def _run_entry(
     except (ValueError, ArithmeticError, TruncationError) as exc:
         result["status"] = "error"
         result["error"] = str(exc)
-        return result
+        return result, at_scale
 
     identities_ok = result["mmatrix_ok"] and result["quartic_ok"] and result["inversion_ok"]
     expected_ok = (
@@ -295,14 +289,15 @@ def _run_entry(
         result["status"] = "pass"
     else:
         result["status"] = "fail"
-    return result
+    return result, at_scale
 
 
 def run_suite(corpus: dict, base_dir: Path) -> dict:
     """Execute the corpus and assemble the deterministic run report.
 
-    Wall-clock timings go to stderr only; the report must be byte-identical
-    across reruns with the same corpus.
+    Wall-clock timings go to stderr only, one line per entry that also gives
+    how many records of each sweep passed only at term scale; the report
+    must be byte-identical across reruns with the same corpus.
     """
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
     for key, least in (("samples", 1), ("seed", 0)):
@@ -359,8 +354,10 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     results = []
     for label, tau, kappa0, expect, seed in prepared:
         start = time.perf_counter()
-        result = _run_entry(label, tau, kappa0, expect, seed, **settings)
-        print(f"[{label}] {result['status']} ({time.perf_counter() - start:.2f}s)", file=sys.stderr)
+        result, at_scale = _run_entry(label, tau, kappa0, expect, seed, **settings)
+        counts = ", ".join(f"{kind} {n}" for kind, n in at_scale.items())
+        note = f"; term-scale passes: {counts}" if counts else ""
+        print(f"[{label}] {result['status']} ({time.perf_counter() - start:.2f}s{note})", file=sys.stderr)
         results.append(result)
 
     statuses = [r["status"] for r in results]

@@ -21,12 +21,12 @@ point and one block of at most _BLOCK_ENTRIES products at a time (a point is
 one block up to genus 5); theta powers and products are taken on Python
 scalars, so a single check's record is bit for bit its record in a sweep.
 A sweep has one tau and one policy (None reads as theta_eval's
-DEFAULT_POLICY in theta_table), so its records carry neither.
+DEFAULT_POLICY in theta_table), so its records carry neither.  Each record
+is the JSON dict that verify-quartic and verify-inversion write, built once;
+summarize() holds the one pass rule that the CLI gates on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,45 +49,29 @@ RESIDUAL_FLOOR = 1e-30
 _BLOCK_ENTRIES = 2**20  # products per _signed_sums block: 16 MB of complex
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
-    """One identity evaluation at one point: both sides plus residuals.
+def summarize(records: list[dict], eps: float) -> tuple[float, bool, int]:
+    """(largest rel_residual, whether every record passes, how many pass only at term scale).
 
-    scale is the magnitude of the largest term entering the identity.  When
-    both sides vanish together (a vanishing null makes the whole relation
-    read 0 = 0) the relative residual compares rounding noise against
-    rounding noise and is meaningless; passes() therefore accepts a record
-    when the residual is small relative to the sides or small in absolute
-    value at the term scale.
+    A record passes when its residual is small relative to the sides
+    (rel_residual < eps) or in absolute value at the scale of the largest
+    term entering the identity (abs_residual < eps * scale).  When both sides
+    vanish together (a vanishing null makes the whole relation read 0 = 0)
+    the relative residual compares rounding noise against rounding noise and
+    only the second clause is meaningful.  An empty list gives (0.0, True, 0).
     """
-
-    kind: str
-    char: Characteristic
-    z: tuple[complex, ...]
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float
-    scale: float
-
-    def passes(self, eps: float) -> bool:
-        return self.rel_residual < eps or self.abs_residual < eps * self.scale
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "char": self.char.to_json(),
-            "z": [complex_json(v) for v in self.z],
-            "lhs": complex_json(self.lhs),
-            "rhs": complex_json(self.rhs),
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "scale": self.scale,
-        }
+    worst = max((r["rel_residual"] for r in records), default=0.0)
+    ok, at_scale = True, 0
+    for r in records:
+        if not r["rel_residual"] < eps:
+            if r["abs_residual"] < eps * r["scale"]:
+                at_scale += 1
+            else:
+                ok = False
+    return worst, ok, at_scale
 
 
 def check_identity_eps(eps: float, name: str) -> None:
-    """Reject a residual gate for passes() that is not a finite number > 0."""
+    """Reject a residual gate for summarize() that is not a finite number > 0."""
     if not 0.0 < eps < np.inf:
         raise ValueError(f"{name} must be > 0 and finite, got {eps!r}")
 
@@ -118,24 +102,33 @@ def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def _records(
     kind: str, chars: list[Characteristic], points: np.ndarray,
     lhs: np.ndarray, rhs: np.ndarray, term_scale: np.ndarray,
-) -> list[IdentityResidual]:
-    """One record per (point, char) from (points x chars) sides and largest-term moduli."""
+) -> list[dict]:
+    """One record per (point, char) from (points x chars) sides and largest-term moduli.
+
+    A record is the dict the verify commands write, with keys kind, char, z,
+    lhs, rhs, abs_residual, rel_residual and scale.  Records share objects:
+    the char dict of a characteristic is one object for all its records, and
+    the z list of a point one object for all records at that point."""
     top = np.maximum(_magnitude(lhs), _magnitude(rhs))
     abs_res = _magnitude(lhs - rhs)
     rel_res = abs_res / np.maximum(top, RESIDUAL_FLOOR)
     scale = np.maximum(term_scale, top)
+    char_json = [c.to_json() for c in chars]
     out = []
     per_point = zip(lhs.tolist(), rhs.tolist(), abs_res.tolist(), rel_res.tolist(), scale.tolist())
     for z, row in zip(points, per_point):
-        zt = tuple(np.atleast_1d(z).tolist())
-        for c, fields in zip(chars, zip(*row)):
-            out.append(IdentityResidual(kind, c, zt, *fields))
+        z_json = [complex_json(v) for v in np.atleast_1d(z).tolist()]
+        for c, left, right, a, rel, s in zip(char_json, *row):
+            out.append({
+                "kind": kind, "char": c, "z": z_json, "lhs": complex_json(left),
+                "rhs": complex_json(right), "abs_residual": a, "rel_residual": rel, "scale": s,
+            })
     return out
 
 
 def _quartic_records(
     tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy | None
-) -> list[IdentityResidual]:
+) -> list[dict]:
     """Quartic records for chars at each point; the nulls are shared by all points."""
     g = tau.g
     all_chars = enumerate_characteristics(g)
@@ -151,7 +144,7 @@ def _quartic_records(
 
 def riemann_quartic_check(
     c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
-) -> IdentityResidual:
+) -> dict:
     """Check theta[c](z)^4 against the signed sum over all 4^g pairs.
 
     The odd-pair terms are evaluated rather than skipped; their nulls vanish,
@@ -163,7 +156,7 @@ def riemann_quartic_check(
 
 def _inversion_records(
     tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy | None
-) -> list[IdentityResidual]:
+) -> list[dict]:
     """Inversion records for the even chars at each point; the sums run over all even pairs."""
     g = tau.g
     evens = even_characteristics(g)
@@ -181,7 +174,7 @@ def _inversion_records(
 
 def inversion_check(
     c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
-) -> IdentityResidual:
+) -> dict:
     """Check the even-pair inversion of the quartic relation at one even c."""
     if parity(c) != 1:
         raise ValueError(f"inversion is stated for even pairs only, got odd {c}")
@@ -190,7 +183,7 @@ def inversion_check(
 
 def quartic_residuals(
     tau: PeriodMatrix, n_samples: int, seed: int, policy: TruncationPolicy | None = None
-) -> list[IdentityResidual]:
+) -> list[dict]:
     """Quartic residuals for all 4^g characteristics at seeded cell samples,
     sharing theta evaluations: the nulls are computed once per tau and the
     values at z and 2z once per sample.
@@ -201,7 +194,7 @@ def quartic_residuals(
 
 def inversion_residuals(
     tau: PeriodMatrix, n_samples: int, seed: int, policy: TruncationPolicy | None = None
-) -> list[IdentityResidual]:
+) -> list[dict]:
     """Inversion residuals for all even pairs at seeded cell samples."""
     points = sample_cell_points(tau, n_samples, seed)
     return _inversion_records(tau, points, even_characteristics(tau.g), policy)

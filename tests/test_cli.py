@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +343,27 @@ class TestVerifyIdentities:
         assert all(r["abs_residual"] < 1e-8 * r["scale"] for r in at_scale)
         assert f"({len(at_scale)} pass only at term scale)" in line
 
+    def test_peak_memory_below_five_times_report(self, monkeypatch, tau_file, traced_peak):
+        # the records are the dicts the report is written from: the sweep, the
+        # records and the report text together stay below 5x the text
+        class Length:
+            """A stdout that keeps only the number of characters written to it."""
+
+            n = 0
+
+            def write(self, text):
+                self.n += len(text)
+                return len(text)
+
+        argv = ["verify-quartic", "--tau", tau_file("g3.json", random_tau(3, seed=5)), "--seed", "1"]
+        monkeypatch.setattr(sys, "stdout", Length())
+        assert main(argv + ["--samples", "1"]) == 0  # builds the parser and the genus-3 tables
+        stdout = Length()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, peak = traced_peak(lambda: main(argv + ["--samples", "50"]))
+        assert code == 0 and stdout.n > 10**6
+        assert peak < 5 * stdout.n, peak / stdout.n
+
 
 class TestBasisReport:
     def test_generic_consistent(self, capsys, rand_g2, tmp_path):
@@ -446,6 +468,19 @@ class TestRunSuite:
             "g2-random-7": ("pass", True, True, True, 10, 10, True, True, True, [], []),
             "g2-product-ii": ("pass", True, True, True, 9, 9, False, False, True, product_null, []),
         }
+
+    def test_stderr_counts_term_scale_passes(self, capsys):
+        # the product's inversion maximum of 1 comes from its 5 records that pass only at term scale
+        assert main(["run-suite", "--standard"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        counts = [re.fullmatch(r"\[(.+)\] pass \(\d+\.\d\ds; term-scale passes: (.+)\)", line)
+                  for line in lines[:-1]]
+        assert [m.groups() for m in counts] == [
+            ("g1-elliptic-i", "quartic 0, inversion 0"),
+            ("g2-random-7", "quartic 0, inversion 0"),
+            ("g2-product-ii", "quartic 0, inversion 5"),
+        ]
+        assert re.fullmatch(r"suite rollup: pass \(\d+\.\d\ds\)", lines[-1])
 
     def test_empty_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "empty.json"
@@ -581,6 +616,8 @@ class TestRunSuite:
         assert report["entries"][1]["error"] == (
             "lattice-sum radius 93 needed to meet the tail target, cap is 64"
         )
+        # the sweeps did not finish, so the entry's line has no term-scale counts
+        assert re.search(r"^\[flat\] error \(\d+\.\d\ds\)$", capsys.readouterr().err, re.M)
 
     def test_emitted_corpus_reruns_identically(self, capsys, tmp_path):
         emitted = tmp_path / "corpus.json"

@@ -79,7 +79,7 @@ def test_entry_sums_each_distinct_point_once(g, samples, monkeypatch):
         return build(points, *args)
 
     monkeypatch.setattr(theta_eval, "_theta_groups", counting)
-    result = _run_entry(
+    result, _ = _run_entry(
         "count", theta_eval.random_tau(g, seed=g), Characteristic.zero(g),
         {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY,
         sv_threshold=DEFAULT_SV_THRESHOLD, samples=samples, identity_eps=DEFAULT_POLICIES["identity_eps"],
