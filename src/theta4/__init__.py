@@ -5,11 +5,13 @@ The package is organised around one chain of objects:
 * ``char2``          -- theta characteristics as pairs of g-bit vectors,
                         parity, the symplectic pairing and quadratic forms,
                         all exact over GF(2).
-* ``mmatrix``        -- the d+ x d+ int64 sign matrix M over even pairs and
-                        its row-sum law, verified in exact integer arithmetic
-                        through M^2 = 2^(g-1) M + 2^(2g-1) I; the inverse
-                        identity M (M - 2^(g-1) I) = 2^(2g-1) I is the same
-                        square read off once.
+* ``mmatrix``        -- int8 tables of pairing signs, the d+ x d+ sign
+                        matrix M over even pairs (int64 from build_m) and its
+                        row-sum law, verified in exact integer arithmetic
+                        through M^2 = 2^(g-1) M + 2^(2g-1) I, formed one
+                        block of rows at a time; the inverse identity
+                        M (M - 2^(g-1) I) = 2^(2g-1) I is the same square
+                        read off once.
 * ``theta_eval``     -- numerical theta series with characteristics on the
                         Siegel upper half-space, truncated with a Gaussian
                         tail bound.

@@ -236,6 +236,8 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
 
 
 def _load_corpus(args) -> tuple[dict, Path]:
+    if args.standard and args.corpus:
+        raise ValueError("run-suite takes --corpus FILE or --standard, not both")
     if args.standard:
         return standard_corpus(), Path(".")
     if not args.corpus:

@@ -88,6 +88,8 @@ def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     No BLAS: its rounding depends on the product's shape.  Each output here
     is one pairwise sum over a contiguous row of one point's (rows, pairs)
     products, so a single check gives its sweep record bit for bit.  The
+    signs are pairing_signs' int8 table; each product converts its sign to
+    complex exactly, so the sums are those of any wider sign type.  The
     rows go in blocks of at most _BLOCK_ENTRIES products (at least one row):
     at genus 6 a quartic point (4096 x 4096) is 16 blocks and an inversion
     point (2080 x 2080) is 5."""

@@ -590,17 +590,23 @@ class TestRunSuite:
         assert max(built) <= 5  # no tau above the cap was built
 
     @pytest.mark.parametrize(
-        "use_corpus, message",
-        [(True, "corpus entry 0 must have label and tau"), (False, "needs --corpus FILE or --standard")],
-        ids=["entry-without-tau", "no-corpus"],
+        "source, message",
+        [
+            (["--corpus", "{corpus}"], "corpus entry 0 must have label and tau"),
+            ([], "needs --corpus FILE or --standard"),
+            (["--standard", "--corpus", "{missing}"], "takes --corpus FILE or --standard, not both"),
+        ],
+        ids=["entry-without-tau", "no-corpus", "standard-and-corpus"],
     )
-    def test_missing_input_rejected(self, capsys, tmp_path, use_corpus, message):
+    def test_missing_input_rejected(self, capsys, tmp_path, source, message):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps({"entries": [{"label": "x"}]}), encoding="utf-8")
         out = tmp_path / "report.json"
-        source = ["--corpus", str(corpus)] if use_corpus else []
+        source = [arg.format(corpus=corpus, missing=tmp_path / "missing.json") for arg in source]
         assert main(["run-suite", *source, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()
 
     def test_truncation_failure_is_entry_error(self, capsys, tmp_path):

@@ -72,9 +72,16 @@ class TestPairingSigns:
         evens, all_chars = even_characteristics(g), enumerate_characteristics(g)
         for rows, cols in ((evens, evens), (all_chars, evens), (all_chars[-1:], all_chars)):
             signs = pairing_signs(rows, cols)
-            assert signs.dtype == np.int64 and signs.shape == (len(rows), len(cols))
+            assert signs.dtype == np.int8 and signs.shape == (len(rows), len(cols))
             expected = [[weil_pairing(a, b) for b in cols] for a in rows]
             assert signs.tolist() == expected
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_build_m_is_the_int64_cast(self, g):
+        evens = even_characteristics(g)
+        m = build_m(g)
+        assert m.dtype == np.int64
+        assert np.array_equal(m, pairing_signs(evens, evens))
 
     def test_mixed_genus_rejected(self):
         with pytest.raises(ValueError, match="share exactly one genus"):
@@ -161,12 +168,22 @@ class TestVerify:
         for g in range(1, mmatrix.MAX_GENUS + 1):
             assert d_plus(g) + 2 ** (g - 1) + 2 ** (2 * g - 1) < 2**24
 
+    def test_sign_check_peaks_below_eight_bytes_per_entry(self, traced_peak):
+        # the int8 table, its float32 copy and one block of the square; an
+        # int64 table and a full float32 square peak at 17 bytes per entry.
+        # The first call also builds the cached characteristic tuples.
+        verify_sign_matrix(5)
+        checks, peak = traced_peak(lambda: verify_sign_matrix(5))
+        assert all(checks.values())
+        assert peak < 8 * d_plus(5) ** 2, peak
+
     @pytest.mark.parametrize("g", [2, 5])
     def test_flipped_symmetric_pair_fails_identities(self, g, monkeypatch):
-        flipped = build_m(g)
+        evens = even_characteristics(g)
+        flipped = pairing_signs(evens, evens)
         flipped[1, 2] *= -1
         flipped[2, 1] *= -1
-        monkeypatch.setattr(mmatrix, "build_m", lambda _: flipped)
+        monkeypatch.setattr(mmatrix, "pairing_signs", lambda *_: flipped)
         checks = verify_sign_matrix(g)
         assert checks["entries_pm1"] and checks["diagonal_plus1"] and checks["symmetric"]
         assert not checks["quadratic_identity"]
@@ -175,9 +192,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("g", [2, 5])
     def test_flipped_single_entry_fails_symmetry_and_identities(self, g, monkeypatch):
-        flipped = build_m(g)
+        evens = even_characteristics(g)
+        flipped = pairing_signs(evens, evens)
         flipped[1, 2] *= -1
-        monkeypatch.setattr(mmatrix, "build_m", lambda _: flipped)
+        monkeypatch.setattr(mmatrix, "pairing_signs", lambda *_: flipped)
         checks = verify_sign_matrix(g)
         assert checks["entries_pm1"] and checks["diagonal_plus1"]
         assert not checks["symmetric"]
@@ -189,8 +207,8 @@ class TestVerify:
         # e = 3J - 2I is not a sign matrix: its square 15J + 4I misses the
         # g = 1 identity e^2 = e + 2I = 3J, and the +-1 precondition, which
         # the square's exactness bound needs, fails both identities anyway
-        bad = np.full((3, 3), 3, dtype=np.int64) - 2 * np.eye(3, dtype=np.int64)
-        monkeypatch.setattr(mmatrix, "build_m", lambda _: bad)
+        bad = np.full((3, 3), 3, dtype=np.int8) - 2 * np.eye(3, dtype=np.int8)
+        monkeypatch.setattr(mmatrix, "pairing_signs", lambda *_: bad)
         checks = verify_sign_matrix(1)
         assert not checks["entries_pm1"] and checks["diagonal_plus1"] and checks["symmetric"]
         assert not checks["quadratic_identity"]

@@ -1,4 +1,4 @@
-"""theta_table against itself across the Sp(2g, Z) transformation law, g = 1-3.
+"""theta_table against itself across the Sp(2g, Z) transformation law, g = 1-4.
 
 For M = [[A, B], [C, D]] in Sp(2g, Z), M tau = (A tau + B)(C tau + D)^-1 and
 z' = (C tau + D)^-T z, the law (Igusa, Theta Functions, 1972; Mumford, Tata
@@ -28,7 +28,7 @@ from theta4.char2 import Characteristic, enumerate_characteristics
 from theta4.theta_eval import PeriodMatrix, random_tau, sample_cell_points, theta_table
 
 # (genus, word seed): two words per genus, the smallest transformed eigenvalue first
-WORDS = [(1, 11), (1, 2), (2, 20), (2, 8), (3, 13), (3, 4)]
+WORDS = [(1, 11), (1, 2), (2, 20), (2, 8), (3, 13), (3, 4), (4, 7), (4, 22)]
 MUTATIONS = {
     "diag(CD') dropped": {"drop_diag": True},
     "halves swapped": {"swap": True},

@@ -23,8 +23,8 @@ def test_all_lists_every_public_import_once():
 
 
 def test_import_loads_no_exact_rational_modules():
-    # the exact layer is int64 arrays; fractions and decimal would only add
-    # to every fresh interpreter's start-up
+    # the exact layer is int8 sign tables and the int64 M of build_m;
+    # fractions and decimal would only add to every fresh interpreter's start-up
     env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1])}
     code = "import theta4, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
