@@ -215,8 +215,9 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
         for key, value in (("g", g), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"random tau source {key} must be an integer, got {value!r}")
-        if isinstance(floor, bool) or not isinstance(floor, (int, float)):
-            raise ValueError(f"random tau source floor must be a number, got {floor!r}")
+        finite = isinstance(floor, (int, float)) and abs(floor) <= sys.float_info.max
+        if isinstance(floor, bool) or not finite:
+            raise ValueError(f"random tau source floor must be a finite number, got {floor!r}")
         _check_source_genus(g)
         tau = random_tau(g, seed, float(floor))
     elif kind == "diagonal":

@@ -15,11 +15,11 @@ Both are checked numerically; residuals are reported in absolute value and
 relative to max(|lhs|, |rhs|, 1e-30) so that zeros of theta cannot blow up
 the quotient.
 
-A sweep forms its terms once as a (points x pairs) array and its signed
-sums as row reductions against mmatrix.pairing_signs (the signs of M), one
-point and one block of at most _BLOCK_ENTRIES products at a time (a point is
-one block up to genus 5); theta powers and products are taken on Python
-scalars, so a single check's record is bit for bit its record in a sweep.
+A sweep forms its terms once as a (points x 4^g) array by canonical index
+(the inversion's fourth powers zero on the odd pairs), and each point's
+signed sums are one fast Walsh-Hadamard transform of its row (_signed_sums),
+with no sign table.  Theta powers and products are taken on Python scalars,
+so a single check's record is bit for bit its record in a sweep.
 A sweep has one tau and one policy (None reads as theta_eval's
 DEFAULT_POLICY in theta_table), so its records carry neither.  Each record
 is the JSON dict that verify-quartic and verify-inversion write, built once;
@@ -37,7 +37,6 @@ from theta4.char2 import (
     parity,
 )
 from theta4.jsonio import complex_json
-from theta4.mmatrix import pairing_signs
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
@@ -46,7 +45,6 @@ from theta4.theta_eval import (
 )
 
 RESIDUAL_FLOOR = 1e-30
-_BLOCK_ENTRIES = 2**20  # products per _signed_sums block: 16 MB of complex
 
 
 def summarize(records: list[dict], eps: float) -> tuple[float, bool, int]:
@@ -82,23 +80,22 @@ def _magnitude(x: np.ndarray) -> np.ndarray:
     return np.hypot(x.real, x.imag)
 
 
-def _signed_sums(terms: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """(points x rows) sums of signs[i, j] * terms[p, j] over j.
+def _signed_sums(terms: np.ndarray, rows: list[Characteristic]) -> np.ndarray:
+    """(points x rows) sums of <c, b> terms[p, b] over the 4^g pairs b, in canonical order.
 
-    No BLAS: its rounding depends on the product's shape.  Each output here
-    is one pairwise sum over a contiguous row of one point's (rows, pairs)
-    products, so a single check gives its sweep record bit for bit.  The
-    signs are pairing_signs' int8 table; each product converts its sign to
-    complex exactly, so the sums are those of any wider sign type.  The
-    rows go in blocks of at most _BLOCK_ENTRIES products (at least one row):
-    at genus 6 a quartic point (4096 x 4096) is 16 blocks and an inversion
-    point (2080 x 2080) is 5."""
-    out = np.empty((len(terms), len(signs)), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // signs.shape[1])
-    for p, row in enumerate(terms):
-        for i in range(0, len(signs), step):
-            out[p, i : i + step] = (row * signs[i : i + step]).sum(-1)
-    return out
+    <c, b> = (-1)^popcount(index(c) & swapped(b)) is the Sylvester Hadamard
+    matrix with its columns permuted, so each point's sums are one fast
+    Walsh-Hadamard transform (Fino and Algazi, 1976) of its terms moved to
+    their swapped indices, read at index(c): 2g passes of adds and subtracts,
+    within 2g u sum|terms| of the exact sums.  Each point is transformed
+    elementwise on its own, so a single check gives its sweep record bit for bit."""
+    g = rows[0].g
+    # x[:, swapped(b)] = terms[:, b]: swapping the halves is an involution
+    x = terms[:, [b._swapped for b in enumerate_characteristics(g)]]
+    for k in range(2 * g):
+        low, high = np.moveaxis(x.reshape(len(x), -1, 2, 2**k), 2, 0)
+        low[...], high[...] = low + high, low - high
+    return x[:, [c._index for c in rows]]
 
 
 def _records(
@@ -139,9 +136,8 @@ def _quartic_records(
     lhs = np.array([[v**4 for v in row] for row in theta_table(chars, points, tau, policy).T.tolist()])
     doubled = theta_table(all_chars, 2.0 * points, tau, policy).T.tolist()
     terms = np.array([[n3 * v for n3, v in zip(cubes, row)] for row in doubled]) / 2**g
-    rhs = _signed_sums(terms, pairing_signs(chars, all_chars))
     term_scale = _magnitude(terms).max(axis=1, keepdims=True)
-    return _records("quartic", chars, points, lhs, rhs, term_scale)
+    return _records("quartic", chars, points, lhs, _signed_sums(terms, chars), term_scale)
 
 
 def riemann_quartic_check(
@@ -164,12 +160,13 @@ def _inversion_records(
     evens = even_characteristics(g)
     points = np.asarray(points, dtype=complex)
     nulls = theta_table(chars, [np.zeros(g)], tau, policy)[:, 0].tolist()
-    fourths = np.array([[v**4 for v in row] for row in theta_table(evens, points, tau, policy).T.tolist()])
+    fourths = np.zeros((len(points), 4**g), dtype=complex)  # by canonical index, 0 on odd pairs
+    values = theta_table(evens, points, tau, policy).T.tolist()
+    fourths[:, [a._index for a in evens]] = [[v**4 for v in row] for row in values]
     doubled = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
     lhs = np.array([[2**g * n**3 * v for n, v in zip(nulls, row)] for row in doubled])
-    position = {c: i for i, c in enumerate(evens)}
-    own = -(2**g) * fourths[:, [position[c] for c in chars]]
-    rhs = own + _signed_sums(2 * fourths, pairing_signs(chars, evens))
+    own = -(2**g) * fourths[:, [c._index for c in chars]]
+    rhs = own + _signed_sums(2 * fourths, chars)
     term_scale = np.maximum(_magnitude(own), 2 * _magnitude(fourths).max(axis=1, keepdims=True))
     return _records("inversion", chars, points, lhs, rhs, term_scale)
 

@@ -122,9 +122,9 @@ def load_json(path: str | Path, what: str):
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ValueError(f"malformed JSON in {what} {path}: {exc}") from exc
 
 

@@ -3,10 +3,10 @@
 M is the d+ x d+ matrix of pairing signs (-1)^(a1.b2 + a2.b1) with rows and
 columns running over the even pairs in canonical order
 (even_characteristics(g)).  pairing_signs builds the same signs between any
-two lists of characteristics as an int8 table, one byte per sign; M itself,
-both identity sweeps of theta4.identities and verify_sign_matrix read them
-from there.  build_m returns M as int64, one cast of that table, so that a
-caller's integer products such as m @ m cannot overflow.
+two lists of characteristics as an int8 table, one byte per sign; M and
+verify_sign_matrix read them from there, and the tests check the identity
+sweeps' Walsh-Hadamard sums against them.  build_m returns M as int64, one
+cast of that table, so that integer products such as m @ m cannot overflow.
 
 Every exact fact about M follows from one integer identity,
 M^2 = 2^(g-1) M + 2^(2g-1) I: it makes M invertible with

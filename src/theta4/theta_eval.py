@@ -159,6 +159,8 @@ class PeriodMatrix:
                 # a JSON string or true/false is not a number, though numpy would parse it as one
                 if isinstance(x, bool) or not isinstance(x, (int, float)):
                     raise ValueError(f"{name} entries must be numbers, got {x!r}")
+                if not abs(x) <= sys.float_info.max:
+                    raise ValueError(f"{name} entries must be finite numbers, got {x!r}")
         try:
             re = np.array(obj["re"], dtype=float)
             im = np.array(obj["im"], dtype=float)

@@ -239,6 +239,8 @@ TAU_FILE_CASES = [
     ({"g": 2, "re": [[0, 0], [0]], "im": [[1, 0], [0, 1]]}, "re and im blocks must be arrays of numbers"),
     ({"g": 2, "re": [0, 0], "im": [[1, 0], [0, 1]]}, "re block must be an array of arrays of numbers"),
     ({"g": 2, "im": [[1, 0], [0, 1]]}, "re and im blocks must have the same shape"),
+    # json reads 10^400 as an exact int, which a float cannot hold
+    ({"re": [[10**400]]}, "re entries must be finite numbers, got 1" + "0" * 400),
 ]
 
 
@@ -275,6 +277,21 @@ class TestNulls:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, what", [("nulls --tau", "period matrix file"),
+                                           ("run-suite --corpus", "corpus file")])
+@pytest.mark.parametrize("data, message", [
+    (b'\xff{"g": 1}', "cannot read {what} {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"g": 1, "re": [[1' + b"0" * 5000 + b"]]}", "malformed JSON in {what} {path}: Exceeds the limit"),
+], ids=["not-utf-8", "int-past-digit-limit"])
+def test_unparsable_file_is_named(capsys, tmp_path, command, what, data, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    assert main([*command.split(), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(what=what, path=path))
 
 
 @pytest.mark.parametrize("command", ["nulls", "basis-report"])
@@ -327,7 +344,7 @@ class TestVerifyIdentities:
         assert len(payload["records"]) == 2 * 10
 
     @pytest.mark.parametrize("kind, line", [
-        ("quartic", "quartic: 20 checks, max rel residual 1.004e+00 (8 pass only at term scale)\n"),
+        ("quartic", "quartic: 20 checks, max rel residual 1.000e+00 (8 pass only at term scale)\n"),
         ("inversion", "inversion: 15 checks, max rel residual 1.000e+00 (5 pass only at term scale)\n"),
     ])
     def test_summary_counts_term_scale_passes(self, capsys, tau_file, kind, line):
@@ -588,6 +605,22 @@ class TestRunSuite:
         if source in HUGE_SOURCES:
             assert "corpus entry 1 has an unsupported genus: genus must be an integer in 1..5, got 1000" in err
         assert max(built) <= 5  # no tau above the cap was built
+
+    @pytest.mark.parametrize("source, message", [
+        ({"kind": "diagonal", "entries": [{"re": 10**400, "im": 1.0}]},
+         "re entries must be finite numbers, got 1" + "0" * 400),
+        ({"kind": "random", "g": 1, "seed": 2, "floor": 10**400},
+         "random tau source floor must be a finite number, got 1" + "0" * 400),
+    ], ids=["diagonal-entry", "random-floor"])
+    def test_int_beyond_float_range_is_input_error(self, capsys, tmp_path, source, message):
+        # json reads 10^400 as an exact int; a float of it would overflow
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"entries": [{"label": "huge", "tau": source}]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["run-suite", "--corpus", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus entry 0 has a malformed tau source") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "source, message",

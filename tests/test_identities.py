@@ -98,39 +98,53 @@ class TestQuartic:
                         bits = [float_bytes(r[field]) for r in (single, res)]
                         assert bits[0] == bits[1], (g, res["kind"], res["char"], field)
 
-    def test_row_blocks_match_one_block(self, monkeypatch):
-        # row blocks of 48 products (3 quartic rows, 4 inversion rows, a partial last
-        # block included) give the sums of one block bit for bit
-        tau = random_tau(2, seed=12)
-        whole = [quartic_residuals(tau, 3, seed=4), inversion_residuals(tau, 3, seed=4)]
-        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", 3 * 16)
-        blocked = [quartic_residuals(random_tau(2, seed=12), 3, seed=4),
-                   inversion_residuals(random_tau(2, seed=12), 3, seed=4)]
-        for records, again in zip(whole, blocked):
-            assert records == again
-            assert [float_bytes(r["rhs"]) for r in records] == [float_bytes(r["rhs"]) for r in again]
 
-    def test_row_blocks_bound_peak_memory(self, monkeypatch, traced_peak):
-        # 64-row blocks of a 1024 x 1024 sign matrix: one unblocked product is 16 MB
-        rng = np.random.default_rng(3)
-        terms = rng.normal(size=(2, 1024)) + 1j * rng.normal(size=(2, 1024))
-        signs = rng.choice([-1, 1], size=(1024, 1024))
-        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", 64 * 1024)
-        sums, peak = traced_peak(lambda: identities._signed_sums(terms, signs))
-        assert np.array_equal(sums[1, :5], [(terms[1] * row).sum() for row in signs[:5]])
-        assert peak < 1024 * 1024 * 16 / 8, peak
+class TestSignedSums:
+    """_signed_sums, the fast Walsh-Hadamard transform, against the dense pairing_signs sums."""
 
-    def test_flipped_sign_fails_gate(self, monkeypatch, tau_g2_random):
-        # one wrong sign on the b = 0 term of c = 0 must break the relation
-        def flipped(rows, cols):
-            signs = pairing_signs(rows, cols)
-            signs[0, 0] *= -1
-            return signs
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_matches_dense_pairing_signs(self, g):
+        # each side is within 2g u sum|terms| of the exact sums: the transform's
+        # 2g passes and the reference's pairwise sum over 4^g products
+        rng = np.random.default_rng(g)
+        chars, evens = enumerate_characteristics(g), even_characteristics(g)
+        terms = rng.normal(size=(3, 4**g)) + 1j * rng.normal(size=(3, 4**g))
+        odd = [c.index for c in chars if c not in evens]
+        zero_filled = terms.copy()
+        zero_filled[:, odd] = 0.0
+        u = np.finfo(float).eps / 2
+        for rows, t in ((chars, terms), (evens, zero_filled)):
+            signs = pairing_signs(rows, chars)
+            dense = np.array([(point * signs).sum(-1) for point in t])
+            bound = 4 * g * u * np.abs(t).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(identities._signed_sums(t, rows) - dense) <= bound)
 
-        monkeypatch.setattr(identities, "pairing_signs", flipped)
+    def test_wrong_even_sign_fails_one_record(self, monkeypatch, tau_g2_random):
+        # one wrong sign on the even term b of the even row c must break the relation
+        # at that record only; an odd term would be invisible, its null vanishing
+        c, b = even_characteristics(2)[1], even_characteristics(2)[2]
+        signed_sums = identities._signed_sums
+
+        def flipped(terms, rows):
+            sums = signed_sums(terms, rows)
+            sums[:, rows.index(c)] -= 2 * weil_pairing(c, b) * terms[:, b.index]
+            return sums
+
+        monkeypatch.setattr(identities, "_signed_sums", flipped)
         for sweep in (quartic_residuals, inversion_residuals):
             records = sweep(tau_g2_random, n_samples=1, seed=5)
-            assert [summarize([r], 1e-8)[1] for r in records].count(False) == 1
+            failed = [r["char"] for r in records if not summarize([r], 1e-8)[1]]
+            assert failed == [c.to_json()]
+
+    def test_genus5_sums_peak_below_four_times_terms(self, traced_peak):
+        # a genus-5 sweep's 20 points: the dense sums held one 1024 x 1024
+        # product per point (16 MB, 51 times these terms); the transform holds
+        # the moved terms, two half-size results and numpy's ufunc buffers
+        rng = np.random.default_rng(5)
+        terms = rng.normal(size=(20, 1024)) + 1j * rng.normal(size=(20, 1024))
+        sums, peak = traced_peak(lambda: identities._signed_sums(terms, enumerate_characteristics(5)))
+        assert sums.shape == terms.shape
+        assert peak < 4 * terms.nbytes, peak / terms.nbytes
 
 
 class TestSummarize:
