@@ -225,7 +225,7 @@ def fourth_power_rank(
     g = tau.g
     n = sample_count(g, n_samples)
     pts = sample_cell_points(tau, n, seed)
-    if len(np.unique(pts, axis=0)) != n:
+    if len({tuple(p.tolist()) for p in pts}) != n:
         raise ValueError("degenerate sampling: coincident sample points")
     v = theta_table(even_characteristics(g), pts, tau, policy).T ** 4
     v = v / np.max(np.abs(v), axis=1, keepdims=True)

@@ -21,8 +21,13 @@ from a row's integer shift, the phase splits into exp(pi i k' tau k), one
 table for every row, one factor per axis and row (the linear phase and the
 top half's cross term) and one constant per row, and BLAS contractions of
 the table with the axis factors give each row's 2^g values, all 4^g per
-point.  Each row keeps its own box; a row whose axis factors could leave the
-double range is summed term by term instead.
+point.  An axis factor is geometric in k, so it takes two complex
+exponentials per row and axis, its entry at k = 0 and its ratio, and running
+products out from k = 0 give the rest.  Each row keeps its own box; a row
+whose axis factors could leave the double range is summed term by term
+instead.  The kernel sums at z - n, n = rint(Re z), and multiplies a row by
+(-1)^(a1.n), which is exact since theta[a](z + n) = (-1)^(a1.n) theta[a](z):
+a large Re z costs the phases no digits.
 
 The memo on the PeriodMatrix holds one entry per (target, bytes of z) for
 the life of that object: z's 4^g values by canonical index, its radius and
@@ -247,14 +252,16 @@ def _truncation(
     g = tau.g
     lam = tau.lambda_min
     y = points.imag
-    w = np.linalg.solve(np.broadcast_to(tau.tau.imag, (len(points), g, g)), y[:, :, None])[:, :, 0]
-    exponents = math.pi * (y[:, None, :] @ w[:, :, None]).ravel()
+    # an Im z near the double range makes w or y'w inf or NaN; the check below names the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.linalg.solve(np.broadcast_to(tau.tau.imag, (len(points), g, g)), y[:, :, None])[:, :, 0]
+        exponents = math.pi * (y[:, None, :] @ w[:, :, None]).ravel()
     radii, tails = [], []
     for z, exponent in zip(points, exponents.tolist()):
-        if exponent > _MAX_EXP_ARG:
+        if not exponent <= _MAX_EXP_ARG:
             raise ValueError(
                 f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
-                f"(exponent {exponent:.4g} > {_MAX_EXP_ARG:.4g})"
+                f"(exponent {exponent:.4g}, limit {_MAX_EXP_ARG:.4g})"
             )
         amp = math.exp(exponent)
         r = _radius(g, lam, amp, policy)
@@ -294,10 +301,14 @@ def _theta_groups(
     """Every characteristic's value at each of the (P, g) points, as a
     (P, 4^g) array whose column c.index holds theta[c].
 
-    truncation is _truncation(points, tau, policy).  A point is 2^g rows, one
-    per top half a1, each resolved into all 2^g second halves; a row keeps
-    its point's radius r and its own box ceil(c - r) .. floor(c + r) around
-    c = -(alpha + w), alpha = a1/2, w = Y^-1 Im z.
+    truncation is _truncation(points, tau, policy).  Each point is summed at
+    z - n, n = rint(Re z), and a row's sum is multiplied by (-1)^(a1.n), with
+    the parity of n from np.fmod: theta[a](z + n) = (-1)^(a1.n) theta[a](z),
+    so the shift is exact and the phases below never see a large Re z.  A
+    point is 2^g rows, one per top half a1, each resolved into all 2^g second
+    halves; a row keeps its point's radius r and its own box
+    ceil(c - r) .. floor(c + r) around c = -(alpha + w), alpha = a1/2,
+    w = Y^-1 Im z.
     With the shift s = rint(c) and the offset k = m - s in [-r, r]^g, the
     term for n = s + k + alpha is
 
@@ -310,10 +321,17 @@ def _theta_groups(
     contraction of Q (the centred slice of _quad_table) with the 2 x K axis
     factors (sign 1 and (-1)^(s_j + k)) gives all 2^g classes at once, for
     all rows of one radius whatever their top halves.  E_j is zeroed outside
-    the row's own interval on axis j.  The axis factors grow like exp(B) with
+    the row's own interval on axis j.  E_j is geometric in k: it is the
+    running product E_j[0] * step_j^k, step_j = exp(2 pi i (z + tau s +
+    tau alpha)_j), so each row and axis takes two complex exponentials, not
+    2r + 1.  The products run out from k = 0, where the box peaks, so the
+    largest terms carry the fewest roundings.  The axis factors grow like
+    exp(B) with
     B = 2 pi sum_j ((r + alpha_j) |Im (z + tau s)_j| + r |Im (tau alpha)_j|);
     a row whose B could carry a partial sum of K^g such factors past the
-    double range is summed term by term over its box instead.
+    double range is summed term by term over its box instead.  Every partial
+    product of the recurrence is one of the E_j[k], which B bounds, so the
+    recurrence leaves the double range only where that guard does.
     """
     g = tau.g
     bits = np.array(list(itertools.product((0, 1), repeat=g)))
@@ -321,7 +339,9 @@ def _theta_groups(
     alpha = np.tile(bits / 2.0, (len(points), 1))
     a2_phase = np.exp(1j * np.pi * (bits @ bits.T / 2.0))
     w, radii, _ = truncation
-    points, w, radii = (np.repeat(part, 2**g, axis=0) for part in (points, w, radii))
+    whole = np.rint(points.real)
+    sign = 1 - 2 * ((np.abs(np.fmod(whole, 2.0)) @ bits.T) % 2)
+    points, w, radii = (np.repeat(part, 2**g, axis=0) for part in (points - whole, w, radii))
 
     center = -alpha - w
     shift = np.rint(center)
@@ -337,7 +357,7 @@ def _theta_groups(
     top, quad = _quad_table(int(radii[factored].max(initial=0)), tau)
 
     sums = np.empty((len(points), 2**g), dtype=complex)
-    for r in np.unique(radii[factored]).tolist():
+    for r in sorted(set(radii[factored].tolist())):
         size = 2 * r + 1
         q = quad[(slice(top - r, top + r + 1),) * g].reshape(size, size ** (g - 1))
         k = np.arange(-r, r + 1)
@@ -346,8 +366,15 @@ def _theta_groups(
         for start in range(0, len(group), chunk):
             idx = group[start : start + chunk]
             n_rows = len(idx)
-            phase = (k + alpha[idx, :, None]) * v[idx, :, None] + k * tau_alpha[idx, :, None]
-            lin = np.exp(2j * np.pi * phase)
+            # (row, axis, k): E_j[0] and step_j, the two exponentials, then running
+            # products out from k = 0, by step_j up and by 1 / step_j down
+            step = np.exp(2j * np.pi * (v[idx] + tau_alpha[idx]))[:, :, None]
+            lin = np.empty((n_rows, g, size), dtype=complex)
+            lin[:, :, :r] = 1 / step
+            lin[:, :, r] = np.exp(2j * np.pi * alpha[idx] * v[idx])
+            lin[:, :, r + 1 :] = step
+            lin[:, :, r:] = np.multiply.accumulate(lin[:, :, r:], axis=2)
+            lin[:, :, r::-1] = np.multiply.accumulate(lin[:, :, r::-1], axis=2)
             lin *= (lo[idx, :, None] <= k) & (k <= hi[idx, :, None])
             odd = (shift[idx, :, None].astype(np.int64) + k) & 1
             # (row, axis, a2 bit, k): each axis factor for a2_j = 0 and a2_j = 1
@@ -366,7 +393,7 @@ def _theta_groups(
         terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ points[p])))
         sums[p] = terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))
 
-    return (sums.reshape(-1, 2**g, 2**g) * a2_phase).reshape(-1, 4**g)
+    return (sums.reshape(-1, 2**g, 2**g) * a2_phase * sign[:, :, None]).reshape(-1, 4**g)
 
 
 def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:

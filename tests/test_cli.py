@@ -46,6 +46,13 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def run_fresh(argv, **kwargs) -> subprocess.CompletedProcess:
+    """A python invocation with theta4 on its path, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60,
+                          **kwargs)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -73,9 +80,7 @@ class TestMain:
                 super().__init__(*args, **kwargs)
 
         jobs = [["mmatrix", "--genus", "2", "--verify"], ["chars", "--genus", "1"], ["chars", "--genus", "9"]]
-        env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1])}
-        fresh = [subprocess.run([sys.executable, "-m", "theta4.cli", *argv], env=env, capture_output=True,
-                                text=True, timeout=60) for argv in jobs]
+        fresh = [run_fresh(["-m", "theta4.cli", *argv]) for argv in jobs]
         monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
         cli.build_parser.cache_clear()
         try:
@@ -85,6 +90,23 @@ class TestMain:
         finally:
             cli.build_parser.cache_clear()
         assert built.count("theta4") == 1
+
+    def test_numerical_commands_do_not_import_numpy_ma(self, tmp_path, tau_g2_random):
+        # numpy's unique imports numpy.ma (15-18 ms, about 1.3 MB per process);
+        # no numerical command calls it
+        (tmp_path / "tau.json").write_text(json.dumps(tau_g2_random.to_json()), encoding="utf-8")
+        corpus = {"entries": [{"label": "g2", "tau": {"kind": "random", "g": 2, "seed": 3}}]}
+        (tmp_path / "corpus.json").write_text(json.dumps(corpus), encoding="utf-8")
+        jobs = [["run-suite", "--corpus", "corpus.json"], ["basis-report", "--tau", "tau.json"],
+                ["verify-quartic", "--tau", "tau.json", "--samples", "2"], ["nulls", "--tau", "tau.json"]]
+        script = (
+            "import sys\n"
+            "from theta4.cli import main\n"
+            f"codes = [main([*argv, '--out', 'out%d.json' % k]) for k, argv in enumerate({jobs!r})]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = run_fresh(["-c", script], cwd=tmp_path)
+        assert proc.stdout == "[0, 0, 0, 0] False\n", proc.stderr
 
 
 class TestChars:
@@ -208,6 +230,17 @@ class TestTheta:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "30j" in captured.err
+
+    @pytest.mark.parametrize("z", ["0,1e307;0,0", "0,1e160;0,1e160"], ids=["nan-scale", "inf-scale"])
+    def test_point_past_double_range_is_one_error_line(self, tau_file, z):
+        # y'Y^-1 y is NaN for the first point and inf for the second: the one
+        # line on stderr names the point, with no RuntimeWarning before it
+        tau = tau_file("narrow.json", PeriodMatrix([[0.01j, 0.005j], [0.005j, 0.01j]]))
+        proc = run_fresh(["-m", "theta4.cli", "theta", "--tau", tau, "--char", "01,10", "--z", z])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: theta scale exp(pi y'Y^-1 y) at z = [1e+")
+        assert "overflows double precision" in proc.stderr
 
     def test_radius_past_cap_is_input_error(self, capsys, tau_file):
         # Im tau = 1e-3 passes the degeneracy check, but the tail target needs radius 93

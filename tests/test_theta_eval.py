@@ -365,23 +365,32 @@ class TestBatchedKernel:
 
 
     @staticmethod
-    def term_by_term_row(z: complex) -> tuple[float, float, float]:
-        """Sum the point z alone for tau = 0.3 + 100i and check that its row
-        a1 = (1,) took the term-by-term path.  Returns the two parts of its range-guard
-        bound, the linear phase's 2 pi (r + 1/2) |Im (z + tau s)| and the top
-        half's cross term 2 pi r |Im (tau / 2)|, and the margin's lower edge
+    def guarded_row(z: complex, im_tau: float) -> tuple[bool, int, float, float, float]:
+        """Sum the point z alone for tau = 0.3 + im_tau i and check its row
+        a1 = (1,) against the term-by-term sum within 1e-12.  Returns whether
+        the row equals the term-by-term path's arithmetic bit for bit, its
+        radius r, the two parts of its range-guard bound, the linear phase's
+        2 pi (r + 1/2) |Im (z + tau s)| and the top half's cross term
+        2 pi r |Im (tau / 2)|, and the margin's lower edge
         log(float max) - log(2r+1)."""
-        tau = PeriodMatrix([[0.3 + 100j]])
+        tau = PeriodMatrix([[0.3 + im_tau * 1j]])
         z = np.array([z])
         (values, radius, _), = kernel_groups((1,), z[None], tau, TruncationPolicy())
         assert np.all(np.isfinite(values))
         expected = meshgrid_group((1,), z, tau, radius)
         assert np.max(np.abs(values - expected) / np.abs(expected)) <= 1e-12
-        assert np.array_equal(values, fallback_group((1,), z, tau, radius))
+        term_by_term = np.array_equal(values, fallback_group((1,), z, tau, radius))
         shift = np.rint(-0.5 - np.linalg.solve(tau.tau.imag, z.imag))
         linear = 2 * math.pi * (radius + 0.5) * abs((z + tau.tau @ shift).imag[0])
         cross = 2 * math.pi * radius * abs((tau.tau @ [0.5]).imag[0])
-        return linear, cross, math.log(sys.float_info.max) - math.log(2 * radius + 1)
+        return term_by_term, radius, linear, cross, math.log(sys.float_info.max) - math.log(2 * radius + 1)
+
+    def term_by_term_row(self, z: complex) -> tuple[float, float, float]:
+        """guarded_row at tau = 0.3 + 100i for a row that took the term-by-term
+        path: its linear part, cross term and margin edge."""
+        term_by_term, _, *parts = self.guarded_row(z, 100.0)
+        assert term_by_term
+        return tuple(parts)
 
     def test_range_guard_margin(self):
         # growth below log(float max) but within the margin g log(2r+1) that
@@ -395,6 +404,16 @@ class TestBatchedKernel:
         # term takes the row past it, onto the term-by-term path
         linear, cross, floor = self.term_by_term_row(0.25 - 110j)
         assert linear < floor < linear + cross
+
+    @pytest.mark.parametrize("im_tau, z, radius", [(100.0, 0.25 - 41.8j, 1), (50.0, 0.25 - 75.08j, 2),
+                                                   (30.0, 0.25 - 79.33j, 3)])
+    def test_recurrence_at_range_guard_edge(self, im_tau, z, radius):
+        # growth just below the margin: the row is factored, so its axis
+        # factors run as a running product through the largest values the
+        # guard admits, and the row still matches the term-by-term sum
+        term_by_term, r, linear, cross, floor = self.guarded_row(z, im_tau)
+        assert r == radius and not term_by_term
+        assert floor - 0.6 < linear + cross < floor
 
 
 class TestSharedSetUp:
@@ -730,6 +749,21 @@ class TestLaws:
         moved = theta_table(chars, z + (b2 + b1 @ tau.tau) / 2.0, tau)
         self.assert_columns_close(moved, expected)
 
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_integer_shift_of_real_part(self, g):
+        # theta[a](z + n) = (-1)^(a1.n) theta[a](z) for integer n, up to shifts
+        # of 1e20, far past where a phase computed at z + n keeps its digits;
+        # an axis shifted by 2^50 or more has real part 0, so every z + n is exact
+        tau = random_tau(g, seed=140 + g)
+        chars, a1, _ = self.halves(g)
+        rng = np.random.default_rng(g)
+        z = 1j * sample_cell_points(tau, 6, seed=g).imag + rng.choice([-0.5, -0.25, 0.0, 0.375, 0.5], (6, g))
+        n = rng.choice([1.0, -6.0, 2.0**40 + 1, 1e15 + 1, -1e16, 2.0**60, 1e20], (6, g))
+        z.real[np.abs(n) >= 2.0**50] = 0.0
+        assert np.array_equal(z + n - n, z)
+        signs = (-1) ** ((a1 @ (np.fmod(n, 2.0) != 0).T) % 2)
+        self.assert_columns_close(theta_table(chars, z + n, tau), signs * theta_table(chars, z, tau))
 
     @staticmethod
     def addition_formula(g: int, tau: PeriodMatrix, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
