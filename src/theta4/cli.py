@@ -251,6 +251,13 @@ def _load_corpus(args) -> tuple[dict, Path]:
     return corpus, path.parent
 
 
+def _check_keys(obj: dict, known, where: str) -> None:
+    """Reject a key of a corpus object that run-suite does not read."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where} has unknown key {key!r}; known keys: {', '.join(known)}")
+
+
 def _run_entry(
     label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy,
     sv_threshold: float, samples: int, identity_eps: float, null_threshold: float,
@@ -302,7 +309,9 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     how many records of each sweep passed only at term scale; the report
     must be byte-identical across reruns with the same corpus.
     """
+    _check_keys(corpus, ("label", "policies", "entries"), "corpus")
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
+    _check_keys(corpus.get("policies", {}), DEFAULT_POLICIES, "corpus policies")
     for key, least in (("samples", 1), ("seed", 0)):
         value = policies[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -331,6 +340,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "label" not in entry or "tau" not in entry:
             raise ValueError(f"corpus entry {i} must have label and tau")
+        _check_keys(entry, ("label", "tau", "kappa0", "expect"), f"corpus entry {i}")
         label = str(entry["label"])
         if label in labels:
             raise ValueError(f"duplicate corpus label {label!r}")
@@ -352,6 +362,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
                 raise ValueError(f"expect.verdicts must be true or false, got {verdicts!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed kappa0 or expect: {exc!r}") from exc
+        _check_keys(expect, ("vanishing_nulls", "verdicts"), f"corpus entry {i} expect")
         prepared.append((label, tau, kappa0, expect, seed + i))
 
     results = []

@@ -50,7 +50,10 @@ def _canonical(obj) -> str:
 
 def canonical_dumps(obj) -> str:
     """Serialize to canonical JSON with a trailing newline."""
-    return _canonical(obj) + "\n"
+    try:
+        return _canonical(obj) + "\n"
+    except RecursionError:
+        raise ValueError("object too deeply nested for a canonical report") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -124,7 +127,7 @@ def load_json(path: str | Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int of too many digits, too deep
         raise ValueError(f"malformed JSON in {what} {path}: {exc}") from exc
 
 

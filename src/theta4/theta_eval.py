@@ -29,14 +29,13 @@ instead.  The kernel sums at z - n, n = rint(Re z), and multiplies a row by
 (-1)^(a1.n), which is exact since theta[a](z + n) = (-1)^(a1.n) theta[a](z):
 a large Re z costs the phases no digits.
 
-The memo on the PeriodMatrix holds one entry per (target, bytes of z) for
-the life of that object: z's 4^g values by canonical index, its radius and
-its tail bound.  So the nulls and the values at z and 2z are summed once per
-tau, whatever the stages read.  _fill, its one fill path, truncates each
-point not memoized yet once and sums them all in one _theta_groups batch.
-The quadratic-phase table is kept there too, built at the largest radius T
-asked so far ((2T+1)^g entries): a smaller radius reads its centred slice,
-which holds the same values bit for bit; a larger one builds it anew.
+The memo on the PeriodMatrix, the only state it keeps, holds one entry per
+(target, bytes of z) for the life of that object: z's 4^g values by
+canonical index, its radius and its tail bound.  So the nulls and the values
+at z and 2z are summed once per tau, whatever the stages read.  _fill, its
+one fill path, truncates each point not memoized yet once and sums them all
+in one _theta_groups batch, which builds the quadratic-phase table anew, in
+place, for each radius among its rows.
 
 Every memo key is the bytes of a validated point: finite, of shape (g,),
 complex, and with no -0.0.  So theta_series, given a complex (g,) array,
@@ -65,9 +64,8 @@ MAX_ALLOWED_RADIUS = 64
 
 # largest argument math.exp takes without overflowing
 _MAX_EXP_ARG = math.log(sys.float_info.max)
-# chunks that bound peak memory: _quad_table computes _CHUNK_ENTRIES entries at a time, and
-# _theta_groups takes as many rows as keep its first contraction (2 per row times K^(g-1)
-# complex entries) within _CHUNK_ENTRIES, but at least _CHUNK_ROWS
+# row chunks bound peak memory: _theta_groups takes as many rows as keep its first contraction
+# (2 per row times K^(g-1) complex entries) within _CHUNK_ENTRIES, but at least _CHUNK_ROWS
 _CHUNK_ENTRIES = 2**13
 _CHUNK_ROWS = 16
 _COMPLEX = np.dtype(complex)
@@ -126,8 +124,6 @@ class PeriodMatrix:
         self._lambda_min = lam
         # (policy.target_eps, z bytes) -> (4^g values by canonical index, radius, tail_bound), by _fill
         self._theta_memo: dict = {}
-        # (top, quadratic-phase table over [-top, top]^g) once built, see _quad_table
-        self._quad_table: tuple[int, np.ndarray] | None = None
 
     @property
     def tau(self) -> np.ndarray:
@@ -270,27 +266,23 @@ def _truncation(
     return w, np.array(radii), np.array(tails)
 
 
-def _quad_table(top: int, tau: PeriodMatrix) -> tuple[int, np.ndarray]:
-    """(T, Q) with Q[k] = exp(pi i k' tau k) over the offsets k in [-T, T]^g,
-    for some T >= top.
+def _quad_table(r: int, tau: PeriodMatrix) -> np.ndarray:
+    """Q[k] = exp(pi i k' tau k) over the offsets k in [-r, r]^g.
 
-    The table does not depend on the characteristic, so tau keeps one, built
-    at the largest top asked so far, _CHUNK_ENTRIES offsets at a time into
-    one array.  Each entry is computed from its own offset alone, so the
-    centred slice [-r, r]^g of the table holds bit for bit the table built
-    at r, however either build was chunked.
+    The exponent is summed in place, one term c_jl k_j k_l per entry of
+    tau's upper triangle (c_jj = pi i tau_jj, c_jl = 2 pi i tau_jl) in a
+    fixed order, then exponentiated in place, so the build holds no offset
+    grid.  Each entry's arithmetic depends on its own offset alone: the
+    centred slice [-s, s]^g of the table at r is bit for bit the table at s.
     """
-    cached = tau._quad_table
-    if cached is None or cached[0] < top:
-        shape = (2 * top + 1,) * tau.g
-        table = np.empty(math.prod(shape), dtype=complex)
-        for start in range(0, len(table), _CHUNK_ENTRIES):
-            flat = np.arange(start, min(start + _CHUNK_ENTRIES, len(table)))
-            k = np.stack(np.unravel_index(flat, shape), axis=-1) - top
-            table[start : start + len(k)] = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(-1))
-        cached = top, table.reshape(shape)
-        tau._quad_table = cached
-    return cached
+    g = tau.g
+    k = np.arange(-r, r + 1)
+    # k along axis j of a g-dimensional array
+    axis = [k.reshape((-1,) + (1,) * (g - 1 - j)) for j in range(g)]
+    table = np.zeros((2 * r + 1,) * g, dtype=complex)
+    for j, l in itertools.combinations_with_replacement(range(g), 2):
+        table += (2 - (j == l)) * 1j * np.pi * tau.tau[j, l] * (axis[j] * axis[l])
+    return np.exp(table, out=table)
 
 
 def _theta_groups(
@@ -318,7 +310,7 @@ def _theta_groups(
         C      = exp(pi i (s' tau s + 2 s' z + alpha' tau alpha)),   per row,
 
     and the parity sign (-1)^(m.a2) splits over the axes as well, so one
-    contraction of Q (the centred slice of _quad_table) with the 2 x K axis
+    contraction of Q (_quad_table at the radius) with the 2 x K axis
     factors (sign 1 and (-1)^(s_j + k)) gives all 2^g classes at once, for
     all rows of one radius whatever their top halves.  E_j is zeroed outside
     the row's own interval on axis j.  E_j is geometric in k: it is the
@@ -354,12 +346,10 @@ def _theta_groups(
     factored = 2.0 * np.pi * reach.sum(1) < _MAX_EXP_ARG - g * np.log(2 * radii + 1)
     const = np.exp(1j * np.pi * (tau_s * shift + 2.0 * shift * points + tau_alpha * alpha).sum(1))
 
-    top, quad = _quad_table(int(radii[factored].max(initial=0)), tau)
-
     sums = np.empty((len(points), 2**g), dtype=complex)
     for r in sorted(set(radii[factored].tolist())):
         size = 2 * r + 1
-        q = quad[(slice(top - r, top + r + 1),) * g].reshape(size, size ** (g - 1))
+        q = _quad_table(r, tau).reshape(size, size ** (g - 1))
         k = np.arange(-r, r + 1)
         chunk = max(_CHUNK_ROWS, _CHUNK_ENTRIES // (2 * size ** (g - 1)))
         group = np.flatnonzero(factored & (radii == r))
@@ -396,23 +386,23 @@ def _theta_groups(
     return (sums.reshape(-1, 2**g, 2**g) * a2_phase * sign[:, :, None]).reshape(-1, 4**g)
 
 
-def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> None:
-    """Memoize every characteristic at the points not in tau's memo yet.
+def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> list:
+    """Memoize every characteristic at the points not in tau's memo yet, and
+    return the memo entries of the points, in order.
 
     The points are deduplicated by key; _truncation runs once over the
     missing ones, in order, and they are summed in one _theta_groups batch.
     """
     memo = tau._theta_memo
-    key = policy.target_eps
-    unique = {z.tobytes(): z for z in points}
-    missing = [b for b in unique if (key, b) not in memo]
-    if not missing:
-        return
-    union = np.array([unique[b] for b in missing])
-    truncation = _truncation(union, tau, policy)
-    values = _theta_groups(union, truncation, tau).tolist()
-    entries = zip(values, truncation[1].tolist(), truncation[2].tolist())
-    memo.update(((key, b), entry) for b, entry in zip(missing, entries))
+    keys = [(policy.target_eps, z.tobytes()) for z in points]
+    unique = dict(zip(keys, points))
+    missing = [key for key in unique if key not in memo]
+    if missing:
+        union = np.array([unique[key] for key in missing])
+        truncation = _truncation(union, tau, policy)
+        values = _theta_groups(union, truncation, tau).tolist()
+        memo.update(zip(missing, zip(values, truncation[1].tolist(), truncation[2].tolist())))
+    return [memo[key] for key in keys]
 
 
 def theta_series(
@@ -435,17 +425,11 @@ def theta_series(
     g = len(tau._tau)
     if len(c.a1) != g:
         raise ValueError(f"genus mismatch: characteristic {len(c.a1)}, tau {g}")
-    memo = tau._theta_memo
     entry = None
     if type(z) is np.ndarray and z.dtype is _COMPLEX and z.shape == (g,):
-        entry = memo.get((policy.target_eps, z.tobytes()))
+        entry = tau._theta_memo.get((policy.target_eps, z.tobytes()))
     if entry is None:
-        z = _as_point(z, g)
-        key = (policy.target_eps, z.tobytes())
-        entry = memo.get(key)
-        if entry is None:
-            _fill([z], tau, policy)
-            entry = memo[key]
+        entry = _fill([_as_point(z, g)], tau, policy)[0]
     values, radius, tail_bound = entry
     # c._index is c.index without the property call; tuple.__new__ builds the
     # named tuple without its Python-level __new__

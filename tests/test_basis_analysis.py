@@ -297,6 +297,10 @@ class TestBasisReport:
         with pytest.raises(ValueError):
             basis_report(tau_g1_i, kappa0=Characteristic((1,), (1,)))
 
+    def test_rejects_kappa0_of_another_genus(self, tau_g1_i):
+        with pytest.raises(ValueError, match="genus mismatch: kappa0 2, tau 1"):
+            basis_report(tau_g1_i, kappa0=Characteristic.zero(2))
+
     def test_json_fields(self, tau_g2_random):
         payload = basis_report(tau_g2_random)
         for key in (

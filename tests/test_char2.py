@@ -101,6 +101,11 @@ class TestCharacteristic:
         with pytest.raises(ValueError):
             char((0, 1), (0,))
 
+    @pytest.mark.parametrize("g, index", [(1, 4), (2, 16), (3, -1)])
+    def test_from_index_out_of_range(self, g, index):
+        with pytest.raises(ValueError, match=f"index {index} out of range for genus {g}"):
+            Characteristic.from_index(g, index)
+
     def test_index_roundtrip(self):
         for g in (1, 2, 3):
             for c in enumerate_characteristics(g):

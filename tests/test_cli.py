@@ -16,7 +16,7 @@ import theta4.theta_eval as theta_eval
 from theta4 import cli
 from theta4.char2 import Characteristic, d_plus
 from theta4.cli import main, standard_corpus
-from theta4.jsonio import canonical_dumps
+from theta4.jsonio import atomic_write_text, canonical_dumps
 from theta4.theta_eval import PeriodMatrix, block_diagonal_tau, random_tau, theta_series
 
 
@@ -151,6 +151,27 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert str(target) in err and ".tmp" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_interrupted_write_removes_temporary_file(self, tmp_path, monkeypatch):
+        class Interrupted:
+            """An open temporary file whose write is interrupted."""
+
+            def __init__(self, fd, *args, **kwargs):
+                self.fd = fd
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                os.close(self.fd)
+
+            def write(self, text):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "fdopen", Interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_text(tmp_path / "x.json", "{}\n")
         assert not any(tmp_path.iterdir())
 
 
@@ -317,7 +338,8 @@ class TestNulls:
 @pytest.mark.parametrize("data, message", [
     (b'\xff{"g": 1}', "cannot read {what} {path}: 'utf-8' codec can't decode byte 0xff"),
     (b'{"g": 1, "re": [[1' + b"0" * 5000 + b"]]}", "malformed JSON in {what} {path}: Exceeds the limit"),
-], ids=["not-utf-8", "int-past-digit-limit"])
+    (b'{"re": ' + b"[" * 100_000, "malformed JSON in {what} {path}: maximum recursion depth exceeded"),
+], ids=["not-utf-8", "int-past-digit-limit", "nested-past-recursion-limit"])
 def test_unparsable_file_is_named(capsys, tmp_path, command, what, data, message):
     path = tmp_path / "input.json"
     path.write_bytes(data)
@@ -691,6 +713,52 @@ class TestRunSuite:
         # the sweeps did not finish, so the entry's line has no term-scale counts
         assert re.search(r"^\[flat\] error \(\d+\.\d\ds\)$", capsys.readouterr().err, re.M)
 
+    GOOD_ENTRY = {"label": "a", "tau": {"kind": "random", "g": 1, "seed": 0}}
+
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            ({"entires": [GOOD_ENTRY]}, "corpus has unknown key 'entires'"),
+            ({"policies": {"sample": 1}, "entries": [GOOD_ENTRY]}, "corpus policies has unknown key 'sample'"),
+            ({"policies": {"samples": 1, "null_treshold": 0.5}, "entries": [GOOD_ENTRY]},
+             "corpus policies has unknown key 'null_treshold'"),
+            ({"entries": [GOOD_ENTRY, {"label": "b", "tau": {"kind": "random", "g": 1, "seed": 1},
+                                       "kappa_0": "1,1"}]},
+             "corpus entry 1 has unknown key 'kappa_0'"),
+            ({"entries": [{**GOOD_ENTRY, "expect": {"vanishing_null": 3}}]},
+             "corpus entry 0 expect has unknown key 'vanishing_null'"),
+        ],
+        ids=["corpus", "policies", "policies-threshold", "entry", "expect"],
+    )
+    def test_unknown_key_rejected_before_any_entry(self, capsys, tmp_path, corpus, message):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["run-suite", "--corpus", str(path), "--out", str(out)]) == 2
+        # one error line and no entry line: nothing ran
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_readme_corpus_passes(self, capsys, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(\{\n  \"policies\".*?)```", readme, re.S).group(1)
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(example, encoding="utf-8")
+        code, payload = run(capsys, "run-suite", "--corpus", str(corpus))
+        assert code == 0
+        assert [e["status"] for e in payload["entries"]] == ["pass", "pass"]
+
+    def test_deep_label_is_one_error_line(self, capsys, tmp_path):
+        # the label is a known key, so the emitted corpus reaches the canonical writer
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('{"entries": [], "label": ' + "[" * 500 + "]" * 500 + "}", encoding="utf-8")
+        emitted = tmp_path / "emitted.json"
+        assert main(["run-suite", "--corpus", str(corpus), "--emit-corpus", str(emitted)]) == 2
+        assert capsys.readouterr().err == "error: object too deeply nested for a canonical report\n"
+        assert not emitted.exists()
+
     def test_emitted_corpus_reruns_identically(self, capsys, tmp_path):
         emitted = tmp_path / "corpus.json"
         first = tmp_path / "standard.json"
@@ -841,6 +909,13 @@ class TestCanonicalJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_dumps({"x": float("nan")})
+
+    def test_rejects_deep_nesting(self):
+        obj = []
+        for _ in range(5000):
+            obj = [obj]
+        with pytest.raises(ValueError, match="too deeply nested for a canonical report"):
+            canonical_dumps(obj)
 
     def test_roundtrip_standard_corpus(self):
         text = canonical_dumps(standard_corpus())

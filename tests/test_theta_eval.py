@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import theta4.theta_eval as theta_eval
+from theta4.basis_analysis import basis_report
 from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics, parity
+from theta4.identities import inversion_residuals, quartic_residuals
 from theta4.theta_eval import (
     DEFAULT_POLICY,
     PeriodMatrix,
@@ -417,8 +419,9 @@ class TestBatchedKernel:
 
 
 class TestSharedSetUp:
-    """The truncation shared by a point's characteristics and the one
-    quadratic-phase table cached per tau change no value."""
+    """The truncation shared by a point's characteristics and the
+    quadratic-phase table built for each radius change no value, and the
+    value memo is the only state a period matrix keeps."""
 
     @staticmethod
     def table_chars(g: int) -> list[Characteristic]:
@@ -440,7 +443,8 @@ class TestSharedSetUp:
         theta_table(chars, [far], grown)
         after = theta_table(chars, batch, grown)
         radii = [theta_series(c, z, grown).radius for c in chars for z in batch]
-        assert grown._quad_table[0] > max(radii)
+        # the far point was summed first, at a larger radius than any of the batch
+        assert theta_series(chars[0], far, grown).radius > max(radii)
         assert np.array_equal(together, alone)
         assert np.array_equal(shuffled, alone[:, order])
         assert np.array_equal(after, alone)
@@ -448,46 +452,29 @@ class TestSharedSetUp:
     @pytest.mark.parametrize("g, top", [(1, 12), (2, 9), (3, 7), (4, 6)])
     def test_quad_table_slice_equals_table_built_at_radius(self, g, top):
         tau = random_tau(g, seed=70 + g)
-        wide_top, wide = theta_eval._quad_table(top, tau)
-        assert wide_top == top and wide.shape == (2 * top + 1,) * g
+        wide = theta_eval._quad_table(top, tau)
+        assert wide.shape == (2 * top + 1,) * g
+        k = np.indices(wide.shape).reshape(g, -1).T - top
+        expected = np.exp(1j * np.pi * ((k @ tau.tau) * k).sum(1))
+        # |Q| <= 1, peaking at Q[0] = 1
+        assert np.max(np.abs(wide.ravel() - expected)) <= 1e-15
         for r in range(1, top):
-            built_top, built = theta_eval._quad_table(r, random_tau(g, seed=70 + g))
-            assert built_top == r
+            built = theta_eval._quad_table(r, tau)
             assert np.array_equal(wide[(slice(top - r, top + r + 1),) * g], built), r
-
-    @pytest.mark.parametrize("g, tops", [(1, (3, 4, 12)), (2, (2, 5, 9)), (3, (4, 5, 7)), (4, (2, 4, 6))])
-    def test_grown_quad_table_equals_table_built_at_top(self, g, tops):
-        tau = random_tau(g, seed=75 + g)
-        for top in tops:
-            grown = theta_eval._quad_table(top, tau)
-            built = theta_eval._quad_table(top, random_tau(g, seed=75 + g))
-            assert grown[0] == built[0] == top
-            assert np.array_equal(grown[1], built[1]), top
-
-    @pytest.mark.parametrize("g", [1, 2, 3, 4])
-    def test_quad_table_chunks_do_not_change_bits(self, g, monkeypatch):
-        # chunks of 7 offsets, the last one partial (9^g entries), give the default build
-        whole = theta_eval._quad_table(4, random_tau(g, seed=80 + g))
-        monkeypatch.setattr(theta_eval, "_CHUNK_ENTRIES", 7)
-        chunked = theta_eval._quad_table(4, random_tau(g, seed=80 + g))
-        assert chunked[0] == whole[0] == 4
-        assert chunked[1].tobytes() == whole[1].tobytes()
 
     def test_quad_table_peak_memory_near_table_size(self, traced_peak):
         tau = random_tau(5, seed=11)
-        (_, table), peak = traced_peak(lambda: theta_eval._quad_table(6, tau))
+        table, peak = traced_peak(lambda: theta_eval._quad_table(6, tau))
         assert table.nbytes == 13**5 * 16
-        assert peak < 3 * table.nbytes, (peak, table.nbytes)
+        assert peak < 1.25 * table.nbytes, (peak, table.nbytes)
 
-    def test_quad_table_grows_only(self):
-        # one table per tau, whatever the top half
-        tau = random_tau(2, seed=3)
-        first = theta_eval._quad_table(5, tau)
-        assert theta_eval._quad_table(3, tau) is first
-        assert theta_eval._quad_table(5, tau) is first
-        assert theta_eval._quad_table(6, tau)[0] == 6
-        assert theta_eval._quad_table(2, tau)[0] == 6
-        assert tau._quad_table[0] == 6
+    def test_value_memo_is_the_only_state(self):
+        tau = random_tau(2, seed=4)
+        basis_report(tau)
+        quartic_residuals(tau, 2, 0)
+        inversion_residuals(tau, 2, 0)
+        assert tau._theta_memo
+        assert set(vars(tau)) == {"_tau", "_lambda_min", "_theta_memo"}
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_table_is_one_stacked_batch(self, g, monkeypatch):
