@@ -9,9 +9,9 @@ The package is organised around one chain of objects:
                         matrix M over even pairs (int64 from build_m) and its
                         row-sum law, verified in exact integer arithmetic
                         through M^2 = 2^(g-1) M + 2^(2g-1) I, formed one
-                        block of rows at a time; the inverse identity
-                        M (M - 2^(g-1) I) = 2^(2g-1) I is the same square
-                        read off once.
+                        block pair at a time from the int8 table; the
+                        inverse identity M (M - 2^(g-1) I) = 2^(2g-1) I is
+                        the same square read off once.
 * ``theta_eval``     -- numerical theta series with characteristics on the
                         Siegel upper half-space, truncated with a Gaussian
                         tail bound.

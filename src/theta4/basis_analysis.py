@@ -27,7 +27,7 @@ from theta4.char2 import (
     parity,
     translate,
 )
-from theta4.mmatrix import MAX_GENUS, build_m
+from theta4.mmatrix import MAX_GENUS, pairing_signs
 from theta4.theta_eval import (
     DEFAULT_POLICY,
     PeriodMatrix,
@@ -140,7 +140,7 @@ def _normalize_and_align(
     rows = [row_pos[translate(isometry_to_even_points(kappa0, b), kappa0)] for b in evens]
     cols = [col_pos[isometry_to_even_points(kappa0, a)] for a in evens]
     aligned = scaled[np.ix_(rows, cols)]
-    deviation = float(np.max(np.abs(aligned - build_m(g))))
+    deviation = float(np.max(np.abs(aligned - pairing_signs(evens, evens))))
     return aligned, deviation
 
 

@@ -5,6 +5,8 @@ Exit code contract, shared by every subcommand:
   1  a mathematical check failed
   2  invalid input (bad files, bad flags, infeasible policies)
   3  warning (near-degenerate input; verdicts not trustworthy)
+  4  internal error (an exception no check expects: a bug, reported on one
+     error: line naming the exception and where it was raised)
 
 All file output is canonical JSON written atomically, so identical inputs
 and seeds give byte-identical reports.
@@ -29,7 +31,14 @@ from theta4.basis_analysis import (
     check_threshold,
     split_nulls,
 )
-from theta4.char2 import Characteristic, check_genus, d_plus, enumerate_characteristics, parity
+from theta4.char2 import (
+    Characteristic,
+    check_genus,
+    d_plus,
+    enumerate_characteristics,
+    even_characteristics,
+    parity,
+)
 from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals, summarize
 from theta4.jsonio import (
     atomic_write_text,
@@ -40,7 +49,7 @@ from theta4.jsonio import (
     parse_char_spec,
     parse_point_spec,
 )
-from theta4.mmatrix import MAX_GENUS, build_m, verify_sign_matrix
+from theta4.mmatrix import MAX_GENUS, pairing_signs, verify_sign_matrix
 from theta4.theta_eval import (
     DEFAULT_TARGET_EPS,
     PeriodMatrix,
@@ -56,6 +65,7 @@ EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 EXIT_WARN = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_POLICIES = {
     "target_eps": DEFAULT_TARGET_EPS,
@@ -87,8 +97,10 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_mmatrix(args) -> int:
+    check_genus(args.genus, MAX_GENUS)
     if args.emit or not args.verify:
-        m = build_m(args.genus)
+        evens = even_characteristics(args.genus)
+        m = pairing_signs(evens, evens)
         _emit({"g": args.genus, "dim": len(m), "entries": m.tolist()}, args.emit)
     if not args.verify:
         return EXIT_PASS
@@ -185,6 +197,11 @@ def standard_corpus() -> dict:
     }
 
 
+# deeper block sources are rejected, so building one stays far inside
+# Python's recursion limit
+_MAX_BLOCK_DEPTH = 64
+
+
 class _GenusError(ValueError):
     """A tau source whose genus is outside 1..MAX_GENUS."""
 
@@ -196,11 +213,12 @@ def _check_source_genus(g: int) -> None:
         raise _GenusError(exc) from None
 
 
-def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
+def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
     """Build a corpus entry's tau; a genus outside 1..MAX_GENUS raises
     _GenusError.  A random, diagonal or block source is checked before its
     g x g matrix is built, a literal or file one (as large as its input)
-    after."""
+    after.  depth counts the block sources around this one; a block source
+    inside _MAX_BLOCK_DEPTH others raises ValueError."""
     if isinstance(source, str):
         source = {"kind": "file", "path": source}
     if not isinstance(source, dict):
@@ -227,7 +245,9 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
             [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in entries]
         )
     elif kind == "block":
-        blocks = [_tau_from_source(b, base_dir) for b in source["blocks"]]
+        if depth == _MAX_BLOCK_DEPTH:
+            raise ValueError(f"block sources nest at most {_MAX_BLOCK_DEPTH} deep")
+        blocks = [_tau_from_source(b, base_dir, depth + 1) for b in source["blocks"]]
         _check_source_genus(sum(b.g for b in blocks))
         tau = block_diagonal_tau(blocks)
     else:
@@ -477,6 +497,13 @@ def main(argv: list[str] | None = None) -> int:
     except (TruncationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug must not exit 1, the code of a failed check
+        tb = exc.__traceback__
+        while tb.tb_next:  # the frame that raised it
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        print(f"error: internal error {exc!r} at {where}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ Every exact fact about M follows from one integer identity,
 M^2 = 2^(g-1) M + 2^(2g-1) I: it makes M invertible with
 M^-1 = (M - 2^(g-1) I) / 2^(2g-1), and the inverse identity
 M (M - 2^(g-1) I) = 2^(2g-1) I is the same integer square read off once.
-M^2 is formed in float32 one block of rows at a time, which is exact here
-because every value a block and the identity checks form is an integer below
-2^24 (see verify_sign_matrix).
+M^2 is formed in float32 one block of rows against one block of columns at a
+time, read from the int8 table with no float32 copy of M, which is exact here
+because every value a block pair and the identity checks form is an integer
+below 2^24 (see verify_sign_matrix).
 
 The row-sum law is checked literally: row_sum makes one weil_pairing call per
 even pair, read from this module when it runs, so the check counts 4^g d+
@@ -41,7 +42,7 @@ from theta4.char2 import (
 )
 
 MAX_GENUS = 5
-_SQUARE_ROWS = 64  # rows of M^2 formed at once by verify_sign_matrix
+_BLOCK_ROWS = 64  # rows of a sign table built, checked or squared at once
 
 
 def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]) -> np.ndarray:
@@ -49,15 +50,22 @@ def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]
 
     The char2 rule: (-1)^popcount(index(a) & swapped(b)) for row a, column b.
     The ANDs are uint16: every index is below 4^6, char2's genus cap.  The
-    table is built in int8 with no wider intermediate: Python-int fill values
-    would make np.where return int64.
+    int8 table is allocated once and filled _BLOCK_ROWS rows at a time, so
+    the one other array built beside it is a block's uint16 ANDs.
     """
     genera = {c.g for c in (*rows, *cols)}
     if len(genera) != 1:
         raise ValueError(f"characteristics must share exactly one genus, got genera {sorted(genera)}")
     r = np.array([c._index for c in rows], dtype=np.uint16)
     s = np.array([c._swapped for c in cols], dtype=np.uint16)
-    return np.where(np.bitwise_count(r[:, None] & s) & 1, np.int8(-1), np.int8(1))
+    table = np.empty((len(r), len(s)), dtype=np.int8)
+    for i in range(0, len(r), _BLOCK_ROWS):
+        block = table[i : i + _BLOCK_ROWS]
+        np.bitwise_count(r[i : i + _BLOCK_ROWS, None] & s, out=block)
+        block &= 1  # the parity, then 1 - 2 * parity in place
+        block *= -2
+        block += 1
+    return table
 
 
 def build_m(g: int) -> np.ndarray:
@@ -103,6 +111,23 @@ def row_sum_closed_form(g: int, a: Characteristic) -> int:
     return parity(a) * 2 ** (g - 1)
 
 
+def _square_identity_holds(e: np.ndarray, g: int, blocks: list[slice]) -> bool:
+    """Whether every block pair of e^2 - 2^(g-1) e - 2^(2g-1) I is zero,
+    each formed in float32 from row block I and column block J of e."""
+    k, c = 2 ** (g - 1), 2 ** (2 * g - 1)
+    for bi in blocks:
+        rows = e[bi].astype(np.float32)
+        for bj in blocks:
+            sq = rows @ e[:, bj].astype(np.float32)
+            sq -= k * rows[:, bj]
+            if bi == bj:
+                diag = np.arange(len(sq))
+                sq[diag, diag] -= c
+            if sq.any():
+                return False
+    return True
+
+
 def verify_sign_matrix(g: int) -> dict[str, bool]:
     """Exact verification of the structural identities of the sign matrix.
 
@@ -115,38 +140,31 @@ def verify_sign_matrix(g: int) -> dict[str, bool]:
       * the literal row sum over even pairs matches its closed form for
         every one of the 4^g characteristics.
 
-    The entry, diagonal and symmetry checks read the int8 table of
-    pairing_signs.  It is converted to float32 once, and M^2 is formed one
-    block of _SQUARE_ROWS rows at a time: each block's rows of
-    M^2 - 2^(g-1) M - 2^(2g-1) I must be zero.  Each block is exact.  For a
-    +-1 matrix every product of two entries is +-1, so every partial sum is
-    an integer of size at most d+; every entry formed after it has size at
-    most d+ + 2^(g-1) + 2^(2g-1) (1,056 at g = 5).  All of these are integers
-    below 2^24, which float32 holds exactly, so no BLAS blocking, summation
-    order or fused multiply-add can round them.  The bound needs +-1 entries,
-    so the square counts only when they are.
+    All but the row sums read the int8 table of pairing_signs one block of
+    _BLOCK_ROWS rows at a time; symmetry compares row block I with column
+    block I transposed.  M^2 is formed one block pair at a time, as the
+    float32 product of row block I and column block J of the table, each
+    converted as it is used, so no float32 copy of M exists; the right
+    operand is M's own columns, so the square does not assume the symmetry
+    it checks.  Each block of M^2 - 2^(g-1) M - 2^(2g-1) I must be zero, and
+    each is exact.  For a +-1 matrix every product of two entries is +-1, so
+    every partial sum is an integer of size at most d+; every entry formed
+    after it has size at most d+ + 2^(g-1) + 2^(2g-1) (1,056 at g = 5).  All
+    of these are integers below 2^24, which float32 holds exactly, so no
+    BLAS blocking, summation order or fused multiply-add can round them.
+    The bound needs +-1 entries, so the square counts only when they are.
     """
     check_genus(g, MAX_GENUS)
     evens = _evens(g)
     e = pairing_signs(evens, evens)
-    k, c = 2 ** (g - 1), 2 ** (2 * g - 1)
-    entries_pm1 = bool(np.all(np.abs(e) == 1))
-    checks = {
-        "entries_pm1": entries_pm1,
-        "diagonal_plus1": bool(np.all(np.diagonal(e) == 1)),
-        "symmetric": bool(np.array_equal(e, e.T)),
-    }
-    f = e.astype(np.float32)
-    square_ok = entries_pm1
-    for i in range(0, len(f), _SQUARE_ROWS):
-        if not square_ok:
-            break
-        block = f[i : i + _SQUARE_ROWS]
-        sq = block @ f
-        sq -= k * block
-        rows = np.arange(len(block))
-        sq[rows, rows + i] -= c
-        square_ok = not sq.any()
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(e), _BLOCK_ROWS)]
+    entries_pm1 = diagonal_plus1 = symmetric = True
+    for b in blocks:
+        entries_pm1 &= bool(np.all(np.abs(e[b]) == 1))
+        diagonal_plus1 &= bool(np.all(np.diagonal(e[b, b]) == 1))
+        symmetric &= np.array_equal(e[b], e[:, b].T)
+    checks = {"entries_pm1": entries_pm1, "diagonal_plus1": diagonal_plus1, "symmetric": symmetric}
+    square_ok = entries_pm1 and _square_identity_holds(e, g, blocks)
     checks["quadratic_identity"] = checks["inverse_identity"] = square_ok
     checks["row_sum_closed_form"] = all(
         row_sum(g, a) == row_sum_closed_form(g, a) for a in enumerate_characteristics(g)

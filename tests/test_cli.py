@@ -91,6 +91,24 @@ class TestMain:
             cli.build_parser.cache_clear()
         assert built.count("theta4") == 1
 
+    def test_unexpected_exception_is_one_error_line(self, capsys, monkeypatch):
+        def broken(g):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "enumerate_characteristics", broken)
+        assert main(["chars", "--genus", "1"]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: internal error KeyError\('boom'\) at test_cli\.py:\d+\n", captured.err)
+
+    def test_interrupt_passes_through(self, monkeypatch):
+        def interrupted(g):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "enumerate_characteristics", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["chars", "--genus", "1"])
+
     def test_numerical_commands_do_not_import_numpy_ma(self, tmp_path, tau_g2_random):
         # numpy's unique imports numpy.ma (15-18 ms, about 1.3 MB per process);
         # no numerical command calls it
@@ -878,6 +896,38 @@ class TestRunSuite:
         code, payload = run(capsys, "run-suite", "--corpus", str(corpus))
         assert code == 0
         assert [e["status"] for e in payload["entries"]] == ["pass", "pass", "pass"]
+
+    @staticmethod
+    def nested_blocks(depth: int) -> str:
+        """A genus-1 tau source inside depth block sources, as JSON text.
+
+        Built by hand: json.dumps of a deep source would reach Python's
+        recursion limit first."""
+        source = '{"kind": "random", "g": 1, "seed": 0}'
+        for _ in range(depth):
+            source = '{"kind": "block", "blocks": [' + source + "]}"
+        return source
+
+    def test_block_depth_cap(self):
+        cap = cli._MAX_BLOCK_DEPTH
+        assert cli._tau_from_source(json.loads(self.nested_blocks(cap)), Path(".")).g == 1
+        with pytest.raises(ValueError, match=f"nest at most {cap} deep"):
+            cli._tau_from_source(json.loads(self.nested_blocks(cap + 1)), Path("."))
+
+    def test_deep_block_source_is_one_error_line(self, tmp_path):
+        # 490 levels (980 JSON levels) used to recurse past Python's limit and
+        # exit 1 with a RecursionError traceback.  It runs in a fresh
+        # interpreter: json.loads under pytest's own stack would reach the
+        # recursion limit first.
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('{"entries": [{"label": "deep", "tau": ' + self.nested_blocks(490) + "}]}",
+                          encoding="utf-8")
+        out = tmp_path / "report.json"
+        proc = run_fresh(["-m", "theta4.cli", "run-suite", "--corpus", str(corpus), "--out", str(out)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: corpus entry 0 has a malformed tau source: "
+                               f"ValueError('block sources nest at most {cli._MAX_BLOCK_DEPTH} deep')\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run-suite", "verify-quartic"])
