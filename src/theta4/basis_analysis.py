@@ -32,7 +32,8 @@ from theta4.theta_eval import (
     DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
-    check_seed,
+    check_integer,
+    check_real,
     sample_cell_points,
     theta_nulls,
     theta_table,
@@ -57,10 +58,12 @@ class VanishingNullError(ValueError):
         )
 
 
-def check_threshold(name: str, value: float) -> None:
-    """Reject a relative threshold outside (0, 1)."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
+def check_threshold(name: str, value: float) -> float:
+    """value as a float; ValueError naming name unless it is a relative threshold in (0, 1)."""
+    x = check_real(name, value)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {x}")
+    return x
 
 
 def numerical_rank(matrix, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> int:
@@ -199,9 +202,9 @@ def vanishing_nulls(
 
 def sample_count(g: int, n_samples: int | None) -> int:
     """Number of fourth-power samples at genus g: 2 d+ when n_samples is None,
-    else n_samples, which must be at least 2 d+."""
+    else n_samples, which must be an integer of at least 2 d+."""
     d = d_plus(g)
-    n = 2 * d if n_samples is None else n_samples
+    n = 2 * d if n_samples is None else check_integer("samples", n_samples, 1)
     if n < 2 * d:
         raise ValueError(f"need at least 2 d+ = {2 * d} samples, got {n}")
     return n
@@ -266,7 +269,7 @@ def basis_report(
     check_threshold("null_threshold", null_threshold)
     check_threshold("sv_threshold", sv_threshold)
     n = sample_count(g, n_samples)
-    check_seed(seed)
+    check_integer("seed", seed, 0)
 
     _, vanishing, near = split_nulls(theta_nulls(tau, policy), null_threshold)
 

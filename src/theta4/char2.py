@@ -46,8 +46,8 @@ def d_minus(g: int) -> int:
 
 
 def check_genus(g: int, cap: int = MAX_GENUS) -> None:
-    """Reject a genus that is not an integer in 1..cap."""
-    if not isinstance(g, int) or not 1 <= g <= cap:
+    """Reject a genus that is not an integer in 1..cap (a bool is not one)."""
+    if isinstance(g, bool) or not isinstance(g, int) or not 1 <= g <= cap:
         raise ValueError(f"genus must be an integer in 1..{cap}, got {g!r}")
 
 

@@ -3,7 +3,8 @@
 Exit code contract, shared by every subcommand:
   0  pass (or report written and internally consistent)
   1  a mathematical check failed
-  2  invalid input (bad files, bad flags, infeasible policies)
+  2  invalid input (bad files, bad flags, infeasible policies; a tail target
+     that needs a radius past the cap raises TruncationError, a ValueError)
   3  warning (near-degenerate input; verdicts not trustworthy)
   4  internal error (an exception no check expects: a bug, reported on one
      error: line naming the exception and where it was raised)
@@ -53,9 +54,9 @@ from theta4.mmatrix import MAX_GENUS, pairing_signs, verify_sign_matrix
 from theta4.theta_eval import (
     DEFAULT_TARGET_EPS,
     PeriodMatrix,
-    TruncationError,
     TruncationPolicy,
     block_diagonal_tau,
+    check_integer,
     random_tau,
     theta_nulls,
     theta_series,
@@ -113,7 +114,7 @@ def _cmd_mmatrix(args) -> int:
 def _cmd_theta(args) -> int:
     tau = load_tau_file(args.tau)
     char = parse_char_spec(args.char, tau.g)
-    z = parse_point_spec(args.z, tau.g) if args.z else np.zeros(tau.g, dtype=complex)
+    z = parse_point_spec(args.z) if args.z else np.zeros(tau.g, dtype=complex)
     result = theta_series(char, z, tau, TruncationPolicy(target_eps=args.eps))
     payload = {
         "char": char.to_json(),
@@ -202,20 +203,9 @@ def standard_corpus() -> dict:
 _MAX_BLOCK_DEPTH = 64
 
 
-class _GenusError(ValueError):
-    """A tau source whose genus is outside 1..MAX_GENUS."""
-
-
-def _check_source_genus(g: int) -> None:
-    try:
-        check_genus(g, MAX_GENUS)
-    except ValueError as exc:
-        raise _GenusError(exc) from None
-
-
 def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
     """Build a corpus entry's tau; a genus outside 1..MAX_GENUS raises
-    _GenusError.  A random, diagonal or block source is checked before its
+    ValueError.  A random, diagonal or block source is checked before its
     g x g matrix is built, a literal or file one (as large as its input)
     after.  depth counts the block sources around this one; a block source
     inside _MAX_BLOCK_DEPTH others raises ValueError."""
@@ -229,18 +219,11 @@ def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
     elif kind == "literal":
         tau = PeriodMatrix.from_json({k: v for k, v in source.items() if k != "kind"})
     elif kind == "random":
-        g, seed, floor = source["g"], source["seed"], source.get("floor", 1.0)
-        for key, value in (("g", g), ("seed", seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"random tau source {key} must be an integer, got {value!r}")
-        finite = isinstance(floor, (int, float)) and abs(floor) <= sys.float_info.max
-        if isinstance(floor, bool) or not finite:
-            raise ValueError(f"random tau source floor must be a finite number, got {floor!r}")
-        _check_source_genus(g)
-        tau = random_tau(g, seed, float(floor))
+        check_genus(source["g"], MAX_GENUS)
+        tau = random_tau(source["g"], source["seed"], source.get("floor", 1.0))
     elif kind == "diagonal":
         entries = source["entries"]
-        _check_source_genus(len(entries))
+        check_genus(len(entries), MAX_GENUS)
         tau = block_diagonal_tau(
             [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in entries]
         )
@@ -248,11 +231,11 @@ def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
         if depth == _MAX_BLOCK_DEPTH:
             raise ValueError(f"block sources nest at most {_MAX_BLOCK_DEPTH} deep")
         blocks = [_tau_from_source(b, base_dir, depth + 1) for b in source["blocks"]]
-        _check_source_genus(sum(b.g for b in blocks))
+        check_genus(sum(b.g for b in blocks), MAX_GENUS)
         tau = block_diagonal_tau(blocks)
     else:
         raise ValueError(f"unknown tau source kind {kind!r}")
-    _check_source_genus(tau.g)
+    check_genus(tau.g, MAX_GENUS)
     return tau
 
 
@@ -302,7 +285,7 @@ def _run_entry(
             null_threshold=null_threshold,
             seed=seed,
         )
-    except (ValueError, ArithmeticError, TruncationError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         result["status"] = "error"
         result["error"] = str(exc)
         return result, at_scale
@@ -332,27 +315,14 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     _check_keys(corpus, ("label", "policies", "entries"), "corpus")
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
     _check_keys(corpus.get("policies", {}), DEFAULT_POLICIES, "corpus policies")
-    for key, least in (("samples", 1), ("seed", 0)):
-        value = policies[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"policy {key} must be an integer >= {least}, got {value!r}")
-    for key in ("target_eps", "identity_eps", "sv_threshold", "null_threshold"):
-        value = policies[key]
-        # NaN fails the comparison, and it is exact for an int too large for a float
-        finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        if isinstance(value, bool) or not finite:
-            raise ValueError(f"policy {key} must be a finite number, got {value!r}")
-    check_identity_eps(policies["identity_eps"], "policy identity_eps")
-    seed = policies["seed"]
+    seed = check_integer("policy seed", policies["seed"], 0)
     settings = {
         "policy": TruncationPolicy(target_eps=policies["target_eps"]),
-        "sv_threshold": float(policies["sv_threshold"]),
-        "samples": policies["samples"],
-        "identity_eps": float(policies["identity_eps"]),
-        "null_threshold": float(policies["null_threshold"]),
+        "sv_threshold": check_threshold("policy sv_threshold", policies["sv_threshold"]),
+        "samples": check_integer("policy samples", policies["samples"], 1),
+        "identity_eps": check_identity_eps(policies["identity_eps"], "policy identity_eps"),
+        "null_threshold": check_threshold("policy null_threshold", policies["null_threshold"]),
     }
-    for key in ("sv_threshold", "null_threshold"):
-        check_threshold(key, settings[key])
     entries = corpus.get("entries", [])
 
     prepared = []
@@ -367,19 +337,15 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         labels.add(label)
         try:
             tau = _tau_from_source(entry["tau"], base_dir)
-        except _GenusError as exc:
-            raise ValueError(f"corpus entry {i} has an unsupported genus: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
         try:
             kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
             check_kappa0(kappa0, tau.g)
             expect = {"vanishing_nulls": 0, "verdicts": True, **entry.get("expect", {})}
-            nulls, verdicts = expect["vanishing_nulls"], expect["verdicts"]
-            if isinstance(nulls, bool) or not isinstance(nulls, int) or nulls < 0:
-                raise ValueError(f"expect.vanishing_nulls must be a non-negative integer, got {nulls!r}")
-            if not isinstance(verdicts, bool):
-                raise ValueError(f"expect.verdicts must be true or false, got {verdicts!r}")
+            check_integer("expect.vanishing_nulls", expect["vanishing_nulls"], 0)
+            if not isinstance(expect["verdicts"], bool):
+                raise ValueError(f"expect.verdicts must be true or false, got {expect['verdicts']!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed kappa0 or expect: {exc!r}") from exc
         _check_keys(expect, ("vanishing_nulls", "verdicts"), f"corpus entry {i} expect")
@@ -494,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TruncationError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a bug must not exit 1, the code of a failed check

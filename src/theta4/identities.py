@@ -40,6 +40,7 @@ from theta4.jsonio import complex_json
 from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
+    check_real,
     sample_cell_points,
     theta_table,
 )
@@ -68,10 +69,13 @@ def summarize(records: list[dict], eps: float) -> tuple[float, bool, int]:
     return worst, ok, at_scale
 
 
-def check_identity_eps(eps: float, name: str) -> None:
-    """Reject a residual gate for summarize() that is not a finite number > 0."""
-    if not 0.0 < eps < np.inf:
+def check_identity_eps(eps: float, name: str) -> float:
+    """eps as a float; ValueError naming name unless it is a residual gate
+    for summarize(), a finite number > 0."""
+    x = check_real(name, eps)
+    if not x > 0.0:
         raise ValueError(f"{name} must be > 0 and finite, got {eps!r}")
+    return x
 
 
 def _magnitude(x: np.ndarray) -> np.ndarray:

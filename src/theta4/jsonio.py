@@ -103,11 +103,10 @@ def parse_char_spec(token: str, g: int) -> Characteristic:
     return Characteristic.from_json(halves, g)
 
 
-def parse_point_spec(token: str, g: int) -> np.ndarray:
-    """Parse "re,im;re,im;..." into a complex g-vector."""
+def parse_point_spec(token: str) -> np.ndarray:
+    """Parse "re,im;re,im;..." into a complex vector; theta_series checks its
+    length against the genus."""
     groups = [grp for grp in token.strip().split(";") if grp.strip()]
-    if len(groups) != g:
-        raise ValueError(f"point must have {g} components, got {len(groups)}")
     values = []
     for grp in groups:
         parts = grp.split(",")

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,8 +72,30 @@ _CHUNK_ROWS = 16
 _COMPLEX = np.dtype(complex)
 
 
-class TruncationError(RuntimeError):
-    """Raised when the tail target needs a radius above MAX_ALLOWED_RADIUS."""
+def check_real(name: str, value) -> float:
+    """value as a float; ValueError naming name unless it is a finite real number
+    (a bool or a string is not one, a numpy scalar is; float() raises past the float range)."""
+    try:
+        x = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """value as an int; ValueError naming name unless it is an integer from
+    least up to the float range (a bool is not one; a numpy integer is)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not least <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+class TruncationError(ValueError):
+    """Raised when the tail target needs a radius above MAX_ALLOWED_RADIUS; a ValueError,
+    so the CLI exits 2 (invalid input) on it, or reports it as a run-suite entry's error."""
 
     def __init__(self, required_radius: int):
         self.required_radius = required_radius
@@ -87,7 +110,7 @@ class TruncationPolicy:
     target_eps: float = DEFAULT_TARGET_EPS
 
     def __post_init__(self) -> None:
-        if not 1e-14 <= self.target_eps < math.inf:
+        if not 1e-14 <= check_real("target_eps", self.target_eps):
             raise ValueError(f"target_eps must be finite and >= 1e-14, got {self.target_eps}")
 
 
@@ -158,10 +181,7 @@ class PeriodMatrix:
                 raise ValueError(f"{name} block must be an array of arrays of numbers, got {block!r}")
             for x in itertools.chain.from_iterable(block):
                 # a JSON string or true/false is not a number, though numpy would parse it as one
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise ValueError(f"{name} entries must be numbers, got {x!r}")
-                if not abs(x) <= sys.float_info.max:
-                    raise ValueError(f"{name} entries must be finite numbers, got {x!r}")
+                check_real(f"{name} entry", x)
         try:
             re = np.array(obj["re"], dtype=float)
             im = np.array(obj["im"], dtype=float)
@@ -494,11 +514,11 @@ def random_tau(g: int, seed: int, floor: float = 1.0) -> PeriodMatrix:
     imaginary part is at least floor; identical seeds give bit-identical
     matrices.
     """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    g = check_integer("genus", g, 1)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))
+    floor = check_real("floor", floor)
     if not floor > 0.0:
         raise ValueError(f"floor must be positive, got {floor}")
-    rng = np.random.default_rng(seed)
     s = np.zeros((g, g))
     iu = np.triu_indices(g)
     s[iu] = rng.uniform(-0.5, 0.5, size=len(iu[0]))
@@ -530,18 +550,10 @@ def block_diagonal_tau(blocks) -> PeriodMatrix:
     return PeriodMatrix(out)
 
 
-def check_seed(seed: int) -> None:
-    """Reject a sampling seed that is not a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def sample_cell_points(tau: PeriodMatrix, n: int, seed: int) -> np.ndarray:
     """n seeded points u + tau v with u, v uniform in [0, 1)^g, as an (n, g) array."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    n = check_integer("samples", n, 1)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))
     u = rng.uniform(0.0, 1.0, size=(n, tau.g))
     v = rng.uniform(0.0, 1.0, size=(n, tau.g))
     return u + v @ tau.tau

@@ -206,10 +206,6 @@ class TestNormalizedEvaluationMatrix:
             normalized_evaluation_matrix(tau_g2_product)
         assert VANISHING_G2 in err.value.nulls
 
-    def test_genus_above_sign_matrix_cap_rejected_before_any_sum(self, no_lattice_sum):
-        with pytest.raises(ValueError, match=r"genus must be an integer in 1\.\.5, got 6"):
-            normalized_evaluation_matrix(random_tau(6, 1))
-
 
 class TestVanishingNulls:
     def test_g1_empty(self, tau_g1_i):
@@ -319,3 +315,17 @@ class TestBasisReport:
             "seed",
         ):
             assert key in payload
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the sign matrix caps the genus at 5
+        (lambda: normalized_evaluation_matrix(random_tau(6, 1)), r"genus must be an integer in 1\.\.5, got 6"),
+        (lambda: basis_report(random_tau(1, 0), n_samples=6.0), r"samples must be an integer >= 1, got 6\.0"),
+    ],
+    ids=["normalized-genus-above-cap", "report-float-samples"],
+)
+def test_bad_argument_rejected_before_any_sum(no_lattice_sum, call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -67,7 +67,7 @@ def test_infinite_target_eps_rejected_before_any_sum(capsys, rand_g2, no_lattice
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: target_eps must be finite")
+    assert captured.err == "error: target_eps must be a finite number, got inf\n"
 
 
 class TestMain:
@@ -244,7 +244,7 @@ class TestTheta:
         [
             (["--char", "0"], 'characteristic must look like "a1,a2"'),
             (["--char", "0,x"], "cannot parse characteristic half 'x'"),
-            (["--z", "1,2"], "point must have 2 components, got 1"),
+            (["--z", "1,2"], "point must have 2 components, got shape (1,)"),
             (["--z", "1;2"], 'point component must look like "re,im"'),
             (["--z", "a,b;c,d"], "cannot parse point component 'a,b'"),
         ],
@@ -304,15 +304,15 @@ TAU_FILE_CASES = [
     ({"g": 1.5}, '"g" must be the integer size'),
     ({"g": True}, '"g" must be the integer size'),
     ({"g": "1"}, '"g" must be the integer size'),
-    ({"re": [[{"x": 1}]]}, "re entries must be numbers, got {'x': 1}"),
-    ({"re": [["0.5"]], "im": [["1"]]}, "re entries must be numbers, got '0.5'"),
-    ({"im": [["1"]]}, "im entries must be numbers, got '1'"),
-    ({"re": [[True]]}, "re entries must be numbers, got True"),
+    ({"re": [[{"x": 1}]]}, "re entry must be a finite number, got {'x': 1}"),
+    ({"re": [["0.5"]], "im": [["1"]]}, "re entry must be a finite number, got '0.5'"),
+    ({"im": [["1"]]}, "im entry must be a finite number, got '1'"),
+    ({"re": [[True]]}, "re entry must be a finite number, got True"),
     ({"g": 2, "re": [[0, 0], [0]], "im": [[1, 0], [0, 1]]}, "re and im blocks must be arrays of numbers"),
     ({"g": 2, "re": [0, 0], "im": [[1, 0], [0, 1]]}, "re block must be an array of arrays of numbers"),
     ({"g": 2, "im": [[1, 0], [0, 1]]}, "re and im blocks must have the same shape"),
     # json reads 10^400 as an exact int, which a float cannot hold
-    ({"re": [[10**400]]}, "re entries must be finite numbers, got 1" + "0" * 400),
+    ({"re": [[10**400]]}, "re entry must be a finite number, got 1" + "0" * 400),
 ]
 
 
@@ -405,7 +405,8 @@ class TestVerifyIdentities:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: --eps must be > 0 and finite")
+        rule = "a finite number" if eps in ("nan", "inf") else "> 0 and finite"
+        assert captured.err.startswith(f"error: --eps must be {rule}, got {float(eps)!r}")
 
     def test_inversion_passes_on_product(self, capsys, diag_ii):
         # the vanishing-pair record is 0 = 0 and passes at term scale
@@ -486,7 +487,7 @@ class TestBasisReport:
         "flags, message",
         [
             (["--samples", "3"], "need at least 2 d+ = 272 samples, got 3"),
-            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
             (["--kappa0", "1000,1000"], "kappa0 must be even"),
             (["--null-threshold", "0"], "null_threshold must be in (0, 1)"),
             (["--tau", "g6.json"], "genus must be an integer in 1..5, got 6"),
@@ -676,14 +677,15 @@ class TestRunSuite:
             # a genus the exact layer cannot run is an input error, not a kappa0 one
             assert "1..5" in err and "kappa0" not in err
         if source in HUGE_SOURCES:
-            assert "corpus entry 1 has an unsupported genus: genus must be an integer in 1..5, got 1000" in err
+            assert ("corpus entry 1 has a malformed tau source: "
+                    "ValueError('genus must be an integer in 1..5, got 1000')") in err
         assert max(built) <= 5  # no tau above the cap was built
 
     @pytest.mark.parametrize("source, message", [
         ({"kind": "diagonal", "entries": [{"re": 10**400, "im": 1.0}]},
-         "re entries must be finite numbers, got 1" + "0" * 400),
+         "re entry must be a finite number, got 1" + "0" * 400),
         ({"kind": "random", "g": 1, "seed": 2, "floor": 10**400},
-         "random tau source floor must be a finite number, got 1" + "0" * 400),
+         "floor must be a finite number, got 1" + "0" * 400),
     ], ids=["diagonal-entry", "random-floor"])
     def test_int_beyond_float_range_is_input_error(self, capsys, tmp_path, source, message):
         # json reads 10^400 as an exact int; a float of it would overflow
@@ -799,11 +801,16 @@ class TestRunSuite:
             {"seed": 0.5},
             {"samples": True},
             {"seed": -3},
+            {"samples": "3"},
+            {"seed": float("-inf")},
+            {"samples": float("inf")},
+            {"seed": 10**400},
         ],
     )
     def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
         err = self.rejected_before_entries(capsys, tmp_path, policies)
-        if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}):
+        if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}, {"samples": "3"},
+                        {"seed": float("-inf")}, {"samples": float("inf")}, {"seed": 10**400}):
             assert f"policy {next(iter(policies))} must be an integer" in err
         if policies == {"seed": -3}:
             assert "policy seed must be an integer >= 0" in err
@@ -820,13 +827,23 @@ class TestRunSuite:
             ("identity_eps", float("nan"), "a finite number"),
             ("target_eps", float("inf"), "a finite number"),
             pytest.param("identity_eps", 10**400, "a finite number", id="identity_eps-int-past-float-max"),
+            pytest.param("target_eps", 10**400, "a finite number", id="target_eps-int-past-float-max"),
+            pytest.param("null_threshold", 10**400, "a finite number", id="null_threshold-int-past-float-max"),
+            ("target_eps", "1e-11", "a finite number"),
+            ("null_threshold", True, "a finite number"),
+            ("sv_threshold", float("nan"), "a finite number"),
+            ("null_threshold", float("-inf"), "a finite number"),
+            ("identity_eps", float("-inf"), "a finite number"),
+            ("sv_threshold", 0, "in (0, 1)"),
             ("identity_eps", 0, "> 0"),
             ("identity_eps", -1, "> 0"),
         ],
     )
     def test_float_policies_named_before_entries(self, capsys, tmp_path, key, value, rule):
         err = self.rejected_before_entries(capsys, tmp_path, {key: value})
-        assert f"policy {key} must be {rule}" in err
+        # TruncationPolicy checks target_eps and names it as its own field
+        name = key if key == "target_eps" else f"policy {key}"
+        assert err.startswith(f"error: {name} must be {rule}")
 
     @staticmethod
     def rejected_before_entries(capsys, tmp_path, policies) -> str:

@@ -3,15 +3,16 @@ import dataclasses
 import itertools
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
 import pytest
 
 import theta4.theta_eval as theta_eval
-from theta4.basis_analysis import basis_report
-from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics, parity
-from theta4.identities import inversion_residuals, quartic_residuals
+from theta4.basis_analysis import basis_report, check_threshold, sample_count
+from theta4.char2 import Characteristic, check_genus, enumerate_characteristics, even_characteristics, parity
+from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals
 from theta4.theta_eval import (
     DEFAULT_POLICY,
     PeriodMatrix,
@@ -827,6 +828,7 @@ class TestTruncation:
         with pytest.raises(TruncationError) as err:
             theta_series(Characteristic.zero(1), [0.0], tau)
         assert err.value.required_radius == 93
+        assert isinstance(err.value, ValueError)
         assert str(err.value) == "lattice-sum radius 93 needed to meet the tail target, cap is 64"
         assert tau._theta_memo == {} and group_builds == []
 
@@ -878,7 +880,47 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_cell_points(tau_g2_random, 0, seed=3)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    @pytest.mark.parametrize("seed", [
+        -1, 1.5, True, "0", float("nan"), float("inf"), float("-inf"),
+        pytest.param(10**400, id="int-past-float-max"),
+    ])
     def test_bad_seed_named(self, tau_g2_random, seed):
-        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
             sample_cell_points(tau_g2_random, 1, seed)
+
+
+# one argument of each library entry point that takes a number from its caller
+VALIDATED = {
+    "check_genus": check_genus,
+    "TruncationPolicy": TruncationPolicy,
+    "check_threshold": lambda x: check_threshold("t", x),
+    "check_identity_eps": lambda x: check_identity_eps(x, "eps"),
+    "random_tau-g": lambda x: random_tau(x, 0),
+    "random_tau-seed": lambda x: random_tau(2, x),
+    "random_tau-floor": lambda x: random_tau(2, 0, x),
+    "sample_cell_points-n": lambda x: sample_cell_points(random_tau(1, 0), x, 0),
+    "sample_count": lambda x: sample_count(1, x),
+}
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value", [
+        True, "0.5", float("nan"), float("inf"), float("-inf"),
+        pytest.param(10**400, id="int-past-float-max"),
+    ])
+    @pytest.mark.parametrize("call", VALIDATED.values(), ids=VALIDATED.keys())
+    def test_non_number_is_value_error(self, call, value):
+        # a bool is an int and a string a sequence, but neither is a number here
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            call(value)
+
+    def test_numpy_scalars_pass(self):
+        assert TruncationPolicy(np.float32(1e-11)).target_eps == np.float32(1e-11)
+        assert TruncationPolicy(np.float64(1e-11)) == TruncationPolicy(1e-11)
+        assert check_threshold("t", np.float32(0.5)) == 0.5
+        assert check_identity_eps(np.float64(1e-8), "eps") == 1e-8
+        tau = random_tau(np.int64(2), np.int64(0), np.float32(1.0))
+        assert np.array_equal(tau.tau, random_tau(2, 0, 1.0).tau)
+        points = sample_cell_points(tau, np.int64(2), np.int64(3))
+        assert np.array_equal(points, sample_cell_points(tau, 2, 3))
+        assert sample_count(1, np.int64(7)) == 7
