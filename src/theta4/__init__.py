@@ -15,10 +15,10 @@ The package is organised around one chain of objects:
 * ``theta_eval``     -- numerical theta series with characteristics on the
                         Siegel upper half-space, truncated with a Gaussian
                         tail bound.
-* ``identities``     -- residual checks for the quartic addition relation and
-                        its inversion over even pairs, one JSON-ready record
-                        dict per (point, characteristic), and the one pass
-                        rule over them (``summarize``).
+* ``identities``     -- residual sweeps of the quartic addition relation and
+                        its even-pair inversion at given points, one
+                        JSON-ready record dict per (point, characteristic),
+                        and the one pass rule over them (``summarize``).
 * ``basis_analysis`` -- evaluation matrices at two-torsion points, the
                         normalized sign structure, fourth-power span ranks and
                         vanishing-null detection.
@@ -51,12 +51,7 @@ from theta4.theta_eval import (
     theta_table,
     two_torsion_point,
 )
-from theta4.identities import (
-    inversion_check,
-    inversion_residuals,
-    riemann_quartic_check,
-    quartic_residuals,
-)
+from theta4.identities import inversion_residuals, quartic_residuals
 from theta4.basis_analysis import (
     VanishingNullError,
     basis_report,
@@ -86,7 +81,6 @@ __all__ = [
     "even_characteristics",
     "even_points",
     "fourth_power_rank",
-    "inversion_check",
     "inversion_residuals",
     "isometry_to_even_points",
     "kappa_value",
@@ -97,7 +91,6 @@ __all__ = [
     "parity",
     "quartic_residuals",
     "random_tau",
-    "riemann_quartic_check",
     "row_sum",
     "sample_cell_points",
     "theta_nulls",

@@ -58,6 +58,7 @@ from theta4.theta_eval import (
     block_diagonal_tau,
     check_integer,
     random_tau,
+    sample_cell_points,
     theta_nulls,
     theta_series,
 )
@@ -150,7 +151,7 @@ def _cmd_verify_identity(args, kind: str) -> int:
     tau = load_tau_file(args.tau)
     policy = TruncationPolicy(target_eps=args.target_eps)
     sweep = quartic_residuals if kind == "quartic" else inversion_residuals
-    records = sweep(tau, args.samples, args.seed, policy)
+    records = sweep(tau, sample_cell_points(tau, args.samples, args.seed), policy)
     _emit({"tau": tau.to_json(), "target_eps": policy.target_eps, "records": records}, args.out)
     worst, ok, at_scale = summarize(records, args.eps)
     print(f"{kind}: {len(records)} checks, max rel residual {worst:.3e} "
@@ -202,18 +203,26 @@ def standard_corpus() -> dict:
 # Python's recursion limit
 _MAX_BLOCK_DEPTH = 64
 
+# the keys each tau source kind reads, besides kind
+_SOURCE_KEYS = {"file": ("path",), "literal": ("re", "im", "g"), "random": ("g", "seed", "floor"),
+                "diagonal": ("entries",), "block": ("blocks",)}
+
 
 def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
     """Build a corpus entry's tau; a genus outside 1..MAX_GENUS raises
-    ValueError.  A random, diagonal or block source is checked before its
-    g x g matrix is built, a literal or file one (as large as its input)
-    after.  depth counts the block sources around this one; a block source
-    inside _MAX_BLOCK_DEPTH others raises ValueError."""
+    ValueError, and so does a key the source's kind does not read.  A random,
+    diagonal or block source is checked before its g x g matrix is built, a
+    literal or file one (as large as its input) after.  depth counts the
+    block sources around this one; a block source inside _MAX_BLOCK_DEPTH
+    others raises ValueError."""
     if isinstance(source, str):
         source = {"kind": "file", "path": source}
     if not isinstance(source, dict):
         raise ValueError(f"tau source must be a path or an object, got {source!r}")
     kind = source.get("kind")
+    if kind not in _SOURCE_KEYS:
+        raise ValueError(f"unknown tau source kind {kind!r}")
+    _check_keys(source, ("kind", *_SOURCE_KEYS[kind]), f"{kind} tau source")
     if kind == "file":
         tau = load_tau_file(base_dir / source["path"])
     elif kind == "literal":
@@ -224,17 +233,17 @@ def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
     elif kind == "diagonal":
         entries = source["entries"]
         check_genus(len(entries), MAX_GENUS)
+        for e in entries:
+            _check_keys(e, ("re", "im"), "diagonal tau source entry")
         tau = block_diagonal_tau(
             [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in entries]
         )
-    elif kind == "block":
+    else:
         if depth == _MAX_BLOCK_DEPTH:
             raise ValueError(f"block sources nest at most {_MAX_BLOCK_DEPTH} deep")
         blocks = [_tau_from_source(b, base_dir, depth + 1) for b in source["blocks"]]
         check_genus(sum(b.g for b in blocks), MAX_GENUS)
         tau = block_diagonal_tau(blocks)
-    else:
-        raise ValueError(f"unknown tau source kind {kind!r}")
     check_genus(tau.g, MAX_GENUS)
     return tau
 
@@ -261,6 +270,13 @@ def _check_keys(obj: dict, known, where: str) -> None:
             raise ValueError(f"{where} has unknown key {key!r}; known keys: {', '.join(known)}")
 
 
+def _check_label(where: str, label) -> str:
+    """A corpus or entry label, which must be a JSON string."""
+    if not isinstance(label, str):
+        raise ValueError(f"{where} must be a string, got {label!r}")
+    return label
+
+
 def _run_entry(
     label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy,
     sv_threshold: float, samples: int, identity_eps: float, null_threshold: float,
@@ -272,8 +288,9 @@ def _run_entry(
     try:
         checks = verify_sign_matrix(tau.g)
         result["mmatrix_ok"] = all(checks.values())
+        points = sample_cell_points(tau, samples, seed)
         for kind, sweep in (("quartic", quartic_residuals), ("inversion", inversion_residuals)):
-            worst, ok, at_scale[kind] = summarize(sweep(tau, samples, seed, policy), identity_eps)
+            worst, ok, at_scale[kind] = summarize(sweep(tau, points, policy), identity_eps)
             result[f"{kind}_max_rel_residual"] = worst
             result[f"{kind}_ok"] = ok
         result["identity_eps"] = identity_eps
@@ -313,6 +330,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     must be byte-identical across reruns with the same corpus.
     """
     _check_keys(corpus, ("label", "policies", "entries"), "corpus")
+    _check_label("corpus label", corpus.get("label", ""))
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
     _check_keys(corpus.get("policies", {}), DEFAULT_POLICIES, "corpus policies")
     seed = check_integer("policy seed", policies["seed"], 0)
@@ -331,7 +349,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         if not isinstance(entry, dict) or "label" not in entry or "tau" not in entry:
             raise ValueError(f"corpus entry {i} must have label and tau")
         _check_keys(entry, ("label", "tau", "kappa0", "expect"), f"corpus entry {i}")
-        label = str(entry["label"])
+        label = _check_label(f"corpus entry {i} label", entry["label"])
         if label in labels:
             raise ValueError(f"duplicate corpus label {label!r}")
         labels.add(label)

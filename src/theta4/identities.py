@@ -15,35 +15,29 @@ Both are checked numerically; residuals are reported in absolute value and
 relative to max(|lhs|, |rhs|, 1e-30) so that zeros of theta cannot blow up
 the quotient.
 
-A sweep forms its terms once as a (points x 4^g) array by canonical index
-(the inversion's fourth powers zero on the odd pairs), and each point's
-signed sums are one fast Walsh-Hadamard transform of its row (_signed_sums),
-with no sign table.  Theta powers and products are taken on Python scalars,
-so a single check's record is bit for bit its record in a sweep.
-A sweep has one tau and one policy (None reads as theta_eval's
-DEFAULT_POLICY in theta_table), so its records carry neither.  Each record
-is the JSON dict that verify-quartic and verify-inversion write, built once;
-summarize() holds the one pass rule that the CLI gates on.
+A sweep checks every characteristic (every even one, for the inversion) at
+the points its caller gives it; a single check is a one-point sweep.  It
+forms its terms once as a (points x 4^g) array by canonical index (the
+inversion's fourth powers zero on the odd pairs), and each point's signed
+sums are one fast Walsh-Hadamard transform of its row (_signed_sums), with
+no sign table.  Every step treats each point on its own, so a point's
+records do not depend on the other points of the sweep.  Theta powers and
+products are taken on Python scalars: numpy's complex product gives the same
+bits at any batch size, but differs from Python's in the last bit for about
+44% of products, so the scalars keep the records bit for bit those of the
+reports written so far.  A sweep has one tau and one policy (None reads as
+theta_eval's DEFAULT_POLICY in theta_table), so its records carry neither.
+Each record is the JSON dict that verify-quartic and verify-inversion write,
+built once; summarize() holds the one pass rule that the CLI gates on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from theta4.char2 import (
-    Characteristic,
-    enumerate_characteristics,
-    even_characteristics,
-    parity,
-)
+from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics
 from theta4.jsonio import complex_json
-from theta4.theta_eval import (
-    PeriodMatrix,
-    TruncationPolicy,
-    check_real,
-    sample_cell_points,
-    theta_table,
-)
+from theta4.theta_eval import PeriodMatrix, TruncationPolicy, check_real, theta_table
 
 RESIDUAL_FLOOR = 1e-30
 
@@ -92,7 +86,7 @@ def _signed_sums(terms: np.ndarray, rows: list[Characteristic]) -> np.ndarray:
     Walsh-Hadamard transform (Fino and Algazi, 1976) of its terms moved to
     their swapped indices, read at index(c): 2g passes of adds and subtracts,
     within 2g u sum|terms| of the exact sums.  Each point is transformed
-    elementwise on its own, so a single check gives its sweep record bit for bit."""
+    elementwise on its own, so its sums do not depend on the other points."""
     g = rows[0].g
     # x[:, swapped(b)] = terms[:, b]: swapping the halves is an involution
     x = terms[:, [b._swapped for b in enumerate_characteristics(g)]]
@@ -129,75 +123,44 @@ def _records(
     return out
 
 
-def _quartic_records(
-    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy | None
-) -> list[dict]:
-    """Quartic records for chars at each point; the nulls are shared by all points."""
-    g = tau.g
-    all_chars = enumerate_characteristics(g)
+def _as_points(points) -> np.ndarray:
+    """points as a complex array, one point per row; ValueError if there is none."""
     points = np.asarray(points, dtype=complex)
-    cubes = [n**3 for n in theta_table(all_chars, [np.zeros(g)], tau, policy)[:, 0].tolist()]
-    lhs = np.array([[v**4 for v in row] for row in theta_table(chars, points, tau, policy).T.tolist()])
-    doubled = theta_table(all_chars, 2.0 * points, tau, policy).T.tolist()
-    terms = np.array([[n3 * v for n3, v in zip(cubes, row)] for row in doubled]) / 2**g
-    term_scale = _magnitude(terms).max(axis=1, keepdims=True)
-    return _records("quartic", chars, points, lhs, _signed_sums(terms, chars), term_scale)
+    if len(points) == 0:
+        raise ValueError("an identity sweep needs at least one point")
+    return points
 
 
-def riemann_quartic_check(
-    c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
-) -> dict:
-    """Check theta[c](z)^4 against the signed sum over all 4^g pairs.
+def quartic_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy | None = None) -> list[dict]:
+    """Quartic records for all 4^g characteristics at each point; all points share the nulls.
 
     The odd-pair terms are evaluated rather than skipped; their nulls vanish,
     so keeping them doubles as an odd-null check at no extra cost at desk
     scale.
     """
-    return _quartic_records(tau, [z], [c], policy)[0]
+    g = tau.g
+    chars = enumerate_characteristics(g)
+    points = _as_points(points)
+    cubes = [n**3 for n in theta_table(chars, [np.zeros(g)], tau, policy)[:, 0].tolist()]
+    lhs = np.array([[v**4 for v in row] for row in theta_table(chars, points, tau, policy).T.tolist()])
+    doubled = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
+    terms = np.array([[n3 * v for n3, v in zip(cubes, row)] for row in doubled]) / 2**g
+    term_scale = _magnitude(terms).max(axis=1, keepdims=True)
+    return _records("quartic", chars, points, lhs, _signed_sums(terms, chars), term_scale)
 
 
-def _inversion_records(
-    tau: PeriodMatrix, points, chars: list[Characteristic], policy: TruncationPolicy | None
-) -> list[dict]:
-    """Inversion records for the even chars at each point; the sums run over all even pairs."""
+def inversion_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy | None = None) -> list[dict]:
+    """Inversion records for every even pair at each point; the sums run over all even pairs."""
     g = tau.g
     evens = even_characteristics(g)
-    points = np.asarray(points, dtype=complex)
-    nulls = theta_table(chars, [np.zeros(g)], tau, policy)[:, 0].tolist()
+    points = _as_points(points)
+    nulls = theta_table(evens, [np.zeros(g)], tau, policy)[:, 0].tolist()
     fourths = np.zeros((len(points), 4**g), dtype=complex)  # by canonical index, 0 on odd pairs
     values = theta_table(evens, points, tau, policy).T.tolist()
     fourths[:, [a._index for a in evens]] = [[v**4 for v in row] for row in values]
-    doubled = theta_table(chars, 2.0 * points, tau, policy).T.tolist()
+    doubled = theta_table(evens, 2.0 * points, tau, policy).T.tolist()
     lhs = np.array([[2**g * n**3 * v for n, v in zip(nulls, row)] for row in doubled])
-    own = -(2**g) * fourths[:, [c._index for c in chars]]
-    rhs = own + _signed_sums(2 * fourths, chars)
+    own = -(2**g) * fourths[:, [c._index for c in evens]]
+    rhs = own + _signed_sums(2 * fourths, evens)
     term_scale = np.maximum(_magnitude(own), 2 * _magnitude(fourths).max(axis=1, keepdims=True))
-    return _records("inversion", chars, points, lhs, rhs, term_scale)
-
-
-def inversion_check(
-    c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
-) -> dict:
-    """Check the even-pair inversion of the quartic relation at one even c."""
-    if parity(c) != 1:
-        raise ValueError(f"inversion is stated for even pairs only, got odd {c}")
-    return _inversion_records(tau, [z], [c], policy)[0]
-
-
-def quartic_residuals(
-    tau: PeriodMatrix, n_samples: int, seed: int, policy: TruncationPolicy | None = None
-) -> list[dict]:
-    """Quartic residuals for all 4^g characteristics at seeded cell samples,
-    sharing theta evaluations: the nulls are computed once per tau and the
-    values at z and 2z once per sample.
-    """
-    points = sample_cell_points(tau, n_samples, seed)
-    return _quartic_records(tau, points, enumerate_characteristics(tau.g), policy)
-
-
-def inversion_residuals(
-    tau: PeriodMatrix, n_samples: int, seed: int, policy: TruncationPolicy | None = None
-) -> list[dict]:
-    """Inversion residuals for all even pairs at seeded cell samples."""
-    points = sample_cell_points(tau, n_samples, seed)
-    return _inversion_records(tau, points, even_characteristics(tau.g), policy)
+    return _records("inversion", evens, points, lhs, rhs, term_scale)

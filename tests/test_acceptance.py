@@ -26,13 +26,14 @@ from theta4.char2 import (
     parity,
 )
 from theta4.cli import main, run_suite, standard_corpus
-from theta4.identities import inversion_residuals, quartic_residuals, riemann_quartic_check
+from theta4.identities import inversion_residuals, quartic_residuals
 from theta4.jsonio import canonical_dumps
 from theta4.mmatrix import build_m, verify_sign_matrix
 from theta4.theta_eval import (
     PeriodMatrix,
     block_diagonal_tau,
     random_tau,
+    sample_cell_points,
     theta_nulls,
     theta_series,
 )
@@ -76,12 +77,13 @@ def test_criterion_2_odd_null_vanishing():
 
 def test_criterion_3_quartic_relation():
     start = time.perf_counter()
-    jacobi = riemann_quartic_check(Characteristic.zero(1), [0.0], PeriodMatrix([[1j]]))
+    [jacobi] = [r for r in quartic_residuals(PeriodMatrix([[1j]]), [[0.0]])
+                if r["char"] == Characteristic.zero(1).to_json()]
     assert jacobi["rel_residual"] < 1e-9
     for g in (1, 2):
         for seed in range(20):
             tau = random_tau(g, seed=seed, floor=1.0)
-            for res in quartic_residuals(tau, n_samples=1, seed=seed + 1000):
+            for res in quartic_residuals(tau, sample_cell_points(tau, 1, seed=seed + 1000)):
                 assert res["rel_residual"] < 1e-8, (g, seed, res["char"], res["rel_residual"])
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 3 exceeded its 60 s budget: {elapsed:.2f}s"
@@ -93,7 +95,7 @@ def test_criterion_4_inversion_formula():
     for g in (1, 2):
         for seed in range(20):
             tau = random_tau(g, seed=seed, floor=1.0)
-            for res in inversion_residuals(tau, n_samples=1, seed=seed + 1000):
+            for res in inversion_residuals(tau, sample_cell_points(tau, 1, seed=seed + 1000)):
                 assert res["rel_residual"] < 1e-8, (g, seed, res["char"], res["rel_residual"])
     elapsed = time.perf_counter() - start
     _report(4, "inversion over even pairs on the same corpus", elapsed)

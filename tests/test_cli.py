@@ -651,6 +651,10 @@ class TestRunSuite:
             {"tau": {"kind": "spiral", "g": 1}},
             {"tau": 5},
             *({"tau": source} for source in HUGE_SOURCES),
+            {"label": True},
+            {"label": {"k": [1]}},
+            {"label": 7},
+            {"tau": {"kind": "random", "g": 1, "seed": 1, "flor": 3.0}},
         ],
     )
     def test_malformed_tau_source_names_entry(self, capsys, monkeypatch, tmp_path, fields):
@@ -747,8 +751,29 @@ class TestRunSuite:
              "corpus entry 1 has unknown key 'kappa_0'"),
             ({"entries": [{**GOOD_ENTRY, "expect": {"vanishing_null": 3}}]},
              "corpus entry 0 expect has unknown key 'vanishing_null'"),
+            ({"label": math.nan, "entries": [GOOD_ENTRY]}, "corpus label must be a string, got nan"),
+            ({"entries": [GOOD_ENTRY, {"label": True, "tau": GOOD_ENTRY["tau"]}]},
+             "corpus entry 1 label must be a string, got True"),
+            ({"entries": [{"label": {"k": [1]}, "tau": GOOD_ENTRY["tau"]}]},
+             "corpus entry 0 label must be a string, got {'k': [1]}"),
+            ({"entries": [{"label": "b", "tau": {"kind": "random", "g": 2, "seed": 7, "flor": 3.0}}]},
+             "random tau source has unknown key 'flor'; known keys: kind, g, seed, floor"),
+            ({"entries": [{"label": "b", "tau": {"kind": "file", "path": "tau.json", "g": 1}}]},
+             "file tau source has unknown key 'g'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "literal", "re": [[0.0]], "im": [[1.0]], "img": 1}}]},
+             "literal tau source has unknown key 'img'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "diagonal", "entries": [], "g": 1}}]},
+             "diagonal tau source has unknown key 'g'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "diagonal", "entries": [{"re": 0.0, "im": 1.0, "g": 1}]}}]},
+             "diagonal tau source entry has unknown key 'g'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [], "depth": 1}}]},
+             "block tau source has unknown key 'depth'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [{**GOOD_ENTRY["tau"], "flor": 1.0}]}}]},
+             "random tau source has unknown key 'flor'"),
         ],
-        ids=["corpus", "policies", "policies-threshold", "entry", "expect"],
+        ids=["corpus", "policies", "policies-threshold", "entry", "expect", "corpus-label-nan",
+             "entry-label-bool", "entry-label-object", "random-source", "file-source", "literal-source",
+             "diagonal-source", "diagonal-source-entry", "block-source", "source-in-block"],
     )
     def test_unknown_key_rejected_before_any_entry(self, capsys, tmp_path, corpus, message):
         path = tmp_path / "corpus.json"

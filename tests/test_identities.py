@@ -9,13 +9,7 @@ from theta4.char2 import (
     even_characteristics,
     weil_pairing,
 )
-from theta4.identities import (
-    inversion_check,
-    inversion_residuals,
-    riemann_quartic_check,
-    quartic_residuals,
-    summarize,
-)
+from theta4.identities import inversion_residuals, quartic_residuals, summarize
 from theta4.jsonio import complex_json
 from theta4.mmatrix import build_m, pairing_signs
 from theta4.theta_eval import (
@@ -35,6 +29,12 @@ def value(v: dict) -> complex:
     return complex(v["re"], v["im"])
 
 
+def record(records: list[dict], c: Characteristic) -> dict:
+    """The record of c in a one-point sweep."""
+    [res] = [r for r in records if r["char"] == c.to_json()]
+    return res
+
+
 def float_bytes(v) -> bytes:
     """The bytes of every float in a record value, in order."""
     if isinstance(v, dict):
@@ -46,7 +46,7 @@ def float_bytes(v) -> bytes:
 
 class TestQuartic:
     def test_jacobi_specialization(self, tau_g1_i, zero1):
-        res = riemann_quartic_check(Characteristic.zero(1), zero1, tau_g1_i)
+        res = record(quartic_residuals(tau_g1_i, [zero1]), Characteristic.zero(1))
         assert res["rel_residual"] < 1e-9
         assert abs(value(res["lhs"]) - THETA3_4TH_AT_I) < 1e-10
         # the relation at z=0, g=1 is literally theta3^4 = theta2^4 + theta4^4
@@ -60,15 +60,15 @@ class TestQuartic:
     def test_all_characteristics_random_tau(self, g):
         for seed in (0, 1):
             tau = random_tau(g, seed=seed, floor=1.0)
-            for res in quartic_residuals(tau, n_samples=2, seed=seed + 50):
+            for res in quartic_residuals(tau, sample_cell_points(tau, 2, seed=seed + 50)):
                 assert res["rel_residual"] < 1e-8
 
     def test_odd_characteristic(self, tau_g1_i):
-        res = riemann_quartic_check(Characteristic((1,), (1,)), [0.23 + 0.11j], tau_g1_i)
+        res = record(quartic_residuals(tau_g1_i, [[0.23 + 0.11j]]), Characteristic((1,), (1,)))
         assert res["rel_residual"] < 1e-8
 
     def test_residual_fields_consistent(self, tau_g2_random):
-        res = riemann_quartic_check(Characteristic.zero(2), [0.1j, 0.2], tau_g2_random)
+        res = record(quartic_residuals(tau_g2_random, [[0.1j, 0.2]]), Characteristic.zero(2))
         lhs, rhs = value(res["lhs"]), value(res["rhs"])
         assert res["abs_residual"] == abs(lhs - rhs)
         assert res["rel_residual"] == res["abs_residual"] / max(abs(lhs), abs(rhs), 1e-30)
@@ -80,23 +80,29 @@ class TestQuartic:
         fields = ["kind", "char", "z", "lhs", "rhs", "abs_residual", "rel_residual", "scale"]
         assert list(res) == fields
 
-    def test_batch_matches_single(self):
-        # every record of a sweep is bit for bit the record of its own single check
+    def test_one_point_sweep_matches_sweep(self):
+        # every record of a sweep is bit for bit that point's record in a one-point sweep
         for g in (1, 2, 3):
             tau = random_tau(g, seed=g + 40, floor=1.0)
             points = sample_cell_points(tau, 2, seed=9)
-            for batch_fn, single_fn, n_chars in (
-                (quartic_residuals, riemann_quartic_check, 4**g),
-                (inversion_residuals, inversion_check, d_plus(g)),
-            ):
-                records = batch_fn(tau, n_samples=2, seed=9)
+            for sweep, n_chars in ((quartic_residuals, 4**g), (inversion_residuals, d_plus(g))):
+                records = sweep(tau, points)
                 assert len(records) == 2 * n_chars
                 for k, res in enumerate(records):
-                    single = single_fn(Characteristic.from_json(res["char"]), points[k // n_chars], tau)
+                    single = record(sweep(tau, points[k // n_chars : k // n_chars + 1]),
+                                    Characteristic.from_json(res["char"]))
                     assert single["char"] == res["char"] and single["kind"] == res["kind"]
                     for field in ("z", "lhs", "rhs", "scale", "abs_residual", "rel_residual"):
                         bits = [float_bytes(r[field]) for r in (single, res)]
                         assert bits[0] == bits[1], (g, res["kind"], res["char"], field)
+
+
+@pytest.mark.parametrize("points", [[], np.empty((0, 2))], ids=["list", "array"])
+@pytest.mark.parametrize("sweep", [quartic_residuals, inversion_residuals])
+def test_empty_points_rejected_before_any_sum(sweep, points, no_lattice_sum):
+    # summarize([]) would count a sweep with no records as a pass
+    with pytest.raises(ValueError, match="at least one point"):
+        sweep(random_tau(2, seed=7), points)
 
 
 class TestSignedSums:
@@ -132,7 +138,7 @@ class TestSignedSums:
 
         monkeypatch.setattr(identities, "_signed_sums", flipped)
         for sweep in (quartic_residuals, inversion_residuals):
-            records = sweep(tau_g2_random, n_samples=1, seed=5)
+            records = sweep(tau_g2_random, sample_cell_points(tau_g2_random, 1, seed=5))
             failed = [r["char"] for r in records if not summarize([r], 1e-8)[1]]
             assert failed == [c.to_json()]
 
@@ -176,7 +182,7 @@ class TestSummarize:
         points = sample_cell_points(tau_g2_random, 2, seed=9)
         for sweep, chars in ((quartic_residuals, enumerate_characteristics(2)),
                              (inversion_residuals, even_characteristics(2))):
-            records = sweep(tau_g2_random, 2, seed=9)
+            records = sweep(tau_g2_random, points)
             n = len(chars)
             for k, res in enumerate(records):
                 assert res["char"] is records[k % n]["char"]
@@ -195,7 +201,8 @@ class TestReferenceLoops:
         zero = np.zeros(g, dtype=complex)
         evens = even_characteristics(g)
         null = {b: theta_series(b, zero, tau).value for b in enumerate_characteristics(g)}
-        records = quartic_residuals(tau, n_samples=2, seed=6) + inversion_residuals(tau, n_samples=2, seed=6)
+        points = sample_cell_points(tau, 2, seed=6)
+        records = quartic_residuals(tau, points) + inversion_residuals(tau, points)
         for res in records:
             z, c = np.array([value(v) for v in res["z"]]), Characteristic.from_json(res["char"])
             if res["kind"] == "quartic":
@@ -219,18 +226,20 @@ class TestReferenceLoops:
 
 class TestInversion:
     def test_g1_z0(self, tau_g1_i, zero1):
-        res = inversion_check(Characteristic.zero(1), zero1, tau_g1_i)
+        res = record(inversion_residuals(tau_g1_i, [zero1]), Characteristic.zero(1))
         assert res["rel_residual"] < 1e-9
         assert abs(value(res["lhs"]) - TWICE_THETA3_4TH) < 1e-10
         assert abs(value(res["rhs"]) - TWICE_THETA3_4TH) < 1e-10
 
     def test_g2_all_even(self, tau_g2_random):
-        for res in inversion_residuals(tau_g2_random, n_samples=2, seed=3):
+        for res in inversion_residuals(tau_g2_random, sample_cell_points(tau_g2_random, 2, seed=3)):
             assert res["rel_residual"] < 1e-8
 
-    def test_rejects_odd(self, tau_g1_i):
-        with pytest.raises(ValueError):
-            inversion_check(Characteristic((1,), (1,)), [0.1], tau_g1_i)
+    def test_checks_even_pairs_only(self, tau_g1_i):
+        # the inversion is stated for even pairs only: no record names an odd one
+        records = inversion_residuals(tau_g1_i, [[0.1]])
+        assert [r["char"] for r in records] == [c.to_json() for c in even_characteristics(1)]
+        assert Characteristic((1,), (1,)).to_json() not in [r["char"] for r in records]
 
     def test_vanishing_null_record_passes_at_scale(self, tau_g2_product):
         # at the product point the relation for the vanishing pair reads 0 = 0:
@@ -238,7 +247,7 @@ class TestInversion:
         vanishing = Characteristic((1, 1), (1, 1))
         [res] = [
             r
-            for r in inversion_residuals(tau_g2_product, n_samples=1, seed=4)
+            for r in inversion_residuals(tau_g2_product, sample_cell_points(tau_g2_product, 1, seed=4))
             if r["char"] == vanishing.to_json()
         ]
         assert abs(value(res["lhs"])) < 1e-12 * res["scale"]
@@ -246,8 +255,9 @@ class TestInversion:
         assert res["abs_residual"] < 1e-10 * res["scale"]
 
     def test_consistency_with_quartic_on_shared_samples(self, tau_g2_random):
-        quartic = quartic_residuals(tau_g2_random, n_samples=2, seed=12)
-        inversion = inversion_residuals(tau_g2_random, n_samples=2, seed=12)
+        points = sample_cell_points(tau_g2_random, 2, seed=12)
+        quartic = quartic_residuals(tau_g2_random, points)
+        inversion = inversion_residuals(tau_g2_random, points)
         assert max(r["rel_residual"] for r in quartic) < 1e-8
         assert max(r["rel_residual"] for r in inversion) < 1e-8
 
@@ -260,7 +270,7 @@ class TestDegradation:
         z = sample_cell_points(tau_g2_random, 1, seed=21)[0]
         evens = even_characteristics(g)
         c = evens[0]
-        res = inversion_check(c, z, tau_g2_random)
+        res = record(inversion_residuals(tau_g2_random, [z]), c)
         zeroed_lhs = 0.0 + 0.0j  # pretend theta[c](0) = 0
         rhs = value(res["rhs"])
         rel = abs(zeroed_lhs - rhs) / max(abs(zeroed_lhs), abs(rhs), 1e-30)
@@ -270,7 +280,7 @@ class TestDegradation:
         g = 2
         z = sample_cell_points(tau_g2_random, 1, seed=22)[0]
         c = Characteristic.zero(g)
-        res = riemann_quartic_check(c, z, tau_g2_random)
+        res = record(quartic_residuals(tau_g2_random, [z]), c)
         dropped = evens_term(c, z, tau_g2_random, drop=Characteristic.zero(g))
         lhs = value(res["lhs"])
         rel = abs(lhs - dropped) / max(abs(lhs), abs(dropped), 1e-30)

@@ -23,21 +23,29 @@ theta[eta_S](0)^4 = +-c Delta(S) Delta(S^c) with Delta(T) = prod_{i<j in T}
 (e_i - e_j), over the splits of the branch points into two halves S, S^c.
 Which characteristic belongs to which split depends on the homology basis,
 but the multiset of |theta|^4 / max does not.
+
+hyperelliptic_corpus.json holds the g = 2 and g = 3 period matrices, made
+symmetric and written at 17 significant digits, as a run-suite corpus with
+their vanishing counts; the test here regenerates them.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from theta4.basis_analysis import DEFAULT_NULL_THRESHOLD, basis_report, split_nulls
 from theta4.char2 import d_plus
+from theta4.cli import main
 from theta4.theta_eval import PeriodMatrix, theta_nulls
 
 NODES = 200
 GENERA = [1, 2, 3, 4]
 VANISHING = {1: 0, 2: 0, 3: 1, 4: 10}
+CORPUS = Path(__file__).with_name("hyperelliptic_corpus.json")
 
 
 def branch_points(g: int) -> np.ndarray:
@@ -106,3 +114,19 @@ def test_basis_report_corank_g3():
     assert report["consistent"] is True
     assert (report["ev_matrix_rank"], report["fourth_power_rank"], report["dim"]) == (35, 35, 36)
     assert len(report["vanishing_nulls"]) == 1
+
+
+def test_corpus_regenerates_and_passes(capsys):
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert [entry["tau"]["g"] for entry in corpus["entries"]] == [2, 3]
+    for entry in corpus["entries"]:
+        g = entry["tau"]["g"]
+        # the quadrature's tau is symmetric to within 7.0e-15 at g = 3
+        tau = hyperelliptic_tau(g)
+        literal = np.array(entry["tau"]["re"]) + 1j * np.array(entry["tau"]["im"])
+        assert np.max(np.abs(literal - (tau + tau.T) / 2)) <= 1e-14
+        assert entry["expect"]["vanishing_nulls"] == VANISHING[g]
+    code = main(["run-suite", "--corpus", str(CORPUS)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [e["status"] for e in report["entries"]] == ["pass", "pass"]

@@ -472,8 +472,9 @@ class TestSharedSetUp:
     def test_value_memo_is_the_only_state(self):
         tau = random_tau(2, seed=4)
         basis_report(tau)
-        quartic_residuals(tau, 2, 0)
-        inversion_residuals(tau, 2, 0)
+        points = sample_cell_points(tau, 2, 0)
+        quartic_residuals(tau, points)
+        inversion_residuals(tau, points)
         assert tau._theta_memo
         assert set(vars(tau)) == {"_tau", "_lambda_min", "_theta_memo"}
 

@@ -55,9 +55,10 @@ def test_stages_read_theta_series_once_per_entry(samples, tau_g2_random, monkeyp
         "inversion": d * (1 + 2 * samples),
         "basis": d + 3 * d * d,
     }
+    points = theta_eval.sample_cell_points(tau_g2_random, samples, 0)
     stages = {
-        "quartic": lambda: quartic_residuals(tau_g2_random, samples, 0),
-        "inversion": lambda: inversion_residuals(tau_g2_random, samples, 0),
+        "quartic": lambda: quartic_residuals(tau_g2_random, points),
+        "inversion": lambda: inversion_residuals(tau_g2_random, points),
         "basis": lambda: basis_report(tau_g2_random),
     }
     for stage, run in stages.items():
@@ -88,3 +89,16 @@ def test_entry_sums_each_distinct_point_once(g, samples, monkeypatch):
     assert result["status"] == "pass"
     d = d_plus(g)
     assert rows[0] == 2**g * (1 + 2 * samples) + 2**g * (d - 1) + 2**g * 2 * d
+
+
+def test_entry_draws_identity_samples_once(monkeypatch):
+    # both sweeps check the one identity draw; basis_report draws its fourth-power samples
+    draws = counting(monkeypatch, theta_eval, "sample_cell_points")
+    result, _ = _run_entry(
+        "draws", theta_eval.random_tau(2, seed=2), Characteristic.zero(2),
+        {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY,
+        sv_threshold=DEFAULT_SV_THRESHOLD, samples=2, identity_eps=DEFAULT_POLICIES["identity_eps"],
+        null_threshold=DEFAULT_NULL_THRESHOLD,
+    )
+    assert result["status"] == "pass"
+    assert draws[0] == 2
