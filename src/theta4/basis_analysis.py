@@ -200,37 +200,30 @@ def vanishing_nulls(
     return list(split_nulls(theta_nulls(tau, policy), null_threshold)[1])
 
 
-def sample_count(g: int, n_samples: int | None) -> int:
-    """Number of fourth-power samples at genus g: 2 d+ when n_samples is None,
-    else n_samples, which must be an integer of at least 2 d+."""
-    d = d_plus(g)
-    n = 2 * d if n_samples is None else check_integer("samples", n_samples, 1)
-    if n < 2 * d:
-        raise ValueError(f"need at least 2 d+ = {2 * d} samples, got {n}")
-    return n
-
-
 def fourth_power_rank(
     tau: PeriodMatrix,
     policy: TruncationPolicy | None = None,
     sv_threshold: float = DEFAULT_SV_THRESHOLD,
-    n_samples: int | None = None,
     seed: int = 0,
 ) -> int:
     """Numerical rank of sampled even fourth powers theta[a](z)^4.
 
-    Uses n_samples >= 2 d+ seeded points in the cell [0,1) + [0,1) tau; the
-    sample matrix rows are scaled to unit maximum modulus before the SVD,
-    which leaves the rank unchanged and keeps the relative cutoff meaningful
-    across wildly different sample magnitudes.
+    Uses 2 d+ seeded points in the cell [0,1) + [0,1) tau; the sample matrix
+    rows are scaled to unit maximum modulus before the SVD, which leaves the
+    rank unchanged and keeps the relative cutoff meaningful across wildly
+    different sample magnitudes.  Raises ValueError when a fourth power
+    overflows double precision, as it does for a large enough Im tau.
     """
     check_threshold("sv_threshold", sv_threshold)
     g = tau.g
-    n = sample_count(g, n_samples)
+    n = 2 * d_plus(g)
     pts = sample_cell_points(tau, n, seed)
     if len({tuple(p.tolist()) for p in pts}) != n:
         raise ValueError("degenerate sampling: coincident sample points")
-    v = theta_table(even_characteristics(g), pts, tau, policy).T ** 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = theta_table(even_characteristics(g), pts, tau, policy).T ** 4
+    if not np.isfinite(v).all():
+        raise ValueError("a sampled fourth power theta[a](z)^4 overflows double precision")
     v = v / np.max(np.abs(v), axis=1, keepdims=True)
     return numerical_rank(v, sv_threshold)
 
@@ -242,7 +235,6 @@ def basis_report(
     sv_threshold: float = DEFAULT_SV_THRESHOLD,
     null_threshold: float = DEFAULT_NULL_THRESHOLD,
     seed: int = 0,
-    n_samples: int | None = None,
 ) -> dict:
     """Run the full analysis for one period matrix and one even kappa0 and
     return the verdicts and their evidence as canonical-JSON data; every
@@ -268,7 +260,6 @@ def basis_report(
     check_kappa0(kappa0, g)
     check_threshold("null_threshold", null_threshold)
     check_threshold("sv_threshold", sv_threshold)
-    n = sample_count(g, n_samples)
     check_integer("seed", seed, 0)
 
     _, vanishing, near = split_nulls(theta_nulls(tau, policy), null_threshold)
@@ -277,7 +268,7 @@ def basis_report(
     ev_scaled = ev / np.max(np.abs(ev), axis=0, keepdims=True)
     ev_rank = numerical_rank(ev_scaled, sv_threshold)
 
-    fp_rank = fourth_power_rank(tau, policy, sv_threshold, n, seed)
+    fp_rank = fourth_power_rank(tau, policy, sv_threshold, seed)
 
     m_dev = None
     if not vanishing:
@@ -309,5 +300,5 @@ def basis_report(
         "rel_sv_threshold": sv_threshold,
         "target_eps": policy.target_eps,
         "seed": seed,
-        "n_samples": n,
+        "n_samples": 2 * d,
     }

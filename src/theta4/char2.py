@@ -92,23 +92,15 @@ class Characteristic:
         check_genus(len(a1))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-        # the genus, the halves as g-bit ints, the canonical index a1||a2 and the
-        # swapped index a2||a1; not fields, so ==, hash, repr and JSON ignore them
+        # the genus, the halves as g-bit ints, the canonical index a1||a2 (high g
+        # bits a1, MSB first) and the swapped index a2||a1; not fields, so ==,
+        # hash, repr and JSON ignore them
         h1, h2, g = _bits_to_int(a1), _bits_to_int(a2), len(a1)
-        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "_h1", h1)
         object.__setattr__(self, "_h2", h2)
-        object.__setattr__(self, "_index", h1 << g | h2)
+        object.__setattr__(self, "index", h1 << g | h2)
         object.__setattr__(self, "_swapped", h2 << g | h1)
-
-    @property
-    def g(self) -> int:
-        return len(self.a1)
-
-    @property
-    def index(self) -> int:
-        """Canonical index: high g bits a1, low g bits a2, MSB first."""
-        return self._index
 
     @property
     def is_zero(self) -> bool:
@@ -162,7 +154,7 @@ class Characteristic:
 
 
 def _check_same_genus(a: Characteristic, b: Characteristic) -> None:
-    if a._g != b._g:
+    if a.g != b.g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
 
 
@@ -188,9 +180,9 @@ def weil_pairing(a: Characteristic, b: Characteristic) -> int:
     a.index & b's swapped index is (a1 & b2)||(a2 & b1), whose popcount is
     a1.b2 + a2.b1, so the sign is one table read.
     """
-    if a._g != b._g:
+    if a.g != b.g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
-    return _SIGN[a._index & b._swapped]
+    return _SIGN[a.index & b._swapped]
 
 
 def kappa_value(c: Characteristic, a: Characteristic) -> int:

@@ -1,13 +1,16 @@
 """Command line front end: JSON reports over the library's checks.
 
-Exit code contract, shared by every subcommand:
-  0  pass (or report written and internally consistent)
-  1  a mathematical check failed
-  2  invalid input (bad files, bad flags, infeasible policies; a tail target
-     that needs a radius past the cap raises TruncationError, a ValueError)
-  3  warning (near-degenerate input; verdicts not trustworthy)
-  4  internal error (an exception no check expects: a bug, reported on one
-     error: line naming the exception and where it was raised)
+Exit code contract, shared by every subcommand.  Each command ends in a
+status, and EXIT_CODES lists the statuses from least to most severe:
+  pass   0  the checks passed (or the report was written and is consistent)
+  warn   3  near-degenerate input; verdicts not trustworthy
+  error  2  invalid input (bad files, bad flags, infeasible policies; a tail
+            target that needs a radius past the cap raises TruncationError,
+            a ValueError; a value past double range)
+  fail   1  a mathematical check failed
+run-suite exits with the status of its most severe entry.  Code 4 is an
+internal error: an exception no check expects, a bug, reported on one
+error: line naming the exception and where it was raised.
 
 All file output is canonical JSON written atomically, so identical inputs
 and seeds give byte-identical reports.
@@ -63,11 +66,12 @@ from theta4.theta_eval import (
     theta_series,
 )
 
-EXIT_PASS = 0
-EXIT_MATH_FAIL = 1
-EXIT_INPUT = 2
-EXIT_WARN = 3
+# every status with its exit code, from least to most severe
+EXIT_CODES = {"pass": 0, "warn": 3, "error": 2, "fail": 1}
 EXIT_INTERNAL = 4
+
+# the exceptions that end a command, or a run-suite entry, with status error
+INPUT_ERRORS = (ValueError, ArithmeticError)
 
 DEFAULT_POLICIES = {
     "target_eps": DEFAULT_TARGET_EPS,
@@ -77,6 +81,13 @@ DEFAULT_POLICIES = {
     "samples": 5,
     "seed": 0,
 }
+
+
+def _status(ok: bool, report: dict | None = None) -> str:
+    """warn when the basis report warns, else pass or fail as ok says."""
+    if report is not None and report["status"] == "warn":
+        return "warn"
+    return "pass" if ok else "fail"
 
 
 def _emit(obj, out: str | None) -> None:
@@ -95,7 +106,7 @@ def _cmd_chars(args) -> int:
         if not (args.even_only and parity(c) != 1)
     ]
     _emit({"g": args.genus, "count": len(rows), "characteristics": rows}, args.out)
-    return EXIT_PASS
+    return EXIT_CODES["pass"]
 
 
 def _cmd_mmatrix(args) -> int:
@@ -105,11 +116,11 @@ def _cmd_mmatrix(args) -> int:
         m = pairing_signs(evens, evens)
         _emit({"g": args.genus, "dim": len(m), "entries": m.tolist()}, args.emit)
     if not args.verify:
-        return EXIT_PASS
+        return EXIT_CODES["pass"]
     checks = verify_sign_matrix(args.genus)
     ok = all(checks.values())
     _emit({"g": args.genus, "dim": d_plus(args.genus), "checks": checks, "ok": ok}, None)
-    return EXIT_PASS if ok else EXIT_MATH_FAIL
+    return EXIT_CODES[_status(ok)]
 
 
 def _cmd_theta(args) -> int:
@@ -124,7 +135,7 @@ def _cmd_theta(args) -> int:
         "radius": result.radius,
     }
     _emit(payload, args.out)
-    return EXIT_PASS
+    return EXIT_CODES["pass"]
 
 
 def _cmd_nulls(args) -> int:
@@ -143,7 +154,7 @@ def _cmd_nulls(args) -> int:
         "vanishing": [c.to_json() for c in vanishing],
     }
     _emit(payload, args.out)
-    return EXIT_PASS
+    return EXIT_CODES["pass"]
 
 
 def _cmd_verify_identity(args, kind: str) -> int:
@@ -156,7 +167,7 @@ def _cmd_verify_identity(args, kind: str) -> int:
     worst, ok, at_scale = summarize(records, args.eps)
     print(f"{kind}: {len(records)} checks, max rel residual {worst:.3e} "
           f"({at_scale} pass only at term scale)", file=sys.stderr)
-    return EXIT_PASS if ok else EXIT_MATH_FAIL
+    return EXIT_CODES[_status(ok)]
 
 
 def _cmd_basis_report(args) -> int:
@@ -170,12 +181,9 @@ def _cmd_basis_report(args) -> int:
         sv_threshold=args.sv_threshold,
         null_threshold=args.null_threshold,
         seed=args.seed,
-        n_samples=args.samples,
     )
     _emit(report, args.out)
-    if report["status"] == "warn":
-        return EXIT_WARN
-    return EXIT_PASS if report["consistent"] else EXIT_MATH_FAIL
+    return EXIT_CODES[_status(report["consistent"], report)]
 
 
 def standard_corpus() -> dict:
@@ -302,7 +310,7 @@ def _run_entry(
             null_threshold=null_threshold,
             seed=seed,
         )
-    except (ValueError, ArithmeticError) as exc:
+    except INPUT_ERRORS as exc:
         result["status"] = "error"
         result["error"] = str(exc)
         return result, at_scale
@@ -313,12 +321,7 @@ def _run_entry(
         and report["point_basis_verdict"] == expect["verdicts"]
         and report["fourth_power_basis_verdict"] == expect["verdicts"]
     )
-    if report["status"] == "warn":
-        result["status"] = "warn"
-    elif identities_ok and expected_ok and report["consistent"]:
-        result["status"] = "pass"
-    else:
-        result["status"] = "fail"
+    result["status"] = _status(identities_ok and expected_ok and report["consistent"], report)
     return result, at_scale
 
 
@@ -378,13 +381,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         print(f"[{label}] {result['status']} ({time.perf_counter() - start:.2f}s{note})", file=sys.stderr)
         results.append(result)
 
-    statuses = [r["status"] for r in results]
-    if any(s in ("fail", "error") for s in statuses):
-        rollup = "fail"
-    elif any(s == "warn" for s in statuses):
-        rollup = "warn"
-    else:
-        rollup = "pass"
+    rollup = max((r["status"] for r in results), key=list(EXIT_CODES).index, default="pass")
     return {
         "version": __version__,
         "label": corpus.get("label", ""),
@@ -402,7 +399,7 @@ def _cmd_run_suite(args) -> int:
     report = run_suite(corpus, base_dir)
     print(f"suite rollup: {report['rollup']} ({time.perf_counter() - start:.2f}s)", file=sys.stderr)
     _emit(report, args.out)
-    return {"pass": EXIT_PASS, "fail": EXIT_MATH_FAIL, "warn": EXIT_WARN}[report["rollup"]]
+    return EXIT_CODES[report["rollup"]]
 
 
 @functools.cache
@@ -460,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sv-threshold", type=float, default=DEFAULT_POLICIES["sv_threshold"])
     p.add_argument("--null-threshold", type=float, default=DEFAULT_POLICIES["null_threshold"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_basis_report)
 
@@ -478,9 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (*INPUT_ERRORS, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CODES["error"]
     except Exception as exc:  # a bug must not exit 1, the code of a failed check
         tb = exc.__traceback__
         while tb.tb_next:  # the frame that raised it

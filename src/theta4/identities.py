@@ -93,7 +93,7 @@ def _signed_sums(terms: np.ndarray, rows: list[Characteristic]) -> np.ndarray:
     for k in range(2 * g):
         low, high = np.moveaxis(x.reshape(len(x), -1, 2, 2**k), 2, 0)
         low[...], high[...] = low + high, low - high
-    return x[:, [c._index for c in rows]]
+    return x[:, [c.index for c in rows]]
 
 
 def _records(
@@ -157,10 +157,10 @@ def inversion_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy | No
     nulls = theta_table(evens, [np.zeros(g)], tau, policy)[:, 0].tolist()
     fourths = np.zeros((len(points), 4**g), dtype=complex)  # by canonical index, 0 on odd pairs
     values = theta_table(evens, points, tau, policy).T.tolist()
-    fourths[:, [a._index for a in evens]] = [[v**4 for v in row] for row in values]
+    fourths[:, [a.index for a in evens]] = [[v**4 for v in row] for row in values]
     doubled = theta_table(evens, 2.0 * points, tau, policy).T.tolist()
     lhs = np.array([[2**g * n**3 * v for n, v in zip(nulls, row)] for row in doubled])
-    own = -(2**g) * fourths[:, [c._index for c in evens]]
+    own = -(2**g) * fourths[:, [c.index for c in evens]]
     rhs = own + _signed_sums(2 * fourths, evens)
     term_scale = np.maximum(_magnitude(own), 2 * _magnitude(fourths).max(axis=1, keepdims=True))
     return _records("inversion", evens, points, lhs, rhs, term_scale)

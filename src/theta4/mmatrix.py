@@ -56,7 +56,7 @@ def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]
     genera = {c.g for c in (*rows, *cols)}
     if len(genera) != 1:
         raise ValueError(f"characteristics must share exactly one genus, got genera {sorted(genera)}")
-    r = np.array([c._index for c in rows], dtype=np.uint16)
+    r = np.array([c.index for c in rows], dtype=np.uint16)
     s = np.array([c._swapped for c in cols], dtype=np.uint16)
     table = np.empty((len(r), len(s)), dtype=np.int8)
     for i in range(0, len(r), _BLOCK_ROWS):

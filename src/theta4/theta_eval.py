@@ -451,9 +451,8 @@ def theta_series(
     if entry is None:
         entry = _fill([_as_point(z, g)], tau, policy)[0]
     values, radius, tail_bound = entry
-    # c._index is c.index without the property call; tuple.__new__ builds the
-    # named tuple without its Python-level __new__
-    return tuple.__new__(ThetaValue, (values[c._index], tail_bound, radius))
+    # tuple.__new__ builds the named tuple without its Python-level __new__
+    return tuple.__new__(ThetaValue, (values[c.index], tail_bound, radius))
 
 
 def theta_table(

@@ -237,10 +237,6 @@ class TestFourthPowerRank:
     def test_g1_full(self, tau_g1_i):
         assert fourth_power_rank(tau_g1_i, seed=1) == 3
 
-    def test_sample_count_precondition(self, tau_g1_i):
-        with pytest.raises(ValueError):
-            fourth_power_rank(tau_g1_i, n_samples=5)
-
     def test_threshold_stability(self, tau_g1_i, tau_g2_random, tau_g2_product):
         for tau, expected in ((tau_g1_i, 3), (tau_g2_random, 10), (tau_g2_product, 9)):
             ranks = {
@@ -322,9 +318,8 @@ class TestBasisReport:
     [
         # the sign matrix caps the genus at 5
         (lambda: normalized_evaluation_matrix(random_tau(6, 1)), r"genus must be an integer in 1\.\.5, got 6"),
-        (lambda: basis_report(random_tau(1, 0), n_samples=6.0), r"samples must be an integer >= 1, got 6\.0"),
     ],
-    ids=["normalized-genus-above-cap", "report-float-samples"],
+    ids=["normalized-genus-above-cap"],
 )
 def test_bad_argument_rejected_before_any_sum(no_lattice_sum, call, message):
     with pytest.raises(ValueError, match=message):

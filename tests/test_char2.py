@@ -53,8 +53,8 @@ def ref_swapped(c):
 
 
 def assert_stored_ints(c):
-    assert (c._g, c._h1, c._h2) == (len(c.a1), ref_index(c) >> c.g, ref_index(c) % 2**c.g)
-    assert (c._index, c._swapped) == (ref_index(c), ref_swapped(c))
+    assert (c.g, c._h1, c._h2) == (len(c.a1), ref_index(c) >> c.g, ref_index(c) % 2**c.g)
+    assert (c.index, c._swapped) == (ref_index(c), ref_swapped(c))
 
 
 def sampled_pairs(g, n, seed):
@@ -233,7 +233,7 @@ class TestIntegerHalves:
         assert [f.name for f in dataclasses.fields(c)] == ["a1", "a2"]
         # a characteristic equal in its fields but with other stored ints is still equal
         other = char((1, 0), (0, 1))
-        object.__setattr__(other, "_index", 0)
+        object.__setattr__(other, "index", 0)
         object.__setattr__(other, "_swapped", 0)
         assert other == c and hash(other) == hash(c) and repr(other) == repr(c)
 

@@ -46,9 +46,10 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
-def run_fresh(argv, **kwargs) -> subprocess.CompletedProcess:
-    """A python invocation with theta4 on its path, in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1])}
+def run_fresh(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """A python invocation with theta4 on its path, in a fresh interpreter
+    whose environment adds env."""
+    env = {**os.environ, "PYTHONPATH": str(Path(theta4.__file__).parents[1]), **(env or {})}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60,
                           **kwargs)
 
@@ -100,6 +101,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: internal error KeyError\('boom'\) at test_cli\.py:\d+\n", captured.err)
+
+    @pytest.mark.parametrize("command", ["basis-report", "run-suite"])
+    def test_arithmetic_error_is_input_error(self, capsys, monkeypatch, tmp_path, rand_g2, command):
+        def overflowing(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "basis_report", overflowing)
+        if command == "basis-report":
+            assert main(["basis-report", "--tau", rand_g2]) == 2
+            assert capsys.readouterr() == ("", "error: math range error\n")
+        else:
+            code, report = TestRunSuite.run_corpus(capsys, tmp_path, TestRunSuite.GOOD_ENTRY)
+            assert (code, report["rollup"], report["entries"][0]["error"]) == (2, "error", "math range error")
 
     def test_interrupt_passes_through(self, monkeypatch):
         def interrupted(g):
@@ -479,6 +493,12 @@ class TestBasisReport:
         assert code == 3
         assert payload["status"] == "warn"
 
+    def test_overflowing_fourth_powers_are_one_error_line(self, capsys, tau_file):
+        # at tau = 100i the sampled |theta[a](z)|^4 pass the double range
+        code = main(["basis-report", "--tau", tau_file("far.json", PeriodMatrix([[100j]]))])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: a sampled fourth power theta[a](z)^4 overflows double precision\n")
+
     def test_odd_kappa0_rejected(self, capsys, rand_g2):
         code, _ = run(capsys, "basis-report", "--tau", rand_g2, "--kappa0", "10,10")
         assert code == 2
@@ -486,7 +506,7 @@ class TestBasisReport:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--samples", "3"], "need at least 2 d+ = 272 samples, got 3"),
+            (["--kappa0", "0000,16"], "a2=16 out of range for genus 4"),
             (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
             (["--kappa0", "1000,1000"], "kappa0 must be even"),
             (["--null-threshold", "0"], "null_threshold must be in (0, 1)"),
@@ -521,6 +541,24 @@ HUGE_SOURCES = [
 
 
 class TestRunSuite:
+    GOOD_ENTRY = {"label": "a", "tau": {"kind": "random", "g": 1, "seed": 0}}
+    # theta at its sampled points overflows double precision: the entry ends in error
+    FAR_ENTRY = {"label": "far", "tau": {"kind": "literal", "re": [[0.0]], "im": [[100.0]]}}
+    PRODUCT_ENTRY = {
+        "label": "product-undeclared",
+        "tau": {"kind": "diagonal", "entries": [{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 1.0}]},
+    }
+    NEAR_ENTRY = {
+        "label": "near-degenerate",
+        "tau": {"kind": "literal", "re": [[0.0, 1e-6], [1e-6, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},
+    }
+
+    @staticmethod
+    def run_corpus(capsys, tmp_path, *entries):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"entries": list(entries)}), encoding="utf-8")
+        return run(capsys, "run-suite", "--corpus", str(corpus))
+
     def test_standard_corpus_passes_and_is_deterministic(self, capsys, tmp_path):
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"
@@ -593,24 +631,7 @@ class TestRunSuite:
         assert not out.exists()
 
     def test_unexpected_vanishing_fails(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.json"
-        corpus.write_text(
-            json.dumps(
-                {
-                    "entries": [
-                        {
-                            "label": "product-undeclared",
-                            "tau": {
-                                "kind": "diagonal",
-                                "entries": [{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 1.0}],
-                            },
-                        }
-                    ]
-                }
-            ),
-            encoding="utf-8",
-        )
-        code, payload = run(capsys, "run-suite", "--corpus", str(corpus))
+        code, payload = self.run_corpus(capsys, tmp_path, self.PRODUCT_ENTRY)
         assert code == 1
         assert payload["rollup"] == "fail"
         assert payload["entries"][0]["status"] == "fail"
@@ -727,9 +748,9 @@ class TestRunSuite:
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps({"entries": [good, flat]}), encoding="utf-8")
         out = tmp_path / "report.json"
-        assert main(["run-suite", "--corpus", str(corpus), "--out", str(out)]) == 1
+        assert main(["run-suite", "--corpus", str(corpus), "--out", str(out)]) == 2
         report = json.loads(out.read_text())
-        assert report["rollup"] == "fail"
+        assert report["rollup"] == "error"
         assert [e["status"] for e in report["entries"]] == ["pass", "error"]
         assert report["entries"][1]["error"] == (
             "lattice-sum radius 93 needed to meet the tail target, cap is 64"
@@ -737,7 +758,17 @@ class TestRunSuite:
         # the sweeps did not finish, so the entry's line has no term-scale counts
         assert re.search(r"^\[flat\] error \(\d+\.\d\ds\)$", capsys.readouterr().err, re.M)
 
-    GOOD_ENTRY = {"label": "a", "tau": {"kind": "random", "g": 1, "seed": 0}}
+    @pytest.mark.parametrize(
+        "entry, status, rollup, code",
+        [(GOOD_ENTRY, "pass", "error", 2), (NEAR_ENTRY, "warn", "error", 2), (PRODUCT_ENTRY, "fail", "fail", 1)],
+        ids=["pass", "warn", "fail"],
+    )
+    def test_rollup_is_most_severe_entry(self, capsys, tmp_path, entry, status, rollup, code):
+        # pass < warn < error < fail: an infeasible tau exits 2 unless another entry failed
+        exit_code, report = self.run_corpus(capsys, tmp_path, entry, self.FAR_ENTRY)
+        assert (exit_code, report["rollup"]) == (code, rollup)
+        assert [e["status"] for e in report["entries"]] == [status, "error"]
+        assert "overflows double precision" in report["entries"][1]["error"]
 
     @pytest.mark.parametrize(
         "corpus, message",
@@ -886,25 +917,7 @@ class TestRunSuite:
         return err
 
     def test_warn_entry_rolls_up_to_warn(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.json"
-        corpus.write_text(
-            json.dumps(
-                {
-                    "entries": [
-                        {
-                            "label": "near-degenerate",
-                            "tau": {
-                                "kind": "literal",
-                                "re": [[0.0, 1e-6], [1e-6, 0.0]],
-                                "im": [[1.0, 0.0], [0.0, 1.0]],
-                            },
-                        }
-                    ]
-                }
-            ),
-            encoding="utf-8",
-        )
-        code, payload = run(capsys, "run-suite", "--corpus", str(corpus))
+        code, payload = self.run_corpus(capsys, tmp_path, self.NEAR_ENTRY)
         assert code == 3
         assert payload["rollup"] == "warn"
         assert payload["entries"][0]["status"] == "warn"
@@ -955,6 +968,13 @@ class TestRunSuite:
         assert cli._tau_from_source(json.loads(self.nested_blocks(cap)), Path(".")).g == 1
         with pytest.raises(ValueError, match=f"nest at most {cap} deep"):
             cli._tau_from_source(json.loads(self.nested_blocks(cap + 1)), Path("."))
+
+    def test_standard_report_ignores_hash_seed(self):
+        # the report is the same bytes whatever order set and dict hashing gives
+        procs = [run_fresh(["-m", "theta4.cli", "run-suite", "--standard"], env={"PYTHONHASHSEED": seed})
+                 for seed in ("1", "2")]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert procs[0].stdout == procs[1].stdout != ""
 
     def test_deep_block_source_is_one_error_line(self, tmp_path):
         # 490 levels (980 JSON levels) used to recurse past Python's limit and

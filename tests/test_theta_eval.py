@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import theta4.theta_eval as theta_eval
-from theta4.basis_analysis import basis_report, check_threshold, sample_count
+from theta4.basis_analysis import basis_report, check_threshold
 from theta4.char2 import Characteristic, check_genus, enumerate_characteristics, even_characteristics, parity
 from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals
 from theta4.theta_eval import (
@@ -900,7 +900,6 @@ VALIDATED = {
     "random_tau-seed": lambda x: random_tau(2, x),
     "random_tau-floor": lambda x: random_tau(2, 0, x),
     "sample_cell_points-n": lambda x: sample_cell_points(random_tau(1, 0), x, 0),
-    "sample_count": lambda x: sample_count(1, x),
 }
 
 
@@ -924,4 +923,3 @@ class TestInputRules:
         assert np.array_equal(tau.tau, random_tau(2, 0, 1.0).tau)
         points = sample_cell_points(tau, np.int64(2), np.int64(3))
         assert np.array_equal(points, sample_cell_points(tau, 2, 3))
-        assert sample_count(1, np.int64(7)) == 7
