@@ -122,29 +122,18 @@ class Characteristic:
     def from_ints(cls, g: int, a1: int, a2: int) -> "Characteristic":
         """Build from two integers read as g-bit vectors, MSB first."""
         check_genus(g)
-        if not (0 <= a1 < 2**g and 0 <= a2 < 2**g):
-            raise ValueError(f"integer halves must lie in 0..{2 ** g - 1}, got {a1}, {a2}")
+        for key, half in (("a1", a1), ("a2", a2)):
+            if not 0 <= half < 2**g:
+                raise ValueError(f"{key}={half} out of range for genus {g}")
         return cls(_int_to_bits(a1, g), _int_to_bits(a2, g))
 
     @classmethod
-    def from_json(cls, obj: object, g: int | None = None) -> "Characteristic":
-        """Accept {"a1": [bits], "a2": [bits]} or {"a1": int, "a2": int}."""
-        if not isinstance(obj, dict) or set(obj) - {"a1", "a2"}:
-            raise ValueError(f"characteristic JSON must be an object with keys a1, a2: {obj!r}")
-        halves = []
-        for key in ("a1", "a2"):
-            value = obj.get(key)
-            if isinstance(value, (list, tuple)):
-                halves.append(value)
-            elif isinstance(value, int) and not isinstance(value, bool):
-                if g is None:
-                    raise ValueError("integer characteristic halves need an explicit genus")
-                if not 0 <= value < 2**g:
-                    raise ValueError(f"{key}={value} out of range for genus {g}")
-                halves.append(_int_to_bits(value, g))
-            else:
-                raise ValueError(f"{key} must be a bit list or an integer, got {value!r}")
-        return cls(halves[0], halves[1])
+    def from_json(cls, obj: object) -> "Characteristic":
+        """Read {"a1": [bits], "a2": [bits]}, the encoding to_json writes."""
+        if not (isinstance(obj, dict) and set(obj) == {"a1", "a2"}
+                and all(isinstance(half, (list, tuple)) for half in obj.values())):
+            raise ValueError(f'characteristic JSON must be {{"a1": [bits], "a2": [bits]}}, got {obj!r}')
+        return cls(obj["a1"], obj["a2"])
 
     def to_json(self) -> dict:
         return {"a1": list(self.a1), "a2": list(self.a2)}

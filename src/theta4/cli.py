@@ -197,32 +197,25 @@ def standard_corpus() -> dict:
             {"label": "g2-random-7", "tau": {"kind": "random", "g": 2, "seed": 7, "floor": 1.0}},
             {
                 "label": "g2-product-ii",
-                "tau": {
-                    "kind": "diagonal",
-                    "entries": [{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 1.0}],
-                },
+                "tau": {"kind": "block", "blocks": [{"kind": "literal", "re": [[0.0]], "im": [[1.0]]}] * 2},
                 "expect": {"vanishing_nulls": 1, "verdicts": False},
             },
         ],
     }
 
 
-# deeper block sources are rejected, so building one stays far inside
-# Python's recursion limit
-_MAX_BLOCK_DEPTH = 64
-
 # the keys each tau source kind reads, besides kind
 _SOURCE_KEYS = {"file": ("path",), "literal": ("re", "im", "g"), "random": ("g", "seed", "floor"),
-                "diagonal": ("entries",), "block": ("blocks",)}
+                "block": ("blocks",)}
 
 
-def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
-    """Build a corpus entry's tau; a genus outside 1..MAX_GENUS raises
-    ValueError, and so does a key the source's kind does not read.  A random,
-    diagonal or block source is checked before its g x g matrix is built, a
-    literal or file one (as large as its input) after.  depth counts the
-    block sources around this one; a block source inside _MAX_BLOCK_DEPTH
-    others raises ValueError."""
+def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
+    """Build a corpus entry's tau from a leaf source (file, literal or random;
+    a path string is a file source) or from a block source, whose blocks are
+    leaves.  A genus outside 1..MAX_GENUS raises ValueError, and so do a key
+    the source's kind does not read and a block inside a block.  A random or
+    block source is checked before its g x g matrix is built, a literal or
+    file one (as large as its input) after."""
     if isinstance(source, str):
         source = {"kind": "file", "path": source}
     if not isinstance(source, dict):
@@ -238,18 +231,11 @@ def _tau_from_source(source, base_dir: Path, depth: int = 0) -> PeriodMatrix:
     elif kind == "random":
         check_genus(source["g"], MAX_GENUS)
         tau = random_tau(source["g"], source["seed"], source.get("floor", 1.0))
-    elif kind == "diagonal":
-        entries = source["entries"]
-        check_genus(len(entries), MAX_GENUS)
-        for e in entries:
-            _check_keys(e, ("re", "im"), "diagonal tau source entry")
-        tau = block_diagonal_tau(
-            [PeriodMatrix.from_json({"re": [[e["re"]]], "im": [[e["im"]]]}) for e in entries]
-        )
     else:
-        if depth == _MAX_BLOCK_DEPTH:
-            raise ValueError(f"block sources nest at most {_MAX_BLOCK_DEPTH} deep")
-        blocks = [_tau_from_source(b, base_dir, depth + 1) for b in source["blocks"]]
+        check_genus(len(source["blocks"]), MAX_GENUS)  # each leaf adds at least 1 to the genus
+        if any(isinstance(b, dict) and b.get("kind") == "block" for b in source["blocks"]):
+            raise ValueError("a block source's blocks must be file, literal or random sources")
+        blocks = [_tau_from_source(b, base_dir) for b in source["blocks"]]
         check_genus(sum(b.g for b in blocks), MAX_GENUS)
         tau = block_diagonal_tau(blocks)
     check_genus(tau.g, MAX_GENUS)
@@ -393,11 +379,11 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
 
 def _cmd_run_suite(args) -> int:
     corpus, base_dir = _load_corpus(args)
-    if args.emit_corpus:
-        _emit(corpus, args.emit_corpus)
     start = time.perf_counter()
     report = run_suite(corpus, base_dir)
     print(f"suite rollup: {report['rollup']} ({time.perf_counter() - start:.2f}s)", file=sys.stderr)
+    if args.emit_corpus:
+        _emit(corpus, args.emit_corpus)
     _emit(report, args.out)
     return EXIT_CODES[report["rollup"]]
 

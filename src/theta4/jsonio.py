@@ -63,6 +63,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        umask = os.umask(0)  # mkstemp makes the file 0600; a report takes the umask
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -81,26 +84,22 @@ def complex_json(z: complex) -> dict:
 def parse_char_spec(token: str, g: int) -> Characteristic:
     """Parse "a1,a2" where each half is a g-bit string or a plain integer.
 
-    A half of length g consisting only of 0/1 characters is read as bits,
-    most significant first; anything else must parse as an integer below 2^g
-    and is expanded to bits with the same convention.
+    A half of length g consisting only of 0/1 characters is read in base 2,
+    most significant bit first; anything else must parse as a decimal
+    integer below 2^g.
     """
     if not isinstance(token, str):
         raise ValueError(f'characteristic must be a string "a1,a2", got {token!r}')
     parts = token.strip().split(",")
     if len(parts) != 2:
         raise ValueError(f'characteristic must look like "a1,a2", got {token!r}')
-    halves = {}
-    for key, part in zip(("a1", "a2"), parts):
-        part = part.strip()
-        if len(part) == g and set(part) <= {"0", "1"}:
-            halves[key] = [int(ch) for ch in part]
-        else:
-            try:
-                halves[key] = int(part)
-            except ValueError:
-                raise ValueError(f"cannot parse characteristic half {part!r}") from None
-    return Characteristic.from_json(halves, g)
+    halves = []
+    for part in map(str.strip, parts):
+        try:
+            halves.append(int(part, 2 if len(part) == g and set(part) <= {"0", "1"} else 10))
+        except ValueError:
+            raise ValueError(f"cannot parse characteristic half {part!r}") from None
+    return Characteristic.from_ints(g, *halves)
 
 
 def parse_point_spec(token: str) -> np.ndarray:

@@ -114,19 +114,22 @@ class TestCharacteristic:
     def test_from_ints(self):
         c = Characteristic.from_ints(2, 2, 1)
         assert c == char((1, 0), (0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a1=4 out of range for genus 2"):
             Characteristic.from_ints(2, 4, 0)
+        with pytest.raises(ValueError, match="a2=16 out of range for genus 4"):
+            Characteristic.from_ints(4, 0, 16)
 
     def test_json_roundtrip(self):
         c = char((1, 0), (0, 1))
         assert Characteristic.from_json(c.to_json()) == c
-
-    def test_json_integer_halves(self):
-        assert Characteristic.from_json({"a1": 2, "a2": 1}, g=2) == char((1, 0), (0, 1))
-        with pytest.raises(ValueError):
-            Characteristic.from_json({"a1": 2, "a2": 1})  # genus required for ints
         with pytest.raises(ValueError):
             Characteristic.from_json({"a1": [0], "a2": [0], "extra": 1})
+
+    def test_json_integer_halves(self):
+        # the JSON encoding is the bit lists to_json writes; integer halves go through from_ints
+        for obj in ({"a1": 2, "a2": 1}, {"a1": [1, 0], "a2": 1}, {"a1": 2}):
+            with pytest.raises(ValueError, match="characteristic JSON must be"):
+                Characteristic.from_json(obj)
 
     def test_str(self):
         assert str(char((1, 0), (0, 1))) == "10,01"
@@ -166,22 +169,21 @@ class TestCharacteristic:
             char((0, 0), (bad, 0))
 
     @pytest.mark.parametrize(
-        "text, g, bad",
+        "text, bad",
         [
-            ('{"a1": [true], "a2": [false]}', None, True),
-            ('{"a1": [0, 1], "a2": [1, false]}', None, False),
-            ('{"a1": true, "a2": false}', 1, True),
-            ('{"a1": 1, "a2": false}', 1, False),
+            ('{"a1": [true], "a2": [false]}', True),
+            ('{"a1": [0, 1], "a2": [1, false]}', False),
+            ('{"a1": true, "a2": false}', True),
+            ('{"a1": 1, "a2": false}', False),
         ],
     )
-    def test_json_true_is_not_a_bit(self, text, g, bad):
+    def test_json_true_is_not_a_bit(self, text, bad):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            Characteristic.from_json(json.loads(text), g=g)
+            Characteristic.from_json(json.loads(text))
 
     def test_json_numpy_ints_still_parse(self):
         obj = {"a1": [np.int64(1), np.uint8(0)], "a2": [np.int32(0), 1]}
         assert Characteristic.from_json(obj) == char((1, 0), (0, 1))
-        assert Characteristic.from_json({"a1": 2, "a2": 1}, g=2) == char((1, 0), (0, 1))
 
 
 class TestSignTable:

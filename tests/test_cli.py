@@ -207,6 +207,20 @@ class TestOutputErrors:
         assert not any(tmp_path.iterdir())
 
 
+def test_report_file_takes_the_umask(capsys, tmp_path):
+    # the temporary file is made 0600; the report gets the mode open() would give it
+    new, overwritten = tmp_path / "new.json", tmp_path / "old.json"
+    overwritten.write_text("")
+    overwritten.chmod(0o644)
+    umask = os.umask(0o027)
+    try:
+        for target in (new, overwritten):
+            assert main(["chars", "--genus", "1", "--out", str(target)]) == 0
+    finally:
+        os.umask(umask)
+    assert [p.stat().st_mode & 0o777 for p in (new, overwritten)] == [0o640, 0o640]
+
+
 class TestMmatrix:
     def test_verify_passes(self, capsys):
         keys = {"entries_pm1", "diagonal_plus1", "symmetric", "quadratic_identity", "inverse_identity",
@@ -535,7 +549,6 @@ class TestBasisReport:
 # a genus-1000 source of each kind that states its genus: each is rejected before its tau is built
 HUGE_SOURCES = [
     {"kind": "random", "g": 1000, "seed": 1},
-    {"kind": "diagonal", "entries": [{"re": 0.0, "im": 1.0}] * 1000},
     {"kind": "block", "blocks": [{"kind": "literal", "re": [[0.0]], "im": [[1.0]]}] * 1000},
 ]
 
@@ -546,7 +559,7 @@ class TestRunSuite:
     FAR_ENTRY = {"label": "far", "tau": {"kind": "literal", "re": [[0.0]], "im": [[100.0]]}}
     PRODUCT_ENTRY = {
         "label": "product-undeclared",
-        "tau": {"kind": "diagonal", "entries": [{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 1.0}]},
+        "tau": {"kind": "block", "blocks": [{"kind": "literal", "re": [[0.0]], "im": [[1.0]]}] * 2},
     }
     NEAR_ENTRY = {
         "label": "near-degenerate",
@@ -646,7 +659,7 @@ class TestRunSuite:
     @pytest.mark.parametrize(
         "fields",
         [
-            {"tau": {"kind": "diagonal", "entries": [{"re": 0}]}},
+            {"tau": {"kind": "block", "blocks": [{"kind": "literal", "re": [[0]]}]}},
             {"kappa0": [1]},
             {"kappa0": "1,1"},
             {"expect": 5},
@@ -668,7 +681,7 @@ class TestRunSuite:
             {"tau": {"kind": "random", "g": 1, "seed": 2, "floor": True}},
             {"tau": {"kind": "random", "g": 6, "seed": 1}},
             {"tau": {"kind": "random", "g": 7, "seed": 1}},
-            {"tau": {"kind": "diagonal", "entries": [{"re": True, "im": 1.0}]}},
+            {"tau": {"kind": "block", "blocks": [{"kind": "literal", "re": [[True]], "im": [[1.0]]}]}},
             {"tau": {"kind": "spiral", "g": 1}},
             {"tau": 5},
             *({"tau": source} for source in HUGE_SOURCES),
@@ -676,6 +689,8 @@ class TestRunSuite:
             {"label": {"k": [1]}},
             {"label": 7},
             {"tau": {"kind": "random", "g": 1, "seed": 1, "flor": 3.0}},
+            {"tau": {"kind": "block", "blocks": [{"kind": "block", "blocks": [{"kind": "random", "g": 1,
+                                                                               "seed": 0}]}]}},
         ],
     )
     def test_malformed_tau_source_names_entry(self, capsys, monkeypatch, tmp_path, fields):
@@ -695,7 +710,7 @@ class TestRunSuite:
         code = main(["run-suite", "--corpus", str(corpus), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "corpus entry 1" in err and "[ok]" not in err
+        assert err.startswith("error: corpus entry 1") and err.count("\n") == 1 and "[ok]" not in err
         assert not out.exists()
         source = fields.get("tau")
         if isinstance(source, dict) and source.get("g") in (6, 7):
@@ -707,11 +722,11 @@ class TestRunSuite:
         assert max(built) <= 5  # no tau above the cap was built
 
     @pytest.mark.parametrize("source, message", [
-        ({"kind": "diagonal", "entries": [{"re": 10**400, "im": 1.0}]},
+        ({"kind": "block", "blocks": [{"kind": "literal", "re": [[10**400]], "im": [[1.0]]}]},
          "re entry must be a finite number, got 1" + "0" * 400),
         ({"kind": "random", "g": 1, "seed": 2, "floor": 10**400},
          "floor must be a finite number, got 1" + "0" * 400),
-    ], ids=["diagonal-entry", "random-floor"])
+    ], ids=["literal-in-block", "random-floor"])
     def test_int_beyond_float_range_is_input_error(self, capsys, tmp_path, source, message):
         # json reads 10^400 as an exact int; a float of it would overflow
         corpus = tmp_path / "corpus.json"
@@ -793,10 +808,16 @@ class TestRunSuite:
              "file tau source has unknown key 'g'"),
             ({"entries": [{"label": "b", "tau": {"kind": "literal", "re": [[0.0]], "im": [[1.0]], "img": 1}}]},
              "literal tau source has unknown key 'img'"),
+            # diagonal is no longer a kind; its products are blocks of 1 x 1 literals
             ({"entries": [{"label": "b", "tau": {"kind": "diagonal", "entries": [], "g": 1}}]},
-             "diagonal tau source has unknown key 'g'"),
+             "unknown tau source kind 'diagonal'"),
             ({"entries": [{"label": "b", "tau": {"kind": "diagonal", "entries": [{"re": 0.0, "im": 1.0, "g": 1}]}}]},
-             "diagonal tau source entry has unknown key 'g'"),
+             "unknown tau source kind 'diagonal'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [], "g": 1}}]},
+             "block tau source has unknown key 'g'"),
+            ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [
+                {"kind": "literal", "re": [[0.0]], "im": [[1.0]], "img": 1}]}}]},
+             "literal tau source has unknown key 'img'"),
             ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [], "depth": 1}}]},
              "block tau source has unknown key 'depth'"),
             ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [{**GOOD_ENTRY["tau"], "flor": 1.0}]}}]},
@@ -804,7 +825,8 @@ class TestRunSuite:
         ],
         ids=["corpus", "policies", "policies-threshold", "entry", "expect", "corpus-label-nan",
              "entry-label-bool", "entry-label-object", "random-source", "file-source", "literal-source",
-             "diagonal-source", "diagonal-source-entry", "block-source", "source-in-block"],
+             "diagonal-source", "diagonal-source-entry", "block-source-g", "literal-in-block", "block-source",
+             "source-in-block"],
     )
     def test_unknown_key_rejected_before_any_entry(self, capsys, tmp_path, corpus, message):
         path = tmp_path / "corpus.json"
@@ -827,12 +849,23 @@ class TestRunSuite:
         assert [e["status"] for e in payload["entries"]] == ["pass", "pass"]
 
     def test_deep_label_is_one_error_line(self, capsys, tmp_path):
-        # the label is a known key, so the emitted corpus reaches the canonical writer
         corpus = tmp_path / "corpus.json"
         corpus.write_text('{"entries": [], "label": ' + "[" * 500 + "]" * 500 + "}", encoding="utf-8")
         emitted = tmp_path / "emitted.json"
         assert main(["run-suite", "--corpus", str(corpus), "--emit-corpus", str(emitted)]) == 2
-        assert capsys.readouterr().err == "error: object too deeply nested for a canonical report\n"
+        label = "[" * 500 + "]" * 500
+        assert capsys.readouterr().err == f"error: corpus label must be a string, got {label}\n"
+        assert not emitted.exists()
+
+    def test_rejected_corpus_is_not_emitted(self, capsys, tmp_path):
+        # --emit-corpus writes the corpus that was run, so a rejected one leaves no file
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"policies": {"sampels": 3}, "entries": [self.GOOD_ENTRY]}),
+                          encoding="utf-8")
+        emitted = tmp_path / "emitted.json"
+        assert main(["run-suite", "--corpus", str(corpus), "--emit-corpus", str(emitted)]) == 2
+        assert capsys.readouterr().err == ("error: corpus policies has unknown key 'sampels'; known keys: "
+                                           f"{', '.join(cli.DEFAULT_POLICIES)}\n")
         assert not emitted.exists()
 
     def test_emitted_corpus_reruns_identically(self, capsys, tmp_path):
@@ -964,10 +997,10 @@ class TestRunSuite:
         return source
 
     def test_block_depth_cap(self):
-        cap = cli._MAX_BLOCK_DEPTH
-        assert cli._tau_from_source(json.loads(self.nested_blocks(cap)), Path(".")).g == 1
-        with pytest.raises(ValueError, match=f"nest at most {cap} deep"):
-            cli._tau_from_source(json.loads(self.nested_blocks(cap + 1)), Path("."))
+        # blocks are flat: a block's blocks are leaves, so a block nests one deep
+        assert cli._tau_from_source(json.loads(self.nested_blocks(1)), Path(".")).g == 1
+        with pytest.raises(ValueError, match="a block source's blocks must be file, literal or random sources"):
+            cli._tau_from_source(json.loads(self.nested_blocks(2)), Path("."))
 
     def test_standard_report_ignores_hash_seed(self):
         # the report is the same bytes whatever order set and dict hashing gives
@@ -977,8 +1010,8 @@ class TestRunSuite:
         assert procs[0].stdout == procs[1].stdout != ""
 
     def test_deep_block_source_is_one_error_line(self, tmp_path):
-        # 490 levels (980 JSON levels) used to recurse past Python's limit and
-        # exit 1 with a RecursionError traceback.  It runs in a fresh
+        # 490 levels (980 JSON levels) once recursed past Python's limit and
+        # exited 1 with a RecursionError traceback.  It runs in a fresh
         # interpreter: json.loads under pytest's own stack would reach the
         # recursion limit first.
         corpus = tmp_path / "corpus.json"
@@ -987,8 +1020,8 @@ class TestRunSuite:
         out = tmp_path / "report.json"
         proc = run_fresh(["-m", "theta4.cli", "run-suite", "--corpus", str(corpus), "--out", str(out)])
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == ("error: corpus entry 0 has a malformed tau source: "
-                               f"ValueError('block sources nest at most {cli._MAX_BLOCK_DEPTH} deep')\n")
+        assert proc.stderr == ("error: corpus entry 0 has a malformed tau source: ValueError(\"a block "
+                               "source's blocks must be file, literal or random sources\")\n")
         assert not out.exists()
 
 
