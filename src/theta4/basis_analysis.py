@@ -40,9 +40,11 @@ from theta4.theta_eval import (
     two_torsion_point,
 )
 
-DEFAULT_NULL_THRESHOLD = 1e-8
+# the verdict cut-offs, relative to the largest even null or singular value;
+# no caller moves them
+NULL_THRESHOLD = 1e-8
 WARN_NULL_THRESHOLD = 1e-4
-DEFAULT_SV_THRESHOLD = 1e-7
+SV_THRESHOLD = 1e-7
 
 
 class VanishingNullError(ValueError):
@@ -66,7 +68,7 @@ def check_threshold(name: str, value: float) -> float:
     return x
 
 
-def numerical_rank(matrix, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> int:
+def numerical_rank(matrix, sv_threshold: float = SV_THRESHOLD) -> int:
     """Count singular values above sv_threshold times the largest."""
     check_threshold("sv_threshold", sv_threshold)
     s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
@@ -114,8 +116,8 @@ def mu(
     numerical error.
 
     Raises VanishingNullError when the null of kappa or kappa' vanishes by
-    the rule of vanishing_nulls at its default threshold.  No other
-    denominator can be zero: 2 z_a = a2 + tau a1 is a lattice period, so
+    the rule of vanishing_nulls.  No other denominator can be zero:
+    2 z_a = a2 + tau a1 is a lattice period, so
     quasi-periodicity gives |theta[kappa](2 z_a)| = exp(pi a1' Y a1)
     |theta[kappa](0)| >= |theta[kappa](0)| with Y = Im tau.
     """
@@ -151,7 +153,6 @@ def normalized_evaluation_matrix(
     tau: PeriodMatrix,
     kappa0: Characteristic | None = None,
     policy: TruncationPolicy | None = None,
-    null_threshold: float = DEFAULT_NULL_THRESHOLD,
 ) -> tuple[np.ndarray, float]:
     """Evaluation matrix scaled and reindexed to expose the sign matrix.
 
@@ -162,13 +163,13 @@ def normalized_evaluation_matrix(
     pairing-preserving alignment of even_points(kappa0).  Returns the matrix
     and its maximum entrywise deviation from the sign matrix.
 
-    Raises VanishingNullError when a null vanishes at the given relative
-    threshold: the normalization is then meaningless.  The sign matrix caps
-    the genus at MAX_GENUS, checked before the first lattice sum.
+    Raises VanishingNullError when a null vanishes (vanishing_nulls): the
+    normalization is then meaningless.  The sign matrix caps the genus at
+    MAX_GENUS, checked before the first lattice sum.
     """
     check_genus(tau.g, MAX_GENUS)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(tau.g)
-    vanishing = vanishing_nulls(tau, policy, null_threshold)
+    vanishing = vanishing_nulls(tau, policy)
     if vanishing:
         raise VanishingNullError(vanishing)
     ev = evaluation_matrix(tau, kappa0, policy)
@@ -176,34 +177,29 @@ def normalized_evaluation_matrix(
 
 
 def split_nulls(
-    nulls: dict[Characteristic, complex], null_threshold: float
+    nulls: dict[Characteristic, complex],
 ) -> tuple[float, tuple[Characteristic, ...], tuple[Characteristic, ...]]:
-    """Largest null modulus top, the nulls below null_threshold * top
+    """Largest null modulus top, the nulls below NULL_THRESHOLD * top
     (vanishing) and those from there up to WARN_NULL_THRESHOLD * top (near)."""
-    check_threshold("null_threshold", null_threshold)
     top = max(abs(v) for v in nulls.values())
-    vanishing = tuple(c for c, v in nulls.items() if abs(v) < null_threshold * top)
+    vanishing = tuple(c for c, v in nulls.items() if abs(v) < NULL_THRESHOLD * top)
     near = tuple(
         c
         for c, v in nulls.items()
-        if null_threshold * top <= abs(v) < WARN_NULL_THRESHOLD * top
+        if NULL_THRESHOLD * top <= abs(v) < WARN_NULL_THRESHOLD * top
     )
     return top, vanishing, near
 
 
-def vanishing_nulls(
-    tau: PeriodMatrix,
-    policy: TruncationPolicy | None = None,
-    null_threshold: float = DEFAULT_NULL_THRESHOLD,
-) -> list[Characteristic]:
-    """Even characteristics whose nulls are below threshold times the largest."""
-    return list(split_nulls(theta_nulls(tau, policy), null_threshold)[1])
+def vanishing_nulls(tau: PeriodMatrix, policy: TruncationPolicy | None = None) -> list[Characteristic]:
+    """Even characteristics whose nulls are below NULL_THRESHOLD times the largest."""
+    return list(split_nulls(theta_nulls(tau, policy))[1])
 
 
 def fourth_power_rank(
     tau: PeriodMatrix,
     policy: TruncationPolicy | None = None,
-    sv_threshold: float = DEFAULT_SV_THRESHOLD,
+    sv_threshold: float = SV_THRESHOLD,
     seed: int = 0,
 ) -> int:
     """Numerical rank of sampled even fourth powers theta[a](z)^4.
@@ -232,8 +228,6 @@ def basis_report(
     tau: PeriodMatrix,
     kappa0: Characteristic | None = None,
     policy: TruncationPolicy | None = None,
-    sv_threshold: float = DEFAULT_SV_THRESHOLD,
-    null_threshold: float = DEFAULT_NULL_THRESHOLD,
     seed: int = 0,
 ) -> dict:
     """Run the full analysis for one period matrix and one even kappa0 and
@@ -246,8 +240,9 @@ def basis_report(
     full rank of the sampled fourth powers.  Both are expected to be true
     exactly when no theta-null vanishes, and the fourth-power rank defect is
     expected to equal the vanishing-null count; `consistent` records whether
-    this held.  Near-vanishing nulls (between null_threshold and
-    warn_threshold, relative) set status "warn": the verdicts are then
+    this held.  The ranks count singular values above SV_THRESHOLD times the
+    largest.  Near-vanishing nulls (between NULL_THRESHOLD and
+    WARN_NULL_THRESHOLD, relative) set status "warn": the verdicts are then
     ill-conditioned and should not be trusted either way.  m_deviation, the
     normalized matrix's distance from the sign matrix, is None when a null
     vanishes.
@@ -258,17 +253,15 @@ def basis_report(
     d = d_plus(g)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(g)
     check_kappa0(kappa0, g)
-    check_threshold("null_threshold", null_threshold)
-    check_threshold("sv_threshold", sv_threshold)
     check_integer("seed", seed, 0)
 
-    _, vanishing, near = split_nulls(theta_nulls(tau, policy), null_threshold)
+    _, vanishing, near = split_nulls(theta_nulls(tau, policy))
 
     ev = evaluation_matrix(tau, kappa0, policy)
     ev_scaled = ev / np.max(np.abs(ev), axis=0, keepdims=True)
-    ev_rank = numerical_rank(ev_scaled, sv_threshold)
+    ev_rank = numerical_rank(ev_scaled)
 
-    fp_rank = fourth_power_rank(tau, policy, sv_threshold, seed)
+    fp_rank = fourth_power_rank(tau, policy, seed=seed)
 
     m_dev = None
     if not vanishing:
@@ -282,7 +275,7 @@ def basis_report(
         "kappa0": kappa0.to_json(),
         "g": g,
         "dim": d,
-        "null_threshold": null_threshold,
+        "null_threshold": NULL_THRESHOLD,
         "warn_threshold": WARN_NULL_THRESHOLD,
         "vanishing_nulls": [c.to_json() for c in vanishing],
         "near_vanishing_nulls": [c.to_json() for c in near],
@@ -297,7 +290,7 @@ def basis_report(
             and d - fp_rank == len(vanishing)
         ),
         "status": "warn" if near else "ok",
-        "rel_sv_threshold": sv_threshold,
+        "rel_sv_threshold": SV_THRESHOLD,
         "target_eps": policy.target_eps,
         "seed": seed,
         "n_samples": 2 * d,

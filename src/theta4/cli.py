@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,14 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from theta4 import __version__
-from theta4.basis_analysis import (
-    DEFAULT_NULL_THRESHOLD,
-    DEFAULT_SV_THRESHOLD,
-    basis_report,
-    check_kappa0,
-    check_threshold,
-    split_nulls,
-)
+from theta4.basis_analysis import NULL_THRESHOLD, basis_report, check_kappa0, split_nulls
 from theta4.char2 import (
     Characteristic,
     check_genus,
@@ -43,7 +37,7 @@ from theta4.char2 import (
     even_characteristics,
     parity,
 )
-from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals, summarize
+from theta4.identities import IDENTITY_EPS, inversion_residuals, quartic_residuals, summarize
 from theta4.jsonio import (
     atomic_write_text,
     canonical_dumps,
@@ -73,14 +67,7 @@ EXIT_INTERNAL = 4
 # the exceptions that end a command, or a run-suite entry, with status error
 INPUT_ERRORS = (ValueError, ArithmeticError)
 
-DEFAULT_POLICIES = {
-    "target_eps": DEFAULT_TARGET_EPS,
-    "identity_eps": 1e-8,
-    "sv_threshold": DEFAULT_SV_THRESHOLD,
-    "null_threshold": DEFAULT_NULL_THRESHOLD,
-    "samples": 5,
-    "seed": 0,
-}
+DEFAULT_POLICIES = {"target_eps": DEFAULT_TARGET_EPS, "samples": 5, "seed": 0}
 
 
 def _status(ok: bool, report: dict | None = None) -> str:
@@ -127,7 +114,7 @@ def _cmd_theta(args) -> int:
     tau = load_tau_file(args.tau)
     char = parse_char_spec(args.char, tau.g)
     z = parse_point_spec(args.z) if args.z else np.zeros(tau.g, dtype=complex)
-    result = theta_series(char, z, tau, TruncationPolicy(target_eps=args.eps))
+    result = theta_series(char, z, tau, TruncationPolicy(target_eps=args.target_eps))
     payload = {
         "char": char.to_json(),
         "value": complex_json(result.value),
@@ -140,16 +127,15 @@ def _cmd_theta(args) -> int:
 
 def _cmd_nulls(args) -> int:
     tau = load_tau_file(args.tau)
-    check_threshold("null_threshold", args.null_threshold)
-    nulls = theta_nulls(tau, TruncationPolicy(target_eps=args.eps))
-    top, vanishing, _ = split_nulls(nulls, args.null_threshold)
+    nulls = theta_nulls(tau, TruncationPolicy(target_eps=args.target_eps))
+    top, vanishing, _ = split_nulls(nulls)
     rows = [
         {"char": c.to_json(), "value": complex_json(v), "abs": abs(v)} for c, v in nulls.items()
     ]
     payload = {
         "g": tau.g,
         "max_abs": top,
-        "null_threshold": args.null_threshold,
+        "null_threshold": NULL_THRESHOLD,
         "nulls": rows,
         "vanishing": [c.to_json() for c in vanishing],
     }
@@ -158,13 +144,12 @@ def _cmd_nulls(args) -> int:
 
 
 def _cmd_verify_identity(args, kind: str) -> int:
-    check_identity_eps(args.eps, "--eps")
     tau = load_tau_file(args.tau)
     policy = TruncationPolicy(target_eps=args.target_eps)
     sweep = quartic_residuals if kind == "quartic" else inversion_residuals
     records = sweep(tau, sample_cell_points(tau, args.samples, args.seed), policy)
     _emit({"tau": tau.to_json(), "target_eps": policy.target_eps, "records": records}, args.out)
-    worst, ok, at_scale = summarize(records, args.eps)
+    worst, ok, at_scale = summarize(records)
     print(f"{kind}: {len(records)} checks, max rel residual {worst:.3e} "
           f"({at_scale} pass only at term scale)", file=sys.stderr)
     return EXIT_CODES[_status(ok)]
@@ -173,15 +158,8 @@ def _cmd_verify_identity(args, kind: str) -> int:
 def _cmd_basis_report(args) -> int:
     tau = load_tau_file(args.tau)
     kappa0 = parse_char_spec(args.kappa0, tau.g) if args.kappa0 else None
-    policy = TruncationPolicy(target_eps=args.eps)
-    report = basis_report(
-        tau,
-        kappa0=kappa0,
-        policy=policy,
-        sv_threshold=args.sv_threshold,
-        null_threshold=args.null_threshold,
-        seed=args.seed,
-    )
+    policy = TruncationPolicy(target_eps=args.target_eps)
+    report = basis_report(tau, kappa0=kappa0, policy=policy, seed=args.seed)
     _emit(report, args.out)
     return EXIT_CODES[_status(report["consistent"], report)]
 
@@ -272,8 +250,7 @@ def _check_label(where: str, label) -> str:
 
 
 def _run_entry(
-    label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy,
-    sv_threshold: float, samples: int, identity_eps: float, null_threshold: float,
+    label: str, tau: PeriodMatrix, kappa0, expect: dict, seed: int, *, policy: TruncationPolicy, samples: int,
 ) -> tuple[dict, dict]:
     """The entry's report, and how many records of each finished sweep
     passed only at term scale."""
@@ -284,18 +261,11 @@ def _run_entry(
         result["mmatrix_ok"] = all(checks.values())
         points = sample_cell_points(tau, samples, seed)
         for kind, sweep in (("quartic", quartic_residuals), ("inversion", inversion_residuals)):
-            worst, ok, at_scale[kind] = summarize(sweep(tau, points, policy), identity_eps)
+            worst, ok, at_scale[kind] = summarize(sweep(tau, points, policy))
             result[f"{kind}_max_rel_residual"] = worst
             result[f"{kind}_ok"] = ok
-        result["identity_eps"] = identity_eps
-        report = result["basis"] = basis_report(
-            tau,
-            kappa0=kappa0,
-            policy=policy,
-            sv_threshold=sv_threshold,
-            null_threshold=null_threshold,
-            seed=seed,
-        )
+        result["identity_eps"] = IDENTITY_EPS
+        report = result["basis"] = basis_report(tau, kappa0=kappa0, policy=policy, seed=seed)
     except INPUT_ERRORS as exc:
         result["status"] = "error"
         result["error"] = str(exc)
@@ -323,13 +293,8 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
     _check_keys(corpus.get("policies", {}), DEFAULT_POLICIES, "corpus policies")
     seed = check_integer("policy seed", policies["seed"], 0)
-    settings = {
-        "policy": TruncationPolicy(target_eps=policies["target_eps"]),
-        "sv_threshold": check_threshold("policy sv_threshold", policies["sv_threshold"]),
-        "samples": check_integer("policy samples", policies["samples"], 1),
-        "identity_eps": check_identity_eps(policies["identity_eps"], "policy identity_eps"),
-        "null_threshold": check_threshold("policy null_threshold", policies["null_threshold"]),
-    }
+    policy = TruncationPolicy(target_eps=policies["target_eps"])
+    samples = check_integer("policy samples", policies["samples"], 1)
     entries = corpus.get("entries", [])
 
     prepared = []
@@ -361,7 +326,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
     results = []
     for label, tau, kappa0, expect, seed in prepared:
         start = time.perf_counter()
-        result, at_scale = _run_entry(label, tau, kappa0, expect, seed, **settings)
+        result, at_scale = _run_entry(label, tau, kappa0, expect, seed, policy=policy, samples=samples)
         counts = ", ".join(f"{kind} {n}" for kind, n in at_scale.items())
         note = f"; term-scale passes: {counts}" if counts else ""
         print(f"[{label}] {result['status']} ({time.perf_counter() - start:.2f}s{note})", file=sys.stderr)
@@ -386,6 +351,18 @@ def _cmd_run_suite(args) -> int:
         _emit(corpus, args.emit_corpus)
     _emit(report, args.out)
     return EXIT_CODES[report["rollup"]]
+
+
+def _check_paths(args) -> None:
+    """Reject an output path that resolves to the command's input or to another of its outputs."""
+    seen = {}
+    for dest in ("tau", "corpus", "out", "emit", "emit_corpus"):  # the input first
+        path = getattr(args, dest, None)
+        if path:
+            flag = "--" + dest.replace("_", "-")
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise ValueError(f"{flag} {path} names the same file as {other}")
 
 
 @functools.cache
@@ -413,14 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True)
     p.add_argument("--char", required=True, help='characteristic "a1,a2"')
     p.add_argument("--z", help='point "re,im;re,im;..." (default 0)')
-    p.add_argument("--eps", type=float, default=DEFAULT_POLICIES["target_eps"])
+    p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("nulls", help="even theta-nulls and vanishing detection")
     p.add_argument("--tau", required=True)
-    p.add_argument("--eps", type=float, default=DEFAULT_POLICIES["target_eps"])
-    p.add_argument("--null-threshold", type=float, default=DEFAULT_POLICIES["null_threshold"])
+    p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_nulls)
 
@@ -429,19 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", required=True)
         p.add_argument("--samples", type=int, default=DEFAULT_POLICIES["samples"])
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=DEFAULT_POLICIES["identity_eps"],
-                       help="residual gate: exit 0 iff every rel residual is below this")
-        p.add_argument("--target-eps", type=float, default=DEFAULT_POLICIES["target_eps"],
-                       help="absolute tail target for each theta evaluation")
+        p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
         p.add_argument("--out")
         p.set_defaults(func=lambda args, kind=kind: _cmd_verify_identity(args, kind))
 
     p = sub.add_parser("basis-report", help="rank/basis analysis for one period matrix")
     p.add_argument("--tau", required=True)
     p.add_argument("--kappa0", help='even characteristic "a1,a2" (default 0)')
-    p.add_argument("--eps", type=float, default=DEFAULT_POLICIES["target_eps"])
-    p.add_argument("--sv-threshold", type=float, default=DEFAULT_POLICIES["sv_threshold"])
-    p.add_argument("--null-threshold", type=float, default=DEFAULT_POLICIES["null_threshold"])
+    p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_basis_report)
@@ -459,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (*INPUT_ERRORS, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

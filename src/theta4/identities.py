@@ -28,7 +28,8 @@ bits at any batch size, but differs from Python's in the last bit for about
 reports written so far.  A sweep has one tau and one policy (None reads as
 theta_eval's DEFAULT_POLICY in theta_table), so its records carry neither.
 Each record is the JSON dict that verify-quartic and verify-inversion write,
-built once; summarize() holds the one pass rule that the CLI gates on.
+built once; summarize() holds the one pass rule that the CLI gates on, at the
+pinned residual cut-off IDENTITY_EPS.
 """
 
 from __future__ import annotations
@@ -37,39 +38,32 @@ import numpy as np
 
 from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics
 from theta4.jsonio import complex_json
-from theta4.theta_eval import PeriodMatrix, TruncationPolicy, check_real, theta_table
+from theta4.theta_eval import PeriodMatrix, TruncationPolicy, theta_table
 
 RESIDUAL_FLOOR = 1e-30
+IDENTITY_EPS = 1e-8
 
 
-def summarize(records: list[dict], eps: float) -> tuple[float, bool, int]:
+def summarize(records: list[dict]) -> tuple[float, bool, int]:
     """(largest rel_residual, whether every record passes, how many pass only at term scale).
 
     A record passes when its residual is small relative to the sides
-    (rel_residual < eps) or in absolute value at the scale of the largest
-    term entering the identity (abs_residual < eps * scale).  When both sides
-    vanish together (a vanishing null makes the whole relation read 0 = 0)
-    the relative residual compares rounding noise against rounding noise and
-    only the second clause is meaningful.  An empty list gives (0.0, True, 0).
+    (rel_residual < IDENTITY_EPS) or in absolute value at the scale of the
+    largest term entering the identity (abs_residual < IDENTITY_EPS * scale).
+    When both sides vanish together (a vanishing null makes the whole
+    relation read 0 = 0) the relative residual compares rounding noise
+    against rounding noise and only the second clause is meaningful.  An
+    empty list gives (0.0, True, 0).
     """
     worst = max((r["rel_residual"] for r in records), default=0.0)
     ok, at_scale = True, 0
     for r in records:
-        if not r["rel_residual"] < eps:
-            if r["abs_residual"] < eps * r["scale"]:
+        if not r["rel_residual"] < IDENTITY_EPS:
+            if r["abs_residual"] < IDENTITY_EPS * r["scale"]:
                 at_scale += 1
             else:
                 ok = False
     return worst, ok, at_scale
-
-
-def check_identity_eps(eps: float, name: str) -> float:
-    """eps as a float; ValueError naming name unless it is a residual gate
-    for summarize(), a finite number > 0."""
-    x = check_real(name, eps)
-    if not x > 0.0:
-        raise ValueError(f"{name} must be > 0 and finite, got {eps!r}")
-    return x
 
 
 def _magnitude(x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from theta4.basis_analysis import (
+    NULL_THRESHOLD,
+    WARN_NULL_THRESHOLD,
     VanishingNullError,
     basis_report,
     evaluation_matrix,
@@ -223,7 +225,9 @@ class TestVanishingNulls:
             assert vanishing_nulls(random_tau(2, seed=seed, floor=1.0)) == []
 
     def test_threshold_validation(self, tau_g1_i):
-        with pytest.raises(ValueError):
+        # the cut-offs are pinned constants with a non-empty warn band between them
+        assert 0.0 < NULL_THRESHOLD == 1e-8 < WARN_NULL_THRESHOLD == 1e-4 < 1.0
+        with pytest.raises(TypeError):
             vanishing_nulls(tau_g1_i, null_threshold=0.0)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import theta4
+import theta4.identities as identities
 import theta4.theta_eval as theta_eval
 from theta4 import cli
 from theta4.char2 import Characteristic, d_plus
@@ -46,6 +48,16 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def assert_unrecognized(capsys, argv, rejected: str) -> None:
+    """main(argv) stops in argparse, before any lattice sum: exit 2, no report,
+    and a last stderr line that names the rejected arguments."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (stop.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == f"theta4: error: unrecognized arguments: {rejected}"
+
+
 def run_fresh(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
     """A python invocation with theta4 on its path, in a fresh interpreter
     whose environment adds env."""
@@ -57,9 +69,9 @@ def run_fresh(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["theta", "--char", "0,0", "--eps", "inf"],
-        ["nulls", "--eps", "inf"],
-        ["basis-report", "--eps", "inf"],
+        ["theta", "--char", "0,0", "--target-eps", "inf"],
+        ["nulls", "--target-eps", "inf"],
+        ["basis-report", "--target-eps", "inf"],
         ["verify-quartic", "--target-eps", "inf"],
     ],
 )
@@ -166,7 +178,8 @@ class TestChars:
 
 class TestOutputErrors:
     """A failed --out write names the given path, never the temporary file,
-    and leaves no temporary file behind."""
+    and leaves no temporary file behind; an output path that names an input
+    or another output is refused before anything runs."""
 
     def test_directory_target(self, capsys, tmp_path):
         target = tmp_path / "dir"
@@ -184,6 +197,29 @@ class TestOutputErrors:
         assert code == 2
         assert str(target) in err and ".tmp" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        ("theta --tau t.json --char 0,0 --out t.json", "--out t.json names the same file as --tau"),
+        ("nulls --tau t.json --out sub/../t.json", "--out sub/../t.json names the same file as --tau"),
+        ("basis-report --tau t.json --out ./t.json", "--out ./t.json names the same file as --tau"),
+        ("verify-quartic --tau t.json --out link.json", "--out link.json names the same file as --tau"),
+        ("run-suite --corpus c.json --out c.json", "--out c.json names the same file as --corpus"),
+        ("run-suite --corpus c.json --emit-corpus ./c.json", "--emit-corpus ./c.json names the same file as --corpus"),
+        ("run-suite --standard --out r.json --emit-corpus r.json", "--emit-corpus r.json names the same file as --out"),
+    ], ids=["theta", "nulls-dotdot", "basis-report-dot", "verify-symlink", "suite-out", "suite-emit", "suite-outputs"])
+    def test_output_naming_an_input_or_output_rejected(self, capsys, monkeypatch, tmp_path, no_lattice_sum,
+                                                       argv, message):
+        # the report would replace the input, or one output the other: exit 2, no file touched
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        inputs = {"t.json": json.dumps(random_tau(2, 7).to_json()),
+                  "c.json": json.dumps({"entries": [TestRunSuite.GOOD_ENTRY]})}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / "link.json").symlink_to("t.json")
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("?.json")} == inputs
 
     def test_interrupted_write_removes_temporary_file(self, tmp_path, monkeypatch):
         class Interrupted:
@@ -398,16 +434,43 @@ def test_unparsable_file_is_named(capsys, tmp_path, command, what, data, message
 @pytest.mark.parametrize("command", ["nulls", "basis-report"])
 @pytest.mark.parametrize("threshold", ["0", "1.5"])
 def test_out_of_range_null_threshold_rejected(capsys, diag_ii, no_lattice_sum, command, threshold):
-    code, payload = run(capsys, command, "--tau", diag_ii, "--null-threshold", threshold)
-    assert code == 2
-    assert payload is None
+    # the null cut-off is a constant: no value of the flag is accepted
+    assert_unrecognized(capsys, [command, "--tau", diag_ii, "--null-threshold", threshold],
+                        f"--null-threshold {threshold}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--char", "0,0", "--eps", "1e-11"],
+    ["nulls", "--eps", "1e-11"],
+    ["nulls", "--null-threshold", "1e-8"],
+    ["basis-report", "--eps", "1e-11"],
+    ["basis-report", "--null-threshold", "1e-8"],
+    ["basis-report", "--sv-threshold", "1e-7"],
+    ["verify-quartic", "--eps", "1e-8"],
+    ["verify-inversion", "--eps", "1e-8"],
+])
+def test_removed_flag_is_unrecognized(capsys, rand_g2, no_lattice_sum, argv):
+    # no flag sets a verdict cut-off and the tail target is --target-eps on every
+    # command, so these stop in argparse before any lattice sum, even at the cut-off values
+    assert_unrecognized(capsys, [*argv, "--tau", rand_g2], " ".join(argv[-2:]))
+
+
+def test_readme_usage_lines_parse():
+    # each theta4 line of the README, in the usage block or inline, is a command the parser takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^theta4 .*$", readme, re.M) + re.findall(r"`(theta4 [^`]*)`", readme)
+    assert len(lines) >= 9
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 class TestVerifyIdentities:
     def test_quartic_passes(self, capsys, rand_g2):
         code, payload = run(
             capsys, "verify-quartic", "--tau", rand_g2, "--samples", "3", "--seed", "1",
-            "--eps", "1e-8",
         )
         assert code == 0
         assert sorted(payload) == ["records", "target_eps", "tau"]
@@ -418,29 +481,23 @@ class TestVerifyIdentities:
         assert all(rec["rel_residual"] < 1e-8 for rec in records)
         assert not any("tau" in rec or "policy" in rec for rec in records)
 
-    def test_quartic_impossible_gate_fails(self, capsys, rand_g2):
-        code, _ = run(
-            capsys, "verify-quartic", "--tau", rand_g2, "--samples", "2", "--seed", "1",
-            "--eps", "1e-15",
-        )
+    def test_quartic_impossible_gate_fails(self, capsys, monkeypatch, rand_g2):
+        # no flag moves the residual cut-off; at one no sweep can meet, the command exits 1
+        monkeypatch.setattr(identities, "IDENTITY_EPS", 1e-15)
+        code, _ = run(capsys, "verify-quartic", "--tau", rand_g2, "--samples", "2", "--seed", "1")
         assert code == 1
 
     @pytest.mark.parametrize("kind", ["quartic", "inversion"])
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
     def test_nonsense_gate_rejected_before_any_sum(self, capsys, rand_g2, no_lattice_sum, kind, eps):
-        # no residual can be judged against such a gate: an input error, not a math failure
-        code = main([f"verify-{kind}", "--tau", rand_g2, "--samples", "1", "--eps", eps])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        rule = "a finite number" if eps in ("nan", "inf") else "> 0 and finite"
-        assert captured.err.startswith(f"error: --eps must be {rule}, got {float(eps)!r}")
+        # the residual cut-off is a constant: no gate is accepted, sensible or not
+        assert_unrecognized(capsys, [f"verify-{kind}", "--tau", rand_g2, "--samples", "1", "--eps", eps],
+                            f"--eps {eps}")
 
     def test_inversion_passes_on_product(self, capsys, diag_ii):
         # the vanishing-pair record is 0 = 0 and passes at term scale
         code, payload = run(
             capsys, "verify-inversion", "--tau", diag_ii, "--samples", "2", "--seed", "3",
-            "--eps", "1e-8",
         )
         assert code == 0
         assert len(payload["records"]) == 2 * 10
@@ -523,9 +580,9 @@ class TestBasisReport:
             (["--kappa0", "0000,16"], "a2=16 out of range for genus 4"),
             (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
             (["--kappa0", "1000,1000"], "kappa0 must be even"),
-            (["--null-threshold", "0"], "null_threshold must be in (0, 1)"),
+            (["--null-threshold", "0"], "unrecognized arguments: --null-threshold 0"),
             (["--tau", "g6.json"], "genus must be an integer in 1..5, got 6"),
-            (["--sv-threshold", "2"], "sv_threshold must be in (0, 1), got 2.0"),
+            (["--sv-threshold", "2"], "unrecognized arguments: --sv-threshold 2"),
         ],
     )
     def test_bad_argument_rejected_before_any_sum(self, capsys, tau_file, monkeypatch, tmp_path, flags, message):
@@ -540,10 +597,13 @@ class TestBasisReport:
         # a case picks the genus-6 tau with a second --tau, which argparse lets win
         monkeypatch.chdir(tmp_path)
         tau_file("g6.json", random_tau(6, 1))
-        code = main(["basis-report", "--tau", tau_file("g4.json", random_tau(4, 3)), *flags])
+        try:
+            code = main(["basis-report", "--tau", tau_file("g4.json", random_tau(4, 3)), *flags])
+        except SystemExit as stop:  # argparse rejects a removed flag
+            code = stop.code
         captured = capsys.readouterr()
         assert (code, sum(points), captured.out) == (2, 0, "")
-        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.splitlines()[-1].removeprefix("theta4: ").startswith(f"error: {message}")
 
 
 # a genus-1000 source of each kind that states its genus: each is rejected before its tau is built
@@ -898,6 +958,8 @@ class TestRunSuite:
     )
     def test_invalid_policies_rejected_before_entries(self, capsys, tmp_path, policies):
         err = self.rejected_before_entries(capsys, tmp_path, policies)
+        if isinstance(policies, dict) and "null_threshold" in policies:  # a cut-off no corpus sets
+            assert "corpus policies has unknown key 'null_threshold'" in err
         if policies in ({"samples": 1.9}, {"seed": 0.5}, {"samples": True}, {"samples": "3"},
                         {"seed": float("-inf")}, {"samples": float("inf")}, {"seed": 10**400}):
             assert f"policy {next(iter(policies))} must be an integer" in err
@@ -930,9 +992,11 @@ class TestRunSuite:
     )
     def test_float_policies_named_before_entries(self, capsys, tmp_path, key, value, rule):
         err = self.rejected_before_entries(capsys, tmp_path, {key: value})
-        # TruncationPolicy checks target_eps and names it as its own field
-        name = key if key == "target_eps" else f"policy {key}"
-        assert err.startswith(f"error: {name} must be {rule}")
+        if key == "target_eps":  # TruncationPolicy checks it and names it as its own field
+            assert err.startswith(f"error: target_eps must be {rule}")
+        else:  # a verdict cut-off is a constant, so a corpus that sets one is rejected whatever the value
+            assert err == (f"error: corpus policies has unknown key {key!r}; known keys: "
+                           "target_eps, samples, seed\n")
 
     @staticmethod
     def rejected_before_entries(capsys, tmp_path, policies) -> str:

@@ -9,7 +9,7 @@ from theta4.char2 import (
     even_characteristics,
     weil_pairing,
 )
-from theta4.identities import inversion_residuals, quartic_residuals, summarize
+from theta4.identities import IDENTITY_EPS, inversion_residuals, quartic_residuals, summarize
 from theta4.jsonio import complex_json
 from theta4.mmatrix import build_m, pairing_signs
 from theta4.theta_eval import (
@@ -139,7 +139,7 @@ class TestSignedSums:
         monkeypatch.setattr(identities, "_signed_sums", flipped)
         for sweep in (quartic_residuals, inversion_residuals):
             records = sweep(tau_g2_random, sample_cell_points(tau_g2_random, 1, seed=5))
-            failed = [r["char"] for r in records if not summarize([r], 1e-8)[1]]
+            failed = [r["char"] for r in records if not summarize([r])[1]]
             assert failed == [c.to_json()]
 
     def test_genus5_sums_peak_below_four_times_terms(self, traced_peak):
@@ -154,29 +154,32 @@ class TestSignedSums:
 
 
 class TestSummarize:
-    """The one pass rule: rel_residual < eps or abs_residual < eps * scale."""
+    """The one pass rule: rel_residual < IDENTITY_EPS or abs_residual < IDENTITY_EPS * scale."""
 
     @staticmethod
     def record(rel: float, abs_residual: float, scale: float) -> dict:
         return {"rel_residual": rel, "abs_residual": abs_residual, "scale": scale}
 
+    def test_cut_off_is_pinned(self):
+        assert IDENTITY_EPS == 1e-8
+
     def test_empty(self):
-        assert summarize([], 1e-8) == (0.0, True, 0)
+        assert summarize([]) == (0.0, True, 0)
 
     def test_relative_clause_is_strict(self):
         # rel == eps is no relative pass: with abs == eps * scale it fails both clauses,
         # and with a larger scale it passes at term scale only
-        assert summarize([self.record(1e-8, 1e-8, 1.0)], 1e-8) == (1e-8, False, 0)
-        assert summarize([self.record(1e-8, 1e-8, 2.0)], 1e-8) == (1e-8, True, 1)
+        assert summarize([self.record(1e-8, 1e-8, 1.0)]) == (1e-8, False, 0)
+        assert summarize([self.record(1e-8, 1e-8, 2.0)]) == (1e-8, True, 1)
 
     def test_counts_term_scale_passes(self):
         records = [self.record(1e-12, 1e-12, 1.0), self.record(1.0, 1e-17, 1e-3),
                    self.record(0.5, 1e-20, 1.0)]
-        assert summarize(records, 1e-8) == (1.0, True, 2)
+        assert summarize(records) == (1.0, True, 2)
 
     def test_failure_fails_and_sets_maximum(self):
         records = [self.record(1e-12, 1e-12, 1.0), self.record(0.25, 0.5, 1.0)]
-        assert summarize(records, 1e-8) == (0.25, False, 0)
+        assert summarize(records) == (0.25, False, 0)
 
     def test_records_share_char_and_point_objects(self, tau_g2_random):
         points = sample_cell_points(tau_g2_random, 2, seed=9)
@@ -251,7 +254,7 @@ class TestInversion:
             if r["char"] == vanishing.to_json()
         ]
         assert abs(value(res["lhs"])) < 1e-12 * res["scale"]
-        assert summarize([res], 1e-8)[1]
+        assert summarize([res])[1]
         assert res["abs_residual"] < 1e-10 * res["scale"]
 
     def test_consistency_with_quartic_on_shared_samples(self, tau_g2_random):

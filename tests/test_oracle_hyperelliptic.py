@@ -1,4 +1,4 @@
-"""Theta-nulls of hyperelliptic Jacobians against Thomae's formula, g = 1-4.
+"""Theta-nulls of hyperelliptic Jacobians against Thomae's formula, g = 1-5.
 
 The curve y^2 = p(x) = prod_i (x - e_i) with the 2g + 2 real branch points
 e_1 < ... < e_{2g+2}, here e_i = i - 1, has a period matrix that this module
@@ -16,8 +16,8 @@ of 1/|y| is smooth there (Deconinck and van Hoeij, Physica D 152-153, 2001).
 Putting the cuts into b_i as well shifts tau by an integer matrix that is not
 symmetric from g = 2 on, which the symmetry test catches.
 
-For such a curve exactly d+ - C(2g+1, g) even nulls vanish: 0, 0, 1, 10 at
-g = 1-4 (Mumford, Tata Lectures on Theta II, IIIa.5-8).  Thomae's formula
+For such a curve exactly d+ - C(2g+1, g) even nulls vanish: 0, 0, 1, 10, 66
+at g = 1-5 (Mumford, Tata Lectures on Theta II, IIIa.5-8).  Thomae's formula
 (J. reine angew. Math. 71, 1870) gives the others up to one constant,
 theta[eta_S](0)^4 = +-c Delta(S) Delta(S^c) with Delta(T) = prod_{i<j in T}
 (e_i - e_j), over the splits of the branch points into two halves S, S^c.
@@ -37,14 +37,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from theta4.basis_analysis import DEFAULT_NULL_THRESHOLD, basis_report, split_nulls
+from theta4.basis_analysis import basis_report, split_nulls
 from theta4.char2 import d_plus
 from theta4.cli import main
 from theta4.theta_eval import PeriodMatrix, theta_nulls
 
 NODES = 200
-GENERA = [1, 2, 3, 4]
-VANISHING = {1: 0, 2: 0, 3: 1, 4: 10}
+GENERA = [1, 2, 3, 4, 5]
+VANISHING = {1: 0, 2: 0, 3: 1, 4: 10, 5: 66}
 CORPUS = Path(__file__).with_name("hyperelliptic_corpus.json")
 
 
@@ -85,7 +85,7 @@ def test_tau_symmetric(curve):
 
 def test_vanishing_count(curve):
     g, _, nulls = curve
-    top, vanishing, _ = split_nulls(nulls, DEFAULT_NULL_THRESHOLD)
+    top, vanishing, _ = split_nulls(nulls)
     assert len(vanishing) == VANISHING[g] == d_plus(g) - math.comb(2 * g + 1, g)
     # far from the threshold on either side, so the count does not hang on it
     ratios = {c: abs(v) / top for c, v in nulls.items()}
@@ -96,7 +96,7 @@ def test_vanishing_count(curve):
 def test_thomae_multiset(curve):
     g, _, nulls = curve
     e = branch_points(g)
-    _, vanishing, _ = split_nulls(nulls, DEFAULT_NULL_THRESHOLD)
+    _, vanishing, _ = split_nulls(nulls)
     fourth = np.sort([abs(v) ** 4 for c, v in nulls.items() if c not in vanishing])
 
     def delta(t):

@@ -74,15 +74,22 @@ def act(m: np.ndarray, chars, drop_diag=False, swap=False) -> list[Characteristi
     return out
 
 
+def moved(m: np.ndarray, tau: PeriodMatrix) -> tuple[PeriodMatrix, np.ndarray]:
+    """(M tau, made symmetric, and C tau + D)."""
+    g = tau.g
+    a, b, c, d = m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
+    ctd = c @ tau.tau + d
+    image = (a @ tau.tau + b) @ np.linalg.inv(ctd)
+    return PeriodMatrix((image + image.T) / 2), ctd
+
+
 def law_error(g: int, seed: int, drop_diag=False, swap=False, exp_factor=True) -> tuple[float, float]:
     """(worst |lhs - rhs| over each point's largest lhs, lambda_min of M tau) at z = 0 and two cell points."""
     m = word(g, seed)
-    a, b, c, d = m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
+    c = m[g:, :g]
     tau = random_tau(g, seed=g)
     points = np.vstack([np.zeros(g), sample_cell_points(tau, 2, seed=g)])
-    ctd = c @ tau.tau + d
-    moved = (a @ tau.tau + b) @ np.linalg.inv(ctd)
-    moved_tau = PeriodMatrix((moved + moved.T) / 2)
+    moved_tau, ctd = moved(m, tau)
     moved_points = np.linalg.solve(ctd.T, points.T).T
     chars = enumerate_characteristics(g)
     lhs = np.abs(theta_table(act(m, chars, drop_diag, swap), moved_points, moved_tau))

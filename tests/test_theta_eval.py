@@ -12,7 +12,7 @@ import pytest
 import theta4.theta_eval as theta_eval
 from theta4.basis_analysis import basis_report, check_threshold
 from theta4.char2 import Characteristic, check_genus, enumerate_characteristics, even_characteristics, parity
-from theta4.identities import check_identity_eps, inversion_residuals, quartic_residuals
+from theta4.identities import inversion_residuals, quartic_residuals
 from theta4.theta_eval import (
     DEFAULT_POLICY,
     PeriodMatrix,
@@ -895,7 +895,6 @@ VALIDATED = {
     "check_genus": check_genus,
     "TruncationPolicy": TruncationPolicy,
     "check_threshold": lambda x: check_threshold("t", x),
-    "check_identity_eps": lambda x: check_identity_eps(x, "eps"),
     "random_tau-g": lambda x: random_tau(x, 0),
     "random_tau-seed": lambda x: random_tau(2, x),
     "random_tau-floor": lambda x: random_tau(2, 0, x),
@@ -918,7 +917,6 @@ class TestInputRules:
         assert TruncationPolicy(np.float32(1e-11)).target_eps == np.float32(1e-11)
         assert TruncationPolicy(np.float64(1e-11)) == TruncationPolicy(1e-11)
         assert check_threshold("t", np.float32(0.5)) == 0.5
-        assert check_identity_eps(np.float64(1e-8), "eps") == 1e-8
         tau = random_tau(np.int64(2), np.int64(0), np.float32(1.0))
         assert np.array_equal(tau.tau, random_tau(2, 0, 1.0).tau)
         points = sample_cell_points(tau, np.int64(2), np.int64(3))

@@ -15,9 +15,9 @@ import pytest
 
 import theta4.mmatrix as mmatrix
 import theta4.theta_eval as theta_eval
-from theta4.basis_analysis import DEFAULT_NULL_THRESHOLD, DEFAULT_SV_THRESHOLD, basis_report
+from theta4.basis_analysis import basis_report
 from theta4.char2 import Characteristic, d_plus
-from theta4.cli import DEFAULT_POLICIES, _run_entry
+from theta4.cli import _run_entry
 from theta4.identities import inversion_residuals, quartic_residuals
 
 
@@ -82,9 +82,7 @@ def test_entry_sums_each_distinct_point_once(g, samples, monkeypatch):
     monkeypatch.setattr(theta_eval, "_theta_groups", counting)
     result, _ = _run_entry(
         "count", theta_eval.random_tau(g, seed=g), Characteristic.zero(g),
-        {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY,
-        sv_threshold=DEFAULT_SV_THRESHOLD, samples=samples, identity_eps=DEFAULT_POLICIES["identity_eps"],
-        null_threshold=DEFAULT_NULL_THRESHOLD,
+        {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY, samples=samples,
     )
     assert result["status"] == "pass"
     d = d_plus(g)
@@ -96,9 +94,7 @@ def test_entry_draws_identity_samples_once(monkeypatch):
     draws = counting(monkeypatch, theta_eval, "sample_cell_points")
     result, _ = _run_entry(
         "draws", theta_eval.random_tau(2, seed=2), Characteristic.zero(2),
-        {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY,
-        sv_threshold=DEFAULT_SV_THRESHOLD, samples=2, identity_eps=DEFAULT_POLICIES["identity_eps"],
-        null_threshold=DEFAULT_NULL_THRESHOLD,
+        {"vanishing_nulls": 0, "verdicts": True}, 0, policy=theta_eval.DEFAULT_POLICY, samples=2,
     )
     assert result["status"] == "pass"
     assert draws[0] == 2
