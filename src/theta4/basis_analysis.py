@@ -20,6 +20,7 @@ import numpy as np
 from theta4.char2 import (
     Characteristic,
     check_genus,
+    check_genus_match,
     d_plus,
     even_characteristics,
     even_points,
@@ -81,12 +82,11 @@ def check_kappa0(kappa0: Characteristic, g: int) -> None:
     """Reject an odd kappa0 or one whose genus is not g."""
     if parity(kappa0) != 1:
         raise ValueError(f"kappa0 must be even, got odd {kappa0}")
-    if kappa0.g != g:
-        raise ValueError(f"genus mismatch: kappa0 {kappa0.g}, tau {g}")
+    check_genus_match("kappa0", kappa0.g, "tau", g)
 
 
 def evaluation_matrix(
-    tau: PeriodMatrix, kappa0: Characteristic, policy: TruncationPolicy | None = None
+    tau: PeriodMatrix, kappa0: Characteristic, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     """Values theta[k](2 z_a) for even k (rows) and a in even_points(kappa0).
 
@@ -105,7 +105,7 @@ def mu(
     kappa: Characteristic,
     kappa_prime: Characteristic,
     tau: PeriodMatrix,
-    policy: TruncationPolicy | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Normalization-free cross ratio of section values at a two-torsion point.
 
@@ -152,7 +152,7 @@ def _normalize_and_align(
 def normalized_evaluation_matrix(
     tau: PeriodMatrix,
     kappa0: Characteristic | None = None,
-    policy: TruncationPolicy | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, float]:
     """Evaluation matrix scaled and reindexed to expose the sign matrix.
 
@@ -191,14 +191,14 @@ def split_nulls(
     return top, vanishing, near
 
 
-def vanishing_nulls(tau: PeriodMatrix, policy: TruncationPolicy | None = None) -> list[Characteristic]:
+def vanishing_nulls(tau: PeriodMatrix, policy: TruncationPolicy = DEFAULT_POLICY) -> list[Characteristic]:
     """Even characteristics whose nulls are below NULL_THRESHOLD times the largest."""
     return list(split_nulls(theta_nulls(tau, policy))[1])
 
 
 def fourth_power_rank(
     tau: PeriodMatrix,
-    policy: TruncationPolicy | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
     sv_threshold: float = SV_THRESHOLD,
     seed: int = 0,
 ) -> int:
@@ -227,7 +227,7 @@ def fourth_power_rank(
 def basis_report(
     tau: PeriodMatrix,
     kappa0: Characteristic | None = None,
-    policy: TruncationPolicy | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
     seed: int = 0,
 ) -> dict:
     """Run the full analysis for one period matrix and one even kappa0 and
@@ -247,7 +247,6 @@ def basis_report(
     normalized matrix's distance from the sign matrix, is None when a null
     vanishes.
     """
-    policy = policy or DEFAULT_POLICY
     g = tau.g
     check_genus(g, MAX_GENUS)
     d = d_plus(g)

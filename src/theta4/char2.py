@@ -51,6 +51,15 @@ def check_genus(g: int, cap: int = MAX_GENUS) -> None:
         raise ValueError(f"genus must be an integer in 1..{cap}, got {g!r}")
 
 
+def check_genus_match(what: str, g: int, other: str, g_other: int) -> None:
+    """Reject two genera that differ: what has genus g, other has g_other.
+
+    The one genus-mismatch error.  Hot callers compare the genera inline and
+    call this only when they differ."""
+    if g != g_other:
+        raise ValueError(f"genus mismatch: {what} {g}, {other} {g_other}")
+
+
 def _bit(value: object) -> int:
     try:
         # a bool is an int, but True/False (a JSON true) is not a bit
@@ -142,11 +151,6 @@ class Characteristic:
         return "".join(map(str, self.a1)) + "," + "".join(map(str, self.a2))
 
 
-def _check_same_genus(a: Characteristic, b: Characteristic) -> None:
-    if a.g != b.g:
-        raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
-
-
 @lru_cache(maxsize=None)
 def _all_characteristics(g: int) -> tuple[Characteristic, ...]:
     return tuple(Characteristic.from_index(g, i) for i in range(4**g))
@@ -170,7 +174,7 @@ def weil_pairing(a: Characteristic, b: Characteristic) -> int:
     a1.b2 + a2.b1, so the sign is one table read.
     """
     if a.g != b.g:
-        raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
+        check_genus_match("characteristic", a.g, "characteristic", b.g)
     return _SIGN[a.index & b._swapped]
 
 
@@ -180,7 +184,7 @@ def kappa_value(c: Characteristic, a: Characteristic) -> int:
     Satisfies kappa_c(a + b) = kappa_c(a) kappa_c(b) <a, b> for every a, b;
     for c = 0 it reduces to the parity of a.
     """
-    _check_same_genus(c, a)
+    check_genus_match("characteristic", c.g, "characteristic", a.g)
     return _SIGN[(a._h1 & a._h2) ^ (c._h1 & a._h2) ^ (c._h2 & a._h1)]
 
 
@@ -190,7 +194,7 @@ def translate(b: Characteristic, c: Characteristic) -> Characteristic:
     The translated form satisfies
     kappa_value(translate(b, c), x) = weil_pairing(b, x) * kappa_value(c, x).
     """
-    _check_same_genus(b, c)
+    check_genus_match("characteristic", b.g, "characteristic", c.g)
     return Characteristic(_xor(c.a1, b.a1), _xor(c.a2, b.a2))
 
 

@@ -110,11 +110,16 @@ def _cmd_mmatrix(args) -> int:
     return EXIT_CODES[_status(ok)]
 
 
+def _tau_and_policy(args) -> tuple[PeriodMatrix, TruncationPolicy]:
+    """The tau of --tau and the policy of --target-eps, for a single-tau command."""
+    return load_tau_file(args.tau), TruncationPolicy(target_eps=args.target_eps)
+
+
 def _cmd_theta(args) -> int:
-    tau = load_tau_file(args.tau)
+    tau, policy = _tau_and_policy(args)
     char = parse_char_spec(args.char, tau.g)
     z = parse_point_spec(args.z) if args.z else np.zeros(tau.g, dtype=complex)
-    result = theta_series(char, z, tau, TruncationPolicy(target_eps=args.target_eps))
+    result = theta_series(char, z, tau, policy)
     payload = {
         "char": char.to_json(),
         "value": complex_json(result.value),
@@ -126,8 +131,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_nulls(args) -> int:
-    tau = load_tau_file(args.tau)
-    nulls = theta_nulls(tau, TruncationPolicy(target_eps=args.target_eps))
+    tau, policy = _tau_and_policy(args)
+    nulls = theta_nulls(tau, policy)
     top, vanishing, _ = split_nulls(nulls)
     rows = [
         {"char": c.to_json(), "value": complex_json(v), "abs": abs(v)} for c, v in nulls.items()
@@ -144,8 +149,7 @@ def _cmd_nulls(args) -> int:
 
 
 def _cmd_verify_identity(args, kind: str) -> int:
-    tau = load_tau_file(args.tau)
-    policy = TruncationPolicy(target_eps=args.target_eps)
+    tau, policy = _tau_and_policy(args)
     sweep = quartic_residuals if kind == "quartic" else inversion_residuals
     records = sweep(tau, sample_cell_points(tau, args.samples, args.seed), policy)
     _emit({"tau": tau.to_json(), "target_eps": policy.target_eps, "records": records}, args.out)
@@ -156,9 +160,8 @@ def _cmd_verify_identity(args, kind: str) -> int:
 
 
 def _cmd_basis_report(args) -> int:
-    tau = load_tau_file(args.tau)
+    tau, policy = _tau_and_policy(args)
     kappa0 = parse_char_spec(args.kappa0, tau.g) if args.kappa0 else None
-    policy = TruncationPolicy(target_eps=args.target_eps)
     report = basis_report(tau, kappa0=kappa0, policy=policy, seed=args.seed)
     _emit(report, args.out)
     return EXIT_CODES[_status(report["consistent"], report)]
@@ -191,9 +194,10 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
     """Build a corpus entry's tau from a leaf source (file, literal or random;
     a path string is a file source) or from a block source, whose blocks are
     leaves.  A genus outside 1..MAX_GENUS raises ValueError, and so do a key
-    the source's kind does not read and a block inside a block.  A random or
-    block source is checked before its g x g matrix is built, a literal or
-    file one (as large as its input) after."""
+    the source's kind does not read and a block inside a block.  A random
+    source is checked before its g x g matrix is built, and so is the number
+    of a block source's blocks; the genus of a block, literal or file source
+    (as large as its input) is checked after."""
     if isinstance(source, str):
         source = {"kind": "file", "path": source}
     if not isinstance(source, dict):
@@ -214,7 +218,6 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
         if any(isinstance(b, dict) and b.get("kind") == "block" for b in source["blocks"]):
             raise ValueError("a block source's blocks must be file, literal or random sources")
         blocks = [_tau_from_source(b, base_dir) for b in source["blocks"]]
-        check_genus(sum(b.g for b in blocks), MAX_GENUS)
         tau = block_diagonal_tau(blocks)
     check_genus(tau.g, MAX_GENUS)
     return tau
@@ -373,11 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"theta4 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag shared by several commands is declared once, in a parent parser
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="report file (default stdout)")
+    lattice = argparse.ArgumentParser(add_help=False, parents=[out])
+    lattice.add_argument("--tau", required=True)
+    lattice.add_argument("--target-eps", type=float, default=DEFAULT_POLICIES["target_eps"])
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_POLICIES["seed"])
 
-    p = sub.add_parser("chars", help="enumerate characteristics with parities")
+    p = sub.add_parser("chars", parents=[out], help="enumerate characteristics with parities")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--even-only", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_chars)
 
     p = sub.add_parser("mmatrix", help="emit or verify the even-pair sign matrix")
@@ -386,42 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit")
     p.set_defaults(func=_cmd_mmatrix)
 
-    p = sub.add_parser("theta", help="evaluate one theta value")
-    p.add_argument("--tau", required=True)
+    p = sub.add_parser("theta", parents=[lattice], help="evaluate one theta value")
     p.add_argument("--char", required=True, help='characteristic "a1,a2"')
     p.add_argument("--z", help='point "re,im;re,im;..." (default 0)')
-    p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("nulls", help="even theta-nulls and vanishing detection")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
-    p.add_argument("--out")
+    p = sub.add_parser("nulls", parents=[lattice], help="even theta-nulls and vanishing detection")
     p.set_defaults(func=_cmd_nulls)
 
     for kind in ("quartic", "inversion"):
-        p = sub.add_parser(f"verify-{kind}", help=f"residuals of the {kind} identity")
-        p.add_argument("--tau", required=True)
+        p = sub.add_parser(f"verify-{kind}", parents=[lattice, seed], help=f"residuals of the {kind} identity")
         p.add_argument("--samples", type=int, default=DEFAULT_POLICIES["samples"])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
-        p.add_argument("--out")
         p.set_defaults(func=lambda args, kind=kind: _cmd_verify_identity(args, kind))
 
-    p = sub.add_parser("basis-report", help="rank/basis analysis for one period matrix")
-    p.add_argument("--tau", required=True)
+    p = sub.add_parser("basis-report", parents=[lattice, seed], help="rank/basis analysis for one period matrix")
     p.add_argument("--kappa0", help='even characteristic "a1,a2" (default 0)')
-    p.add_argument("--target-eps", type=float, default=DEFAULT_TARGET_EPS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_basis_report)
 
-    p = sub.add_parser("run-suite", help="run a corpus of period matrices end to end")
+    p = sub.add_parser("run-suite", parents=[out], help="run a corpus of period matrices end to end")
     p.add_argument("--corpus", help="corpus JSON file")
     p.add_argument("--standard", action="store_true", help="use the built-in corpus")
     p.add_argument("--emit-corpus", help="also write the corpus that was run")
-    p.add_argument("--out", help="report file (default stdout)")
     p.set_defaults(func=_cmd_run_suite)
 
     return parser

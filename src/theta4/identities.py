@@ -25,8 +25,9 @@ records do not depend on the other points of the sweep.  Theta powers and
 products are taken on Python scalars: numpy's complex product gives the same
 bits at any batch size, but differs from Python's in the last bit for about
 44% of products, so the scalars keep the records bit for bit those of the
-reports written so far.  A sweep has one tau and one policy (None reads as
-theta_eval's DEFAULT_POLICY in theta_table), so its records carry neither.
+reports written so far.  A sweep has one tau and one policy, DEFAULT_POLICY
+unless the caller gives one (None is not a policy), so its records carry
+neither.
 Each record is the JSON dict that verify-quartic and verify-inversion write,
 built once; summarize() holds the one pass rule that the CLI gates on, at the
 pinned residual cut-off IDENTITY_EPS.
@@ -38,7 +39,7 @@ import numpy as np
 
 from theta4.char2 import Characteristic, enumerate_characteristics, even_characteristics
 from theta4.jsonio import complex_json
-from theta4.theta_eval import PeriodMatrix, TruncationPolicy, theta_table
+from theta4.theta_eval import DEFAULT_POLICY, PeriodMatrix, TruncationPolicy, theta_table
 
 RESIDUAL_FLOOR = 1e-30
 IDENTITY_EPS = 1e-8
@@ -125,7 +126,7 @@ def _as_points(points) -> np.ndarray:
     return points
 
 
-def quartic_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy | None = None) -> list[dict]:
+def quartic_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy = DEFAULT_POLICY) -> list[dict]:
     """Quartic records for all 4^g characteristics at each point; all points share the nulls.
 
     The odd-pair terms are evaluated rather than skipped; their nulls vanish,
@@ -143,7 +144,7 @@ def quartic_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy | None
     return _records("quartic", chars, points, lhs, _signed_sums(terms, chars), term_scale)
 
 
-def inversion_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy | None = None) -> list[dict]:
+def inversion_residuals(tau: PeriodMatrix, points, policy: TruncationPolicy = DEFAULT_POLICY) -> list[dict]:
     """Inversion records for every even pair at each point; the sums run over all even pairs."""
     g = tau.g
     evens = even_characteristics(g)

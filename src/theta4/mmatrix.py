@@ -34,6 +34,7 @@ import numpy as np
 from theta4.char2 import (
     Characteristic,
     check_genus,
+    check_genus_match,
     d_plus,
     enumerate_characteristics,
     even_characteristics,
@@ -53,9 +54,10 @@ def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]
     int8 table is allocated once and filled _BLOCK_ROWS rows at a time, so
     the one other array built beside it is a block's uint16 ANDs.
     """
-    genera = {c.g for c in (*rows, *cols)}
-    if len(genera) != 1:
-        raise ValueError(f"characteristics must share exactly one genus, got genera {sorted(genera)}")
+    genera = sorted({c.g for c in (*rows, *cols)})
+    if not genera:
+        raise ValueError("pairing_signs needs at least one characteristic")
+    check_genus_match("characteristic", genera[0], "characteristic", genera[-1])
     r = np.array([c.index for c in rows], dtype=np.uint16)
     s = np.array([c._swapped for c in cols], dtype=np.uint16)
     table = np.empty((len(r), len(s)), dtype=np.int8)
@@ -83,13 +85,6 @@ def _evens(g: int) -> tuple[Characteristic, ...]:
     return tuple(even_characteristics(g))
 
 
-def _check_row(g: int, a: Characteristic) -> None:
-    """Reject a genus out of range or a characteristic of another genus."""
-    check_genus(g, MAX_GENUS)
-    if a.g != g:
-        raise ValueError(f"genus mismatch: matrix genus {g}, characteristic genus {a.g}")
-
-
 def row_sum(g: int, a: Characteristic) -> int:
     """Sum of pairing signs of a against all even pairs, computed literally.
 
@@ -98,14 +93,16 @@ def row_sum(g: int, a: Characteristic) -> int:
     is in row_sum_closed_form; keeping the literal sum separate is what makes
     the comparison a real check.
     """
-    _check_row(g, a)
+    check_genus(g, MAX_GENUS)
+    check_genus_match("characteristic", a.g, "matrix", g)
     evens = _evens(g)
     return sum(map(weil_pairing, repeat(a, len(evens)), evens))
 
 
 def row_sum_closed_form(g: int, a: Characteristic) -> int:
     """Closed form of the even-pair row sum."""
-    _check_row(g, a)
+    check_genus(g, MAX_GENUS)
+    check_genus_match("characteristic", a.g, "matrix", g)
     if a.is_zero:
         return d_plus(g)
     return parity(a) * 2 ** (g - 1)

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from theta4.char2 import Characteristic, even_characteristics
+from theta4.char2 import Characteristic, check_genus_match, even_characteristics
 
 SYMMETRY_TOL = 1e-12
 MIN_IM_EIGENVALUE = 1e-6
@@ -426,7 +426,7 @@ def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> list:
 
 
 def theta_series(
-    c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy | None = None
+    c: Characteristic, z, tau: PeriodMatrix, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> ThetaValue:
     """Evaluate the theta series, reporting the radius and tail bound used.
 
@@ -441,10 +441,9 @@ def theta_series(
     array is looked up by its raw bytes before it is validated (see the
     module docstring); only a miss pays for validation.
     """
-    policy = policy or DEFAULT_POLICY
     g = len(tau._tau)
-    if len(c.a1) != g:
-        raise ValueError(f"genus mismatch: characteristic {len(c.a1)}, tau {g}")
+    if c.g != g:
+        check_genus_match("characteristic", c.g, "tau", g)
     entry = None
     if type(z) is np.ndarray and z.dtype is _COMPLEX and z.shape == (g,):
         entry = tau._theta_memo.get((policy.target_eps, z.tobytes()))
@@ -455,9 +454,7 @@ def theta_series(
     return tuple.__new__(ThetaValue, (values[c.index], tail_bound, radius))
 
 
-def theta_table(
-    chars, points, tau: PeriodMatrix, policy: TruncationPolicy | None = None
-) -> np.ndarray:
+def theta_table(chars, points, tau: PeriodMatrix, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Values theta[c](z) for c in chars (rows) and z in points (columns).
 
     Every characteristic's genus is checked before any lattice sum.  One
@@ -468,11 +465,9 @@ def theta_table(
     counts the theta_series reads of each stage, sees one read per table
     entry.  Those reads hit the memo by raw bytes.
     """
-    policy = policy or DEFAULT_POLICY
     g = tau.g
     for c in chars:
-        if c.g != g:
-            raise ValueError(f"genus mismatch: characteristic {c.g}, tau {g}")
+        check_genus_match("characteristic", c.g, "tau", g)
     pts = [_as_point(z, g) for z in points]
     if chars:
         _fill(pts, tau, policy)
@@ -481,7 +476,7 @@ def theta_table(
 
 
 def theta_nulls(
-    tau: PeriodMatrix, policy: TruncationPolicy | None = None
+    tau: PeriodMatrix, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> dict[Characteristic, complex]:
     """Values at z = 0 for all even characteristics, in canonical order."""
     evens = even_characteristics(tau.g)
@@ -498,8 +493,7 @@ def two_torsion_point(a: Characteristic, tau: PeriodMatrix) -> np.ndarray:
     quadratic-form data of the label, which is what the evaluation-matrix
     normalization and the mu quotient rely on.
     """
-    if a.g != tau.g:
-        raise ValueError(f"genus mismatch: characteristic {a.g}, tau {tau.g}")
+    check_genus_match("characteristic", a.g, "tau", tau.g)
     p = np.array(a.a2, dtype=float)
     q = np.array(a.a1, dtype=float)
     return (p + tau.tau @ q) / 2.0

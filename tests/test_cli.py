@@ -455,6 +455,21 @@ def test_removed_flag_is_unrecognized(capsys, rand_g2, no_lattice_sum, argv):
     assert_unrecognized(capsys, [*argv, "--tau", rand_g2], " ".join(argv[-2:]))
 
 
+def test_shared_flags_mean_the_same_on_every_command():
+    # a flag of several commands has one type, default and required on all of
+    # them, and the policy flags default to the corpus policies
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                spec = (action.type, action.default, action.required)
+                first, first_spec = seen.setdefault(option, (command, spec))
+                assert spec == first_spec, (option, command, first)
+    for option, key in (("--target-eps", "target_eps"), ("--samples", "samples"), ("--seed", "seed")):
+        assert seen[option][1][1] == cli.DEFAULT_POLICIES[key]
+
+
 def test_readme_usage_lines_parse():
     # each theta4 line of the README, in the usage block or inline, is a command the parser takes
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

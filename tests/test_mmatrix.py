@@ -93,11 +93,11 @@ class TestPairingSigns:
         assert peak <= 1.25 * signs.size, peak
 
     def test_mixed_genus_rejected(self):
-        with pytest.raises(ValueError, match="share exactly one genus"):
+        with pytest.raises(ValueError, match="^genus mismatch: characteristic 1, characteristic 2$"):
             pairing_signs(even_characteristics(1), even_characteristics(2))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="share exactly one genus"):
+        with pytest.raises(ValueError, match="needs at least one characteristic"):
             pairing_signs([], [])
 
 

@@ -4,7 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import theta4
+from theta4.basis_analysis import check_kappa0
+from theta4.char2 import Characteristic, kappa_value, translate, weil_pairing
+from theta4.mmatrix import pairing_signs, row_sum, row_sum_closed_form
+from theta4.theta_eval import random_tau, theta_series, theta_table, two_torsion_point
 
 
 def test_all_lists_every_public_import_once():
@@ -30,3 +36,25 @@ def test_import_loads_no_exact_rational_modules():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_one_function_raises_every_genus_mismatch():
+    # every check that two genera agree raises through check_genus_match, with its one message
+    one, two, tau = Characteristic.zero(1), Characteristic.zero(2), random_tau(1, 0)
+    calls = {
+        "characteristic 1, characteristic 2": [
+            lambda: weil_pairing(one, two), lambda: kappa_value(one, two), lambda: translate(one, two),
+            lambda: pairing_signs([one], [two]),
+        ],
+        "characteristic 1, matrix 2": [lambda: row_sum(2, one), lambda: row_sum_closed_form(2, one)],
+        "characteristic 2, tau 1": [
+            lambda: theta_series(two, [0.0], tau), lambda: theta_table([two], [[0.0]], tau),
+            lambda: two_torsion_point(two, tau),
+        ],
+        "kappa0 2, tau 1": [lambda: check_kappa0(two, 1)],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=f"^genus mismatch: {message}$") as err:
+                call()
+            assert err.traceback[-1].name == "check_genus_match"
