@@ -8,10 +8,7 @@ The package is organised around one chain of objects:
 * ``mmatrix``        -- int8 tables of pairing signs, the d+ x d+ sign
                         matrix M over even pairs (int64 from build_m) and its
                         row-sum law, verified in exact integer arithmetic
-                        through M^2 = 2^(g-1) M + 2^(2g-1) I, formed one
-                        block pair at a time from the int8 table; the
-                        inverse identity M (M - 2^(g-1) I) = 2^(2g-1) I is
-                        the same square read off once.
+                        through M^2 = 2^(g-1) M + 2^(2g-1) I.
 * ``theta_eval``     -- numerical theta series with characteristics on the
                         Siegel upper half-space, truncated with a Gaussian
                         tail bound.

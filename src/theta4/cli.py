@@ -190,14 +190,15 @@ _SOURCE_KEYS = {"file": ("path",), "literal": ("re", "im", "g"), "random": ("g",
                 "block": ("blocks",)}
 
 
-def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
+def _tau_from_source(source, base_dir: Path, files: list[Path]) -> PeriodMatrix:
     """Build a corpus entry's tau from a leaf source (file, literal or random;
     a path string is a file source) or from a block source, whose blocks are
-    leaves.  A genus outside 1..MAX_GENUS raises ValueError, and so do a key
-    the source's kind does not read and a block inside a block.  A random
-    source is checked before its g x g matrix is built, and so is the number
-    of a block source's blocks; the genus of a block, literal or file source
-    (as large as its input) is checked after."""
+    leaves, and append the path of each file it reads to files.  A genus
+    outside 1..MAX_GENUS raises ValueError, and so do a key the source's kind
+    does not read and a block inside a block.  A random source is checked
+    before its g x g matrix is built, and so is the number of a block
+    source's blocks; the genus of a block, literal or file source (as large
+    as its input) is checked after."""
     if isinstance(source, str):
         source = {"kind": "file", "path": source}
     if not isinstance(source, dict):
@@ -207,7 +208,8 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
         raise ValueError(f"unknown tau source kind {kind!r}")
     _check_keys(source, ("kind", *_SOURCE_KEYS[kind]), f"{kind} tau source")
     if kind == "file":
-        tau = load_tau_file(base_dir / source["path"])
+        files.append(base_dir / source["path"])
+        tau = load_tau_file(files[-1])
     elif kind == "literal":
         tau = PeriodMatrix.from_json({k: v for k, v in source.items() if k != "kind"})
     elif kind == "random":
@@ -217,7 +219,7 @@ def _tau_from_source(source, base_dir: Path) -> PeriodMatrix:
         check_genus(len(source["blocks"]), MAX_GENUS)  # each leaf adds at least 1 to the genus
         if any(isinstance(b, dict) and b.get("kind") == "block" for b in source["blocks"]):
             raise ValueError("a block source's blocks must be file, literal or random sources")
-        blocks = [_tau_from_source(b, base_dir) for b in source["blocks"]]
+        blocks = [_tau_from_source(b, base_dir, files) for b in source["blocks"]]
         tau = block_diagonal_tau(blocks)
     check_genus(tau.g, MAX_GENUS)
     return tau
@@ -284,12 +286,15 @@ def _run_entry(
     return result, at_scale
 
 
-def run_suite(corpus: dict, base_dir: Path) -> dict:
+def run_suite(corpus: dict, base_dir: Path, outputs=()) -> dict:
     """Execute the corpus and assemble the deterministic run report.
 
-    Wall-clock timings go to stderr only, one line per entry that also gives
-    how many records of each sweep passed only at term scale; the report
-    must be byte-identical across reruns with the same corpus.
+    outputs holds the (flag, path or None) of each file the caller may
+    write; a path that names a file an entry's tau source reads raises
+    ValueError before any entry runs.  Wall-clock timings go to stderr only,
+    one line per entry that also gives how many records of each sweep passed
+    only at term scale; the report must be byte-identical across reruns with
+    the same corpus.
     """
     _check_keys(corpus, ("label", "policies", "entries"), "corpus")
     _check_label("corpus label", corpus.get("label", ""))
@@ -310,10 +315,15 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
         if label in labels:
             raise ValueError(f"duplicate corpus label {label!r}")
         labels.add(label)
+        files = []
         try:
-            tau = _tau_from_source(entry["tau"], base_dir)
+            tau = _tau_from_source(entry["tau"], base_dir, files)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
+        read = {os.path.realpath(f) for f in files}
+        for flag, path in outputs:
+            if path and os.path.realpath(path) in read:
+                raise ValueError(f"{flag} {path} names the same file as corpus entry {i}'s tau source")
         try:
             kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
             check_kappa0(kappa0, tau.g)
@@ -348,7 +358,7 @@ def run_suite(corpus: dict, base_dir: Path) -> dict:
 def _cmd_run_suite(args) -> int:
     corpus, base_dir = _load_corpus(args)
     start = time.perf_counter()
-    report = run_suite(corpus, base_dir)
+    report = run_suite(corpus, base_dir, (("--out", args.out), ("--emit-corpus", args.emit_corpus)))
     print(f"suite rollup: {report['rollup']} ({time.perf_counter() - start:.2f}s)", file=sys.stderr)
     if args.emit_corpus:
         _emit(corpus, args.emit_corpus)

@@ -12,10 +12,8 @@ Every exact fact about M follows from one integer identity,
 M^2 = 2^(g-1) M + 2^(2g-1) I: it makes M invertible with
 M^-1 = (M - 2^(g-1) I) / 2^(2g-1), and the inverse identity
 M (M - 2^(g-1) I) = 2^(2g-1) I is the same integer square read off once.
-M^2 is formed in float32 one block of rows against one block of columns at a
-time, read from the int8 table with no float32 copy of M, which is exact here
-because every value a block pair and the identity checks form is an integer
-below 2^24 (see verify_sign_matrix).
+verify_sign_matrix forms M^2 in float32 from the int8 table, exactly; its
+docstring shows why.
 
 The row-sum law is checked literally: row_sum makes one weil_pairing call per
 even pair, read from this module when it runs, so the check counts 4^g d+
@@ -131,9 +129,7 @@ def verify_sign_matrix(g: int) -> dict[str, bool]:
     Checks, all on integer values (M^2 in float32, exact as shown below):
       * entries are +-1, the diagonal is +1, and M is symmetric;
       * M^2 = 2^(g-1) M + 2^(2g-1) I;
-      * M (M - 2^(g-1) I) = 2^(2g-1) I, i.e. (M - 2^(g-1) I) / 2^(2g-1)
-        inverts M; the left side is the same integer matrix M^2 - 2^(g-1) M,
-        so inverse_identity is the same square read off once;
+      * M (M - 2^(g-1) I) = 2^(2g-1) I, the same square read off once;
       * the literal row sum over even pairs matches its closed form for
         every one of the 4^g characteristics.
 

@@ -10,24 +10,14 @@ an integer box recentred where the summand's modulus peaks, at
 c = -(a1/2 + Y^-1 Im z) with Y = Im tau, with the radius chosen so that a
 rigorous Gaussian tail bound, counted from c itself (see _tail_bound), falls
 below the policy's target, and past MAX_ALLOWED_RADIUS raises TruncationError.
+A point whose tail bound or values would leave the double range raises a
+ValueError that names it.
 Everything runs in double-precision complex; the advertised accuracy is
 absolute, of the order of the policy target.
 
-The top half a1 and the point z fix the box; the bottom half a2 only flips
-the sign of the term for m by (-1)^(m.a2) and multiplies the sum by
-exp(pi i a1.a2 / 2); the radius and the tail bound depend on z alone.  So
-_theta_groups sums a point as 2^g rows, one per top half: over the offsets k
-from a row's integer shift, the phase splits into exp(pi i k' tau k), one
-table for every row, one factor per axis and row (the linear phase and the
-top half's cross term) and one constant per row, and BLAS contractions of
-the table with the axis factors give each row's 2^g values, all 4^g per
-point.  An axis factor is geometric in k, so it takes two complex
-exponentials per row and axis, its entry at k = 0 and its ratio, and running
-products out from k = 0 give the rest.  Each row keeps its own box; a row
-whose axis factors could leave the double range is summed term by term
-instead.  The kernel sums at z - n, n = rint(Re z), and multiplies a row by
-(-1)^(a1.n), which is exact since theta[a](z + n) = (-1)^(a1.n) theta[a](z):
-a large Re z costs the phases no digits.
+The radius and the tail bound depend on z alone, so the one kernel,
+_theta_groups, sums all 4^g characteristics at a point together; its
+docstring derives it.
 
 The memo on the PeriodMatrix, the only state it keeps, holds one entry per
 (target, bytes of z) for the life of that object: z's 4^g values by
@@ -218,8 +208,17 @@ def _as_point(z, g: int) -> np.ndarray:
     return pt
 
 
-def _tail_bound(g: int, lam: float, amp: float, radius: int) -> float:
-    """Bound on the mass the box ceil(c - r) .. floor(c + r) leaves out, r >= 1.
+def _bound_factor(g: int, lam: float, exponent: float) -> float:
+    """The tail bound's factor amp * 2g * (2 + 1/sqrt(lam))^(g-1) at a point
+    whose scale is amp = exp(exponent) (see _tail_bound); inf past the double range."""
+    if not exponent <= _MAX_EXP_ARG:
+        return math.inf
+    return math.exp(exponent) * 2.0 * g * (2.0 + 1.0 / math.sqrt(lam)) ** (g - 1)
+
+
+def _tail_bound(factor: float, lam: float, radius: int) -> float:
+    """Bound on the mass the box ceil(c - r) .. floor(c + r) leaves out, r >= 1,
+    given the point's _bound_factor.
 
     With n = m + a1/2, y = Im z, Y = Im tau, w = Y^-1 y and the box centre
     c = -(a1/2 + w), completing the square gives
@@ -239,15 +238,16 @@ def _tail_bound(g: int, lam: float, amp: float, radius: int) -> float:
 
         amp * 2g * (2 + 1/sqrt(lam))^(g-1) * exp(-pi lam r^2) / (1 - exp(-2 pi lam r)).
     """
-    line = 2.0 + 1.0 / math.sqrt(lam)
     decay = math.exp(-math.pi * lam * radius * radius) / -math.expm1(-2.0 * math.pi * lam * radius)
-    return amp * 2.0 * g * line ** (g - 1) * decay
+    return factor * decay
 
 
-def _radius(g: int, lam: float, amp: float, policy: TruncationPolicy) -> int:
-    """Smallest radius whose tail bound meets the policy target; past MAX_ALLOWED_RADIUS it raises."""
+def _radius(factor: float, lam: float, policy: TruncationPolicy) -> int:
+    """Smallest radius whose tail bound meets the policy target; past MAX_ALLOWED_RADIUS it raises.
+
+    With a finite factor the search ends where the decay underflows to 0, near r = 15,400 at lam = 1e-6."""
     r = 1
-    while _tail_bound(g, lam, amp, r) > policy.target_eps and r < 10**6:
+    while _tail_bound(factor, lam, r) > policy.target_eps:
         r += 1
     if r > MAX_ALLOWED_RADIUS:
         raise TruncationError(r)
@@ -258,7 +258,8 @@ def _truncation(
     points: np.ndarray, tau: PeriodMatrix, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-point part of the truncation for the (P, g) batch: w = Y^-1 Im z,
-    the radius and the tail bound of each point.
+    the radius and the tail bound of each point.  A point whose tail bound
+    factor leaves the double range raises ValueError naming it.
 
     None of it depends on the characteristic, so _fill runs it once per point
     for all the characteristics it sums.  Solved one point per stacked matrix, each
@@ -274,15 +275,16 @@ def _truncation(
         exponents = math.pi * (y[:, None, :] @ w[:, :, None]).ravel()
     radii, tails = [], []
     for z, exponent in zip(points, exponents.tolist()):
-        if not exponent <= _MAX_EXP_ARG:
+        factor = _bound_factor(g, lam, exponent)
+        if not math.isfinite(factor):
+            limit = _MAX_EXP_ARG - math.log(_bound_factor(g, lam, 0.0))  # where the factor overflows
             raise ValueError(
                 f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
-                f"(exponent {exponent:.4g}, limit {_MAX_EXP_ARG:.4g})"
+                f"(exponent {exponent:.4g}, limit {limit:.4g})"
             )
-        amp = math.exp(exponent)
-        r = _radius(g, lam, amp, policy)
+        r = _radius(factor, lam, policy)
         radii.append(r)
-        tails.append(_tail_bound(g, lam, amp, r))
+        tails.append(_tail_bound(factor, lam, r))
     return w, np.array(radii), np.array(tails)
 
 
@@ -313,14 +315,16 @@ def _theta_groups(
     """Every characteristic's value at each of the (P, g) points, as a
     (P, 4^g) array whose column c.index holds theta[c].
 
-    truncation is _truncation(points, tau, policy).  Each point is summed at
-    z - n, n = rint(Re z), and a row's sum is multiplied by (-1)^(a1.n), with
-    the parity of n from np.fmod: theta[a](z + n) = (-1)^(a1.n) theta[a](z),
-    so the shift is exact and the phases below never see a large Re z.  A
-    point is 2^g rows, one per top half a1, each resolved into all 2^g second
-    halves; a row keeps its point's radius r and its own box
-    ceil(c - r) .. floor(c + r) around c = -(alpha + w), alpha = a1/2,
-    w = Y^-1 Im z.
+    The top half a1 and the point fix the box; the bottom half a2 only flips
+    the sign of the term for m by (-1)^(m.a2) and multiplies the sum by
+    exp(pi i a1.a2 / 2).  truncation is _truncation(points, tau, policy).
+    Each point is summed at z - n, n = rint(Re z), and a row's sum is
+    multiplied by (-1)^(a1.n), with the parity of n from np.fmod:
+    theta[a](z + n) = (-1)^(a1.n) theta[a](z), so the shift is exact and the
+    phases below never see a large Re z.  A point is 2^g rows, one per top
+    half a1, each resolved into all 2^g second halves; a row keeps its
+    point's radius r and its own box ceil(c - r) .. floor(c + r) around
+    c = -(alpha + w), alpha = a1/2, w = Y^-1 Im z.
     With the shift s = rint(c) and the offset k = m - s in [-r, r]^g, the
     term for n = s + k + alpha is
 
@@ -412,6 +416,8 @@ def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> list:
 
     The points are deduplicated by key; _truncation runs once over the
     missing ones, in order, and they are summed in one _theta_groups batch.
+    A point whose values leave the double range raises ValueError naming it,
+    and none of the batch is memoized.
     """
     memo = tau._theta_memo
     keys = [(policy.target_eps, z.tobytes()) for z in points]
@@ -420,8 +426,13 @@ def _fill(points, tau: PeriodMatrix, policy: TruncationPolicy) -> list:
     if missing:
         union = np.array([unique[key] for key in missing])
         truncation = _truncation(union, tau, policy)
-        values = _theta_groups(union, truncation, tau).tolist()
-        memo.update(zip(missing, zip(values, truncation[1].tolist(), truncation[2].tolist())))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _theta_groups(union, truncation, tau)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            z = union[np.argmin(finite)].tolist()
+            raise ValueError(f"theta values at z = {z} overflow double precision")
+        memo.update(zip(missing, zip(values.tolist(), truncation[1].tolist(), truncation[2].tolist())))
     return [memo[key] for key in keys]
 
 

@@ -206,14 +206,26 @@ class TestOutputErrors:
         ("run-suite --corpus c.json --out c.json", "--out c.json names the same file as --corpus"),
         ("run-suite --corpus c.json --emit-corpus ./c.json", "--emit-corpus ./c.json names the same file as --corpus"),
         ("run-suite --standard --out r.json --emit-corpus r.json", "--emit-corpus r.json names the same file as --out"),
-    ], ids=["theta", "nulls-dotdot", "basis-report-dot", "verify-symlink", "suite-out", "suite-emit", "suite-outputs"])
+        ("run-suite --corpus p.json --out t.json", "--out t.json names the same file as corpus entry 0's tau source"),
+        ("run-suite --corpus f.json --emit-corpus link.json",
+         "--emit-corpus link.json names the same file as corpus entry 1's tau source"),
+        ("run-suite --corpus b.json --out sub/../t.json",
+         "--out sub/../t.json names the same file as corpus entry 0's tau source"),
+    ], ids=["theta", "nulls-dotdot", "basis-report-dot", "verify-symlink", "suite-out", "suite-emit", "suite-outputs",
+            "suite-out-path-source", "suite-emit-file-source", "suite-out-block-leaf"])
     def test_output_naming_an_input_or_output_rejected(self, capsys, monkeypatch, tmp_path, no_lattice_sum,
                                                        argv, message):
         # the report would replace the input, or one output the other: exit 2, no file touched
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
+        # corpora whose tau sources read t.json: a bare path, a file source, a block's leaf
+        file_source = {"kind": "file", "path": "t.json"}
+        sources = {"p": "t.json", "f": file_source, "b": {"kind": "block", "blocks": [file_source]}}
         inputs = {"t.json": json.dumps(random_tau(2, 7).to_json()),
-                  "c.json": json.dumps({"entries": [TestRunSuite.GOOD_ENTRY]})}
+                  "c.json": json.dumps({"entries": [TestRunSuite.GOOD_ENTRY]}),
+                  **{f"{name}.json": json.dumps({"entries": [{"label": "t", "tau": source}]})
+                     for name, source in sources.items()}}
+        inputs["f.json"] = json.dumps({"entries": [TestRunSuite.GOOD_ENTRY, {"label": "t", "tau": file_source}]})
         for name, text in inputs.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         (tmp_path / "link.json").symlink_to("t.json")
@@ -344,6 +356,26 @@ class TestTheta:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: theta scale exp(pi y'Y^-1 y) at z = [1e+")
         assert "overflows double precision" in proc.stderr
+
+    @pytest.mark.parametrize("tau, z, eps, code", [
+        ([[1j]], "0,15.028", "1e-11", 2),
+        ([[1j]], "0,15.0305", "1e-11", 2),
+        ([[0.01j, 0], [0, 0.01j]], "0,1.49857;0,0", "1e300", 2),
+        ([[1j]], "0,15.02", "1e-11", 0),
+    ], ids=["bound-factor", "bound-factor-and-values", "values", "largest-value"])
+    def test_point_scale_edge(self, capsys, tau_file, tau, z, eps, code):
+        # below the scale's own limit, the tail bound's factor amp 2g (2 + 1/sqrt(lam))^(g-1)
+        # or the values can still leave the double range: one error line naming the point,
+        # no RuntimeWarning (which this suite turns into an exit-4 exception)
+        path = tau_file("edge.json", PeriodMatrix(tau))
+        assert main(["theta", "--tau", path, "--char", "0,0", "--z", z, "--target-eps", eps]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: theta ") and f"{z.split(';')[0][2:]}j" in captured.err
+            assert "overflow" in captured.err
+        else:
+            assert json.loads(captured.out)["value"]["re"] == pytest.approx(6.91e307, rel=1e-3)
 
     def test_radius_past_cap_is_input_error(self, capsys, tau_file):
         # Im tau = 1e-3 passes the degeneracy check, but the tail target needs radius 93
@@ -1077,9 +1109,9 @@ class TestRunSuite:
 
     def test_block_depth_cap(self):
         # blocks are flat: a block's blocks are leaves, so a block nests one deep
-        assert cli._tau_from_source(json.loads(self.nested_blocks(1)), Path(".")).g == 1
+        assert cli._tau_from_source(json.loads(self.nested_blocks(1)), Path("."), []).g == 1
         with pytest.raises(ValueError, match="a block source's blocks must be file, literal or random sources"):
-            cli._tau_from_source(json.loads(self.nested_blocks(2)), Path("."))
+            cli._tau_from_source(json.loads(self.nested_blocks(2)), Path("."), [])
 
     def test_standard_report_ignores_hash_seed(self):
         # the report is the same bytes whatever order set and dict hashing gives

@@ -19,13 +19,21 @@ word in the generators [[I, S], [0, I]] (S symmetric), [[0, -I], [I, 0]] and
 [[U, 0], [0, U^-T]] (U unimodular).  Each word has C != 0 and an odd entry in
 diag(C D'), so that each of three mutations of the law (dropping diag(C D'),
 swapping the halves of M.a, omitting the exponential factor) breaks it.
+
+The same law moves the vanishing even nulls: theta[a](0, tau) = 0 exactly when
+theta[M.a](0, M tau) = 0.  At hyperelliptic tau and at products of blocks many
+nulls vanish, and the words carry each vanishing set onto M tau's.
 """
 
 import numpy as np
 import pytest
 
+from test_oracle_hyperelliptic import hyperelliptic_tau
+from theta4.basis_analysis import split_nulls
 from theta4.char2 import Characteristic, enumerate_characteristics
-from theta4.theta_eval import PeriodMatrix, random_tau, sample_cell_points, theta_table
+from theta4.theta_eval import (
+    PeriodMatrix, block_diagonal_tau, random_tau, sample_cell_points, theta_nulls, theta_table,
+)
 
 # (genus, word seed): two words per genus, the smallest transformed eigenvalue first
 WORDS = [(1, 11), (1, 2), (2, 20), (2, 8), (3, 13), (3, 4), (4, 7), (4, 22)]
@@ -123,3 +131,36 @@ def test_transformation_law(g, seed):
 def test_mutated_law_fails(g, seed, mutation):
     err, _ = law_error(g, seed, **MUTATIONS[mutation])
     assert err > 1e-3, err
+
+
+# vanishing even nulls of the hyperelliptic tau by genus, and of the products
+# of random_tau blocks by their block genera
+HYPERELLIPTIC_VANISHING = {1: 0, 2: 0, 3: 1, 4: 10}
+PRODUCT_VANISHING = {(1, 1): 1, (2, 1): 6, (3, 1): 28, (2, 2): 36}
+MOVED = [pytest.param(g, seed, None, id=f"hyperelliptic-g{g}-{seed}") for g, seed in WORDS] + [
+    pytest.param(g, seed, blocks, id=f"product-{blocks[0]}x{blocks[1]}-{seed}")
+    for blocks in PRODUCT_VANISHING for g, seed in WORDS if g == sum(blocks)
+]
+
+
+def vanishing(tau: PeriodMatrix) -> tuple[tuple[Characteristic, ...], float, float]:
+    """The vanishing even nulls, then the largest of them and the smallest other null, relative to the largest."""
+    nulls = theta_nulls(tau)
+    top, zero, _ = split_nulls(nulls)
+    ratios = {c: abs(v) / top for c, v in nulls.items()}
+    return zero, max((ratios[c] for c in zero), default=0.0), min(r for c, r in ratios.items() if c not in zero)
+
+
+@pytest.mark.parametrize("g, seed, blocks", MOVED)
+def test_moved_tau_keeps_its_vanishing_nulls(g, seed, blocks):
+    m = word(g, seed)
+    if blocks is None:
+        tau, count = PeriodMatrix(hyperelliptic_tau(g)), HYPERELLIPTIC_VANISHING[g]
+    else:
+        tau, count = block_diagonal_tau([random_tau(b, 5 + b) for b in blocks]), PRODUCT_VANISHING[blocks]
+    zero, _, _ = vanishing(tau)
+    moved_zero, largest, smallest_kept = vanishing(moved(m, tau)[0])
+    assert len(zero) == len(moved_zero) == count
+    assert set(act(m, zero)) == set(moved_zero)
+    # far from the cut-off on either side, so the sets do not hang on it
+    assert largest < 1e-12 and smallest_kept > 1e-3, (largest, smallest_kept)

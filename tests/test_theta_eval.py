@@ -100,9 +100,9 @@ def searched_radius(z, tau: PeriodMatrix, policy: TruncationPolicy) -> tuple[int
     """Smallest radius whose _tail_bound meets the target, with that bound."""
     y = np.asarray(z).imag
     w = np.linalg.solve(tau.tau.imag, y)
-    amp = math.exp(math.pi * float(y @ w))
+    factor = theta_eval._bound_factor(tau.g, tau.lambda_min, math.pi * float(y @ w))
     for r in range(1, theta_eval.MAX_ALLOWED_RADIUS + 1):
-        bound = theta_eval._tail_bound(tau.g, tau.lambda_min, amp, r)
+        bound = theta_eval._tail_bound(factor, tau.lambda_min, r)
         if bound <= policy.target_eps:
             return r, bound
     raise AssertionError("no radius meets the target")
