@@ -34,7 +34,6 @@ from theta4.theta_eval import (
     PeriodMatrix,
     TruncationPolicy,
     check_integer,
-    check_real,
     sample_cell_points,
     theta_nulls,
     theta_table,
@@ -61,21 +60,13 @@ class VanishingNullError(ValueError):
         )
 
 
-def check_threshold(name: str, value: float) -> float:
-    """value as a float; ValueError naming name unless it is a relative threshold in (0, 1)."""
-    x = check_real(name, value)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {x}")
-    return x
-
-
-def numerical_rank(matrix, sv_threshold: float = SV_THRESHOLD) -> int:
-    """Count singular values above sv_threshold times the largest."""
-    check_threshold("sv_threshold", sv_threshold)
+def numerical_rank(matrix) -> int:
+    """Count singular values above SV_THRESHOLD times the largest; the
+    module constant is read at call time, the one place the cut-off lives."""
     s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > sv_threshold * s[0]))
+    return int(np.count_nonzero(s > SV_THRESHOLD * s[0]))
 
 
 def check_kappa0(kappa0: Characteristic, g: int) -> None:
@@ -199,7 +190,6 @@ def vanishing_nulls(tau: PeriodMatrix, policy: TruncationPolicy = DEFAULT_POLICY
 def fourth_power_rank(
     tau: PeriodMatrix,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    sv_threshold: float = SV_THRESHOLD,
     seed: int = 0,
 ) -> int:
     """Numerical rank of sampled even fourth powers theta[a](z)^4.
@@ -207,10 +197,10 @@ def fourth_power_rank(
     Uses 2 d+ seeded points in the cell [0,1) + [0,1) tau; the sample matrix
     rows are scaled to unit maximum modulus before the SVD, which leaves the
     rank unchanged and keeps the relative cutoff meaningful across wildly
-    different sample magnitudes.  Raises ValueError when a fourth power
-    overflows double precision, as it does for a large enough Im tau.
+    different sample magnitudes; the rank is numerical_rank's, at
+    SV_THRESHOLD.  Raises ValueError when a fourth power overflows double
+    precision, as it does for a large enough Im tau.
     """
-    check_threshold("sv_threshold", sv_threshold)
     g = tau.g
     n = 2 * d_plus(g)
     pts = sample_cell_points(tau, n, seed)
@@ -221,7 +211,7 @@ def fourth_power_rank(
     if not np.isfinite(v).all():
         raise ValueError("a sampled fourth power theta[a](z)^4 overflows double precision")
     v = v / np.max(np.abs(v), axis=1, keepdims=True)
-    return numerical_rank(v, sv_threshold)
+    return numerical_rank(v)
 
 
 def basis_report(
@@ -237,15 +227,16 @@ def basis_report(
 
     point_basis_verdict is full rank of the evaluation matrix (the even
     two-torsion points are a projective basis); fourth_power_basis_verdict is
-    full rank of the sampled fourth powers.  Both are expected to be true
-    exactly when no theta-null vanishes, and the fourth-power rank defect is
-    expected to equal the vanishing-null count; `consistent` records whether
-    this held.  The ranks count singular values above SV_THRESHOLD times the
-    largest.  Near-vanishing nulls (between NULL_THRESHOLD and
-    WARN_NULL_THRESHOLD, relative) set status "warn": the verdicts are then
-    ill-conditioned and should not be trusted either way.  m_deviation, the
-    normalized matrix's distance from the sign matrix, is None when a null
-    vanishes.
+    full rank of the sampled fourth powers.  The theorem says both are true
+    exactly when no theta-null vanishes.  `consistent` checks the point
+    verdict against that and the corank law, that the fourth-power rank
+    defect equals the vanishing-null count; the law already makes the
+    fourth-power verdict agree, since fp_rank == dim exactly when the count
+    is 0.  The ranks are numerical_rank's, at SV_THRESHOLD.  Near-vanishing
+    nulls (between NULL_THRESHOLD and WARN_NULL_THRESHOLD, relative) set
+    status "warn": the verdicts are then ill-conditioned and should not be
+    trusted either way.  m_deviation, the normalized matrix's distance from
+    the sign matrix, is None when a null vanishes.
     """
     g = tau.g
     check_genus(g, MAX_GENUS)
@@ -267,8 +258,6 @@ def basis_report(
         _, m_dev = _normalize_and_align(ev, kappa0, g)
 
     point_verdict = ev_rank == d
-    fourth_verdict = fp_rank == d
-    no_vanishing = not vanishing
     return {
         "tau": tau.to_json(),
         "kappa0": kappa0.to_json(),
@@ -282,12 +271,8 @@ def basis_report(
         "fourth_power_rank": fp_rank,
         "m_deviation": m_dev,
         "point_basis_verdict": point_verdict,
-        "fourth_power_basis_verdict": fourth_verdict,
-        "consistent": (
-            point_verdict == no_vanishing
-            and fourth_verdict == no_vanishing
-            and d - fp_rank == len(vanishing)
-        ),
+        "fourth_power_basis_verdict": fp_rank == d,
+        "consistent": point_verdict == (not vanishing) and d - fp_rank == len(vanishing),
         "status": "warn" if near else "ok",
         "rel_sv_threshold": SV_THRESHOLD,
         "target_eps": policy.target_eps,

@@ -34,7 +34,6 @@ from theta4.char2 import (
     check_genus,
     d_plus,
     enumerate_characteristics,
-    even_characteristics,
     parity,
 )
 from theta4.identities import IDENTITY_EPS, inversion_residuals, quartic_residuals, summarize
@@ -47,7 +46,7 @@ from theta4.jsonio import (
     parse_char_spec,
     parse_point_spec,
 )
-from theta4.mmatrix import MAX_GENUS, pairing_signs, verify_sign_matrix
+from theta4.mmatrix import MAX_GENUS, build_m, verify_sign_matrix
 from theta4.theta_eval import (
     DEFAULT_TARGET_EPS,
     PeriodMatrix,
@@ -97,16 +96,13 @@ def _cmd_chars(args) -> int:
 
 
 def _cmd_mmatrix(args) -> int:
-    check_genus(args.genus, MAX_GENUS)
-    if args.emit or not args.verify:
-        evens = even_characteristics(args.genus)
-        m = pairing_signs(evens, evens)
-        _emit({"g": args.genus, "dim": len(m), "entries": m.tolist()}, args.emit)
     if not args.verify:
+        m = build_m(args.genus)
+        _emit({"g": args.genus, "dim": len(m), "entries": m.tolist()}, args.out)
         return EXIT_CODES["pass"]
     checks = verify_sign_matrix(args.genus)
     ok = all(checks.values())
-    _emit({"g": args.genus, "dim": d_plus(args.genus), "checks": checks, "ok": ok}, None)
+    _emit({"g": args.genus, "dim": d_plus(args.genus), "checks": checks, "ok": ok}, args.out)
     return EXIT_CODES[_status(ok)]
 
 
@@ -277,11 +273,8 @@ def _run_entry(
         return result, at_scale
 
     identities_ok = result["mmatrix_ok"] and result["quartic_ok"] and result["inversion_ok"]
-    expected_ok = (
-        len(report["vanishing_nulls"]) == expect["vanishing_nulls"]
-        and report["point_basis_verdict"] == expect["verdicts"]
-        and report["fourth_power_basis_verdict"] == expect["verdicts"]
-    )
+    # run_suite checked expect.verdicts against the count, and consistent ties the verdicts to it
+    expected_ok = len(report["vanishing_nulls"]) == expect["vanishing_nulls"]
     result["status"] = _status(identities_ok and expected_ok and report["consistent"], report)
     return result, at_scale
 
@@ -291,10 +284,11 @@ def run_suite(corpus: dict, base_dir: Path, outputs=()) -> dict:
 
     outputs holds the (flag, path or None) of each file the caller may
     write; a path that names a file an entry's tau source reads raises
-    ValueError before any entry runs.  Wall-clock timings go to stderr only,
-    one line per entry that also gives how many records of each sweep passed
-    only at term scale; the report must be byte-identical across reruns with
-    the same corpus.
+    ValueError before any entry runs, and so does an expect.verdicts that
+    is not expect.vanishing_nulls == 0.  Wall-clock timings go to stderr
+    only, one line per entry that also gives how many records of each sweep
+    passed only at term scale; the report must be byte-identical across
+    reruns with the same corpus.
     """
     _check_keys(corpus, ("label", "policies", "entries"), "corpus")
     _check_label("corpus label", corpus.get("label", ""))
@@ -329,11 +323,13 @@ def run_suite(corpus: dict, base_dir: Path, outputs=()) -> dict:
             check_kappa0(kappa0, tau.g)
             expect = {"vanishing_nulls": 0, "verdicts": True, **entry.get("expect", {})}
             check_integer("expect.vanishing_nulls", expect["vanishing_nulls"], 0)
-            if not isinstance(expect["verdicts"], bool):
-                raise ValueError(f"expect.verdicts must be true or false, got {expect['verdicts']!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed kappa0 or expect: {exc!r}") from exc
         _check_keys(expect, ("vanishing_nulls", "verdicts"), f"corpus entry {i} expect")
+        # the theorem: both verdicts are true exactly when no null vanishes
+        if expect["verdicts"] is not (expect["vanishing_nulls"] == 0):
+            raise ValueError(f"corpus entry {i} expects verdicts {expect['verdicts']!r} with vanishing_nulls "
+                             f"{expect['vanishing_nulls']}; the verdicts are true exactly when no null vanishes")
         prepared.append((label, tau, kappa0, expect, seed + i))
 
     results = []
@@ -369,7 +365,7 @@ def _cmd_run_suite(args) -> int:
 def _check_paths(args) -> None:
     """Reject an output path that resolves to the command's input or to another of its outputs."""
     seen = {}
-    for dest in ("tau", "corpus", "out", "emit", "emit_corpus"):  # the input first
+    for dest in ("tau", "corpus", "out", "emit_corpus"):  # the input first
         path = getattr(args, dest, None)
         if path:
             flag = "--" + dest.replace("_", "-")
@@ -400,10 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--even-only", action="store_true")
     p.set_defaults(func=_cmd_chars)
 
-    p = sub.add_parser("mmatrix", help="emit or verify the even-pair sign matrix")
+    p = sub.add_parser("mmatrix", parents=[out], help="emit or verify the even-pair sign matrix")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--emit")
+    p.add_argument("--verify", action="store_true", help="write the exact checks instead of M")
     p.set_defaults(func=_cmd_mmatrix)
 
     p = sub.add_parser("theta", parents=[lattice], help="evaluate one theta value")

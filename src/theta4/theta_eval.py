@@ -288,6 +288,20 @@ def _truncation(
     return w, np.array(radii), np.array(tails)
 
 
+def _kernel_tau(tau: PeriodMatrix) -> np.ndarray:
+    """tau.tau less the integer symmetric T with diagonal 8 rint(Re tau_jj / 8)
+    and off-diagonal 4 rint(Re tau_jl / 4), the tau the kernel sums with.
+
+    For n in Z^g + a1/2, T_jj n_j^2 and 2 T_jl n_j n_l are even integers, so
+    exp(pi i n'Tn) = 1 and every theta[a](z) is unchanged: the shift is
+    exact, and the phases never carry the rounding of a large Re tau.
+    """
+    t = tau.tau
+    cut = 4.0 * np.rint(t.real / 4.0)
+    np.fill_diagonal(cut, 8.0 * np.rint(t.real.diagonal() / 8.0))
+    return t - cut if cut.any() else t
+
+
 def _quad_table(r: int, tau: PeriodMatrix) -> np.ndarray:
     """Q[k] = exp(pi i k' tau k) over the offsets k in [-r, r]^g.
 
@@ -298,12 +312,13 @@ def _quad_table(r: int, tau: PeriodMatrix) -> np.ndarray:
     centred slice [-s, s]^g of the table at r is bit for bit the table at s.
     """
     g = tau.g
+    t = _kernel_tau(tau)
     k = np.arange(-r, r + 1)
     # k along axis j of a g-dimensional array
     axis = [k.reshape((-1,) + (1,) * (g - 1 - j)) for j in range(g)]
     table = np.zeros((2 * r + 1,) * g, dtype=complex)
     for j, l in itertools.combinations_with_replacement(range(g), 2):
-        table += (2 - (j == l)) * 1j * np.pi * tau.tau[j, l] * (axis[j] * axis[l])
+        table += (2 - (j == l)) * 1j * np.pi * t[j, l] * (axis[j] * axis[l])
     return np.exp(table, out=table)
 
 
@@ -321,7 +336,8 @@ def _theta_groups(
     Each point is summed at z - n, n = rint(Re z), and a row's sum is
     multiplied by (-1)^(a1.n), with the parity of n from np.fmod:
     theta[a](z + n) = (-1)^(a1.n) theta[a](z), so the shift is exact and the
-    phases below never see a large Re z.  A point is 2^g rows, one per top
+    phases below never see a large Re z; tau enters as _kernel_tau(tau), so
+    they never see a large Re tau either.  A point is 2^g rows, one per top
     half a1, each resolved into all 2^g second halves; a row keeps its
     point's radius r and its own box ceil(c - r) .. floor(c + r) around
     c = -(alpha + w), alpha = a1/2, w = Y^-1 Im z.
@@ -363,8 +379,9 @@ def _theta_groups(
     shift = np.rint(center)
     lo = np.ceil(center - radii[:, None]) - shift
     hi = np.floor(center + radii[:, None]) - shift
-    tau_s = shift @ tau.tau
-    tau_alpha = alpha @ tau.tau
+    t = _kernel_tau(tau)
+    tau_s = shift @ t
+    tau_alpha = alpha @ t
     v = points + tau_s
     reach = (radii[:, None] + alpha) * np.abs(v.imag) + radii[:, None] * np.abs(tau_alpha.imag)
     factored = 2.0 * np.pi * reach.sum(1) < _MAX_EXP_ARG - g * np.log(2 * radii + 1)
@@ -404,7 +421,7 @@ def _theta_groups(
         box = [np.arange(lo[p, j], hi[p, j] + 1) + shift[p, j] for j in range(g)]
         m = np.stack(np.meshgrid(*box, indexing="ij"), axis=-1).reshape(-1, g).astype(np.int64)
         n = m + alpha[p]
-        terms = np.exp(1j * np.pi * (((n @ tau.tau) * n).sum(1) + 2.0 * (n @ points[p])))
+        terms = np.exp(1j * np.pi * (((n @ t) * n).sum(1) + 2.0 * (n @ points[p])))
         sums[p] = terms @ (1 - 2 * (((m & 1) @ bits.T) & 1))
 
     return (sums.reshape(-1, 2**g, 2**g) * a2_phase * sign[:, :, None]).reshape(-1, 4**g)

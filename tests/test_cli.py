@@ -282,11 +282,27 @@ class TestMmatrix:
 
     def test_emit_matches_library(self, capsys, tmp_path):
         out = tmp_path / "m.json"
-        code, _ = run(capsys, "mmatrix", "--genus", "1", "--emit", str(out))
+        code, _ = run(capsys, "mmatrix", "--genus", "1", "--out", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["entries"] == [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
         assert payload["g"] == 1 and payload["dim"] == 3
+
+    def test_verify_out_writes_checks(self, capsys, tmp_path):
+        out = tmp_path / "checks.json"
+        code, printed = run(capsys, "mmatrix", "--genus", "2", "--verify", "--out", str(out))
+        assert (code, printed) == (0, None)
+        payload = json.loads(out.read_text())
+        assert payload["ok"] is True and payload["dim"] == d_plus(2) and all(payload["checks"].values())
+
+    def test_emit_flag_rejected(self, capsys, tmp_path):
+        out = str(tmp_path / "m.json")
+        assert_unrecognized(capsys, ["mmatrix", "--genus", "1", "--emit", out], f"--emit {out}")
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_genus_past_cap_is_input_error(self, capsys, verify):
+        assert main(["mmatrix", "--genus", "6", *verify]) == 2
+        assert capsys.readouterr() == ("", "error: genus must be an integer in 1..5, got 6\n")
 
 
 class TestTheta:
@@ -748,6 +764,21 @@ class TestRunSuite:
         out = tmp_path / "report.json"
         code, _ = run(capsys, "run-suite", "--corpus", str(corpus), "--out", str(out))
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("expect", [{"vanishing_nulls": 0, "verdicts": False},
+                                        {"vanishing_nulls": 1, "verdicts": True}])
+    def test_expectation_against_theorem_rejected_at_load(self, capsys, tmp_path, no_lattice_sum, expect):
+        # the verdicts are true exactly when no null vanishes, so no entry can meet this expectation
+        corpus = tmp_path / "corpus.json"
+        bad = {**self.PRODUCT_ENTRY, "expect": expect}
+        corpus.write_text(json.dumps({"entries": [self.GOOD_ENTRY, bad]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["run-suite", "--corpus", str(corpus), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: corpus entry 1 expects verdicts {expect['verdicts']!r} with vanishing_nulls "
+                       f"{expect['vanishing_nulls']}; the verdicts are true exactly when no null vanishes\n")
         assert not out.exists()
 
     def test_unexpected_vanishing_fails(self, capsys, tmp_path):

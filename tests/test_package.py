@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +13,9 @@ import theta4
 from theta4.basis_analysis import check_kappa0
 from theta4.char2 import Characteristic, kappa_value, translate, weil_pairing
 from theta4.mmatrix import pairing_signs, row_sum, row_sum_closed_form
-from theta4.theta_eval import random_tau, theta_series, theta_table, two_torsion_point
+from theta4.theta_eval import TruncationPolicy, random_tau, theta_series, theta_table, two_torsion_point
+
+MODULES = ("char2", "mmatrix", "theta_eval", "identities", "basis_analysis", "jsonio", "cli")
 
 
 def test_all_lists_every_public_import_once():
@@ -58,3 +63,32 @@ def test_one_function_raises_every_genus_mismatch():
             with pytest.raises(ValueError, match=f"^genus mismatch: {message}$") as err:
                 call()
             assert err.traceback[-1].name == "check_genus_match"
+
+
+def _public_callables():
+    """(qualified name, object) of every public function and class the theta4
+    modules define, and of every public method of those classes."""
+    for name in MODULES:
+        module = importlib.import_module(f"theta4.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{name}.{attr}", obj
+            if inspect.isclass(obj):
+                for meth in vars(obj):
+                    if not meth.startswith("_") and inspect.isroutine(getattr(obj, meth)):
+                        yield f"{name}.{attr}.{meth}", getattr(obj, meth)
+
+
+def test_verdict_cut_offs_are_constants_only():
+    # NULL_THRESHOLD, WARN_NULL_THRESHOLD, SV_THRESHOLD and IDENTITY_EPS are read where
+    # they are used; no entry point takes a cut-off, or checks one a caller passed
+    offenders, walked = [], set()
+    for qualname, obj in _public_callables():
+        walked.add(qualname)
+        names = [qualname.rsplit(".", 1)[-1], *inspect.signature(obj).parameters]
+        offenders += [f"{qualname}: {n}" for n in names if n == "eps" or n.lower().endswith("threshold")]
+    assert offenders == []
+    assert {"basis_analysis.fourth_power_rank", "theta_eval.PeriodMatrix.from_json", "cli.run_suite"} <= walked
+    assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["target_eps"]

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import theta4.theta_eval as theta_eval
-from theta4.basis_analysis import basis_report, check_threshold
+from theta4.basis_analysis import basis_report
 from theta4.char2 import Characteristic, check_genus, enumerate_characteristics, even_characteristics, parity
-from theta4.identities import inversion_residuals, quartic_residuals
+from theta4.identities import inversion_residuals, quartic_residuals, summarize
 from theta4.theta_eval import (
     DEFAULT_POLICY,
     PeriodMatrix,
@@ -679,6 +679,53 @@ class TestSymmetries:
                 assert abs(shifted_tau - factor * base) <= 1e-9 * max(abs(factor * base), 1e-6)
 
 
+def _allowed_shift(rng: np.random.Generator, g: int, scale: int) -> np.ndarray:
+    """A random integer symmetric T with diagonal in 8Z and off-diagonal in 4Z:
+    exp(pi i n'Tn) = 1 for n in Z^g + a1/2, so theta[a](z, tau + T) = theta[a](z, tau)."""
+    t = 4 * rng.integers(-scale, scale + 1, (g, g))
+    t = np.triu(t) + np.triu(t, 1).T
+    np.fill_diagonal(t, 8 * rng.integers(-scale, scale + 1, g))
+    return t
+
+
+class TestLargeRealPart:
+    """theta[a](z, tau + T) = theta[a](z, tau) for every allowed T, however large Re tau gets."""
+
+    @staticmethod
+    def assert_same_values(shifted: PeriodMatrix, unshifted: PeriodMatrix, points) -> None:
+        chars = enumerate_characteristics(shifted.g)
+        got, want = theta_table(chars, points, shifted), theta_table(chars, points, unshifted)
+        scale = np.max(np.abs(want), axis=0)  # each point's largest value
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), np.max(np.abs(got - want) / scale)
+
+    def test_theta3_at_huge_real_part(self):
+        value = theta_nulls(PeriodMatrix([[1e15 + 1j]]))[Characteristic.zero(1)]
+        assert abs(value - math.pi ** 0.25 / math.gamma(0.75)) <= 1e-12
+
+    @pytest.mark.parametrize("big, small", [(1e15 + 1j, 1j), (236139583 + 1j, -1 + 1j)])
+    def test_genus_one_shifts(self, big, small):
+        points = np.array([[0.0], [0.3 + 0.2j], [-0.45 + 0.7j], [0.1 - 0.9j]])
+        self.assert_same_values(PeriodMatrix([[big]]), PeriodMatrix([[small]]), points)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_allowed_shift(self, g, seed):
+        t = _allowed_shift(np.random.default_rng([g, seed]), g, 10**6)
+        shifted = random_tau(g, seed).tau + t
+        # the sum rounds Re tau, the subtraction is exact: the two matrices differ by T alone
+        unshifted = PeriodMatrix(shifted - t)
+        points = sample_cell_points(unshifted, 3, seed)
+        self.assert_same_values(PeriodMatrix(shifted), unshifted, points)
+
+    @pytest.mark.parametrize("re", [1e15, 236139583.0])
+    def test_identity_sweeps_pass(self, re):
+        tau = PeriodMatrix([[re + 1j]])
+        points = sample_cell_points(tau, 5, 0)
+        for sweep in (quartic_residuals, inversion_residuals):
+            worst, ok, _ = summarize(sweep(tau, points))
+            assert ok and worst <= 1e-11, (sweep.__name__, worst)
+
+
 class TestLaws:
     """Laws that hold whatever the evaluator, over all 4^g characteristics at
     seeded points: each column within 1e-12 of its largest entry."""
@@ -894,7 +941,6 @@ class TestSampling:
 VALIDATED = {
     "check_genus": check_genus,
     "TruncationPolicy": TruncationPolicy,
-    "check_threshold": lambda x: check_threshold("t", x),
     "random_tau-g": lambda x: random_tau(x, 0),
     "random_tau-seed": lambda x: random_tau(2, x),
     "random_tau-floor": lambda x: random_tau(2, 0, x),
@@ -916,7 +962,6 @@ class TestInputRules:
     def test_numpy_scalars_pass(self):
         assert TruncationPolicy(np.float32(1e-11)).target_eps == np.float32(1e-11)
         assert TruncationPolicy(np.float64(1e-11)) == TruncationPolicy(1e-11)
-        assert check_threshold("t", np.float32(0.5)) == 0.5
         tau = random_tau(np.int64(2), np.int64(0), np.float32(1.0))
         assert np.array_equal(tau.tau, random_tau(2, 0, 1.0).tau)
         points = sample_cell_points(tau, np.int64(2), np.int64(3))
