@@ -4,12 +4,13 @@ A characteristic of genus g is a pair (a1, a2) of g-bit vectors.  It indexes
 both a theta function and a two-torsion point, and carries a parity
 (-1)^(a1.a2).  The symplectic pairing and the quadratic forms kappa_c take
 values in {+1, -1}; signs are plain Python ints throughout.  Each
-characteristic also carries its halves as g-bit ints (MSB first, like the
-canonical index), its canonical index a1||a2 and its half-swapped index
-a2||a1, so a GF(2) dot product is the parity of the popcount of an AND.  One
-table _SIGN[x] = (-1)^popcount(x) over every 2 MAX_GENUS-bit x turns such an
-AND into its sign: parity, kappa_value and weil_pairing all read it, and the
-pairing <a, b> is the single read _SIGN[a.index & swapped(b)].
+characteristic also carries its canonical index a1||a2 and its half-swapped
+index a2||a1, so a GF(2) dot product is the parity of the popcount of an AND
+of the two, or of an index and its own top half index >> g.  One table
+_SIGN[x] = (-1)^popcount(x) over every 2 MAX_GENUS-bit x turns such an AND
+into its sign: parity, kappa_value, weil_pairing and mmatrix.pairing_signs
+all read it, and the pairing <a, b> is the single read
+_SIGN[a.index & swapped(b)].
 
 Coordinate conventions fixed here, used consistently by every other module:
 
@@ -31,7 +32,7 @@ MAX_GENUS = 6
 Bits = tuple[int, ...]
 
 # (-1)^popcount(x) for every 2 MAX_GENUS-bit x: the one sign rule of parity,
-# weil_pairing and kappa_value
+# weil_pairing, kappa_value and mmatrix.pairing_signs
 _SIGN = tuple(-1 if x.bit_count() & 1 else 1 for x in range(4**MAX_GENUS))
 
 
@@ -71,10 +72,6 @@ def _bit(value: object) -> int:
     return bit
 
 
-def _xor(u: Bits, v: Bits) -> Bits:
-    return tuple(x ^ y for x, y in zip(u, v))
-
-
 def _bits_to_int(bits: Bits) -> int:
     value = 0
     for b in bits:
@@ -101,24 +98,19 @@ class Characteristic:
         check_genus(len(a1))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-        # the genus, the halves as g-bit ints, the canonical index a1||a2 (high g
-        # bits a1, MSB first) and the swapped index a2||a1; not fields, so ==,
-        # hash, repr and JSON ignore them
-        h1, h2, g = _bits_to_int(a1), _bits_to_int(a2), len(a1)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_h1", h1)
-        object.__setattr__(self, "_h2", h2)
-        object.__setattr__(self, "index", h1 << g | h2)
-        object.__setattr__(self, "_swapped", h2 << g | h1)
+        # the genus, the canonical index a1||a2 (high g bits a1, MSB first) and
+        # the swapped index a2||a1; not fields, so ==, hash, repr and JSON ignore them
+        object.__setattr__(self, "g", len(a1))
+        object.__setattr__(self, "index", _bits_to_int(a1 + a2))
+        object.__setattr__(self, "_swapped", _bits_to_int(a2 + a1))
 
     @property
     def is_zero(self) -> bool:
-        return not (self._h1 | self._h2)
+        return self.index == 0
 
     @classmethod
     def zero(cls, g: int) -> "Characteristic":
-        check_genus(g)
-        return cls((0,) * g, (0,) * g)
+        return cls.from_index(g, 0)
 
     @classmethod
     def from_index(cls, g: int, index: int) -> "Characteristic":
@@ -164,7 +156,7 @@ def enumerate_characteristics(g: int) -> list[Characteristic]:
 
 def parity(c: Characteristic) -> int:
     """+1 for even characteristics (a1.a2 = 0 over GF(2)), -1 for odd."""
-    return _SIGN[c._h1 & c._h2]
+    return _SIGN[(c.index >> c.g) & c.index]
 
 
 def weil_pairing(a: Characteristic, b: Characteristic) -> int:
@@ -185,7 +177,7 @@ def kappa_value(c: Characteristic, a: Characteristic) -> int:
     for c = 0 it reduces to the parity of a.
     """
     check_genus_match("characteristic", c.g, "characteristic", a.g)
-    return _SIGN[(a._h1 & a._h2) ^ (c._h1 & a._h2) ^ (c._h2 & a._h1)]
+    return _SIGN[((a.index >> a.g) & a.index) ^ (c.index & a._swapped)]
 
 
 def translate(b: Characteristic, c: Characteristic) -> Characteristic:
@@ -195,7 +187,7 @@ def translate(b: Characteristic, c: Characteristic) -> Characteristic:
     kappa_value(translate(b, c), x) = weil_pairing(b, x) * kappa_value(c, x).
     """
     check_genus_match("characteristic", b.g, "characteristic", c.g)
-    return Characteristic(_xor(c.a1, b.a1), _xor(c.a2, b.a2))
+    return Characteristic.from_index(c.g, b.index ^ c.index)
 
 
 @lru_cache(maxsize=None)

@@ -67,6 +67,7 @@ EXIT_INTERNAL = 4
 INPUT_ERRORS = (ValueError, ArithmeticError)
 
 DEFAULT_POLICIES = {"target_eps": DEFAULT_TARGET_EPS, "samples": 5, "seed": 0}
+VERDICT_EPS = min(IDENTITY_EPS, NULL_THRESHOLD)  # the finest cut-off a verdict reads
 
 
 def _status(ok: bool, report: dict | None = None) -> str:
@@ -106,13 +107,21 @@ def _cmd_mmatrix(args) -> int:
     return EXIT_CODES[_status(ok)]
 
 
-def _tau_and_policy(args) -> tuple[PeriodMatrix, TruncationPolicy]:
+def _policy(target_eps, verdict: bool) -> TruncationPolicy:
+    """The tail policy; a command that reaches a verdict needs a target at or below VERDICT_EPS."""
+    policy = TruncationPolicy(target_eps=target_eps)
+    if verdict and policy.target_eps > VERDICT_EPS:
+        raise ValueError(f"target_eps {policy.target_eps} is above the verdict cut-off {VERDICT_EPS}")
+    return policy
+
+
+def _tau_and_policy(args, verdict: bool) -> tuple[PeriodMatrix, TruncationPolicy]:
     """The tau of --tau and the policy of --target-eps, for a single-tau command."""
-    return load_tau_file(args.tau), TruncationPolicy(target_eps=args.target_eps)
+    return load_tau_file(args.tau), _policy(args.target_eps, verdict)
 
 
 def _cmd_theta(args) -> int:
-    tau, policy = _tau_and_policy(args)
+    tau, policy = _tau_and_policy(args, verdict=False)
     char = parse_char_spec(args.char, tau.g)
     z = parse_point_spec(args.z) if args.z else np.zeros(tau.g, dtype=complex)
     result = theta_series(char, z, tau, policy)
@@ -127,7 +136,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_nulls(args) -> int:
-    tau, policy = _tau_and_policy(args)
+    tau, policy = _tau_and_policy(args, verdict=False)
     nulls = theta_nulls(tau, policy)
     top, vanishing, _ = split_nulls(nulls)
     rows = [
@@ -145,7 +154,7 @@ def _cmd_nulls(args) -> int:
 
 
 def _cmd_verify_identity(args, kind: str) -> int:
-    tau, policy = _tau_and_policy(args)
+    tau, policy = _tau_and_policy(args, verdict=True)
     sweep = quartic_residuals if kind == "quartic" else inversion_residuals
     records = sweep(tau, sample_cell_points(tau, args.samples, args.seed), policy)
     _emit({"tau": tau.to_json(), "target_eps": policy.target_eps, "records": records}, args.out)
@@ -156,7 +165,7 @@ def _cmd_verify_identity(args, kind: str) -> int:
 
 
 def _cmd_basis_report(args) -> int:
-    tau, policy = _tau_and_policy(args)
+    tau, policy = _tau_and_policy(args, verdict=True)
     kappa0 = parse_char_spec(args.kappa0, tau.g) if args.kappa0 else None
     report = basis_report(tau, kappa0=kappa0, policy=policy, seed=args.seed)
     _emit(report, args.out)
@@ -295,7 +304,7 @@ def run_suite(corpus: dict, base_dir: Path, outputs=()) -> dict:
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}
     _check_keys(corpus.get("policies", {}), DEFAULT_POLICIES, "corpus policies")
     seed = check_integer("policy seed", policies["seed"], 0)
-    policy = TruncationPolicy(target_eps=policies["target_eps"])
+    policy = _policy(policies["target_eps"], verdict=True)
     samples = check_integer("policy samples", policies["samples"], 1)
     entries = corpus.get("entries", [])
 

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from theta4.char2 import (
+    _SIGN,
     Characteristic,
     check_genus,
     check_genus_match,
@@ -42,15 +43,16 @@ from theta4.char2 import (
 
 MAX_GENUS = 5
 _BLOCK_ROWS = 64  # rows of a sign table built, checked or squared at once
+_SIGN_BYTES = np.array(_SIGN, dtype=np.int8)  # char2's sign table, one byte per sign
 
 
 def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]) -> np.ndarray:
     """Int8 matrix of pairing signs (-1)^(a1.b2 + a2.b1), rows x cols.
 
-    The char2 rule: (-1)^popcount(index(a) & swapped(b)) for row a, column b.
-    The ANDs are uint16: every index is below 4^6, char2's genus cap.  The
-    int8 table is allocated once and filled _BLOCK_ROWS rows at a time, so
-    the one other array built beside it is a block's uint16 ANDs.
+    The char2 rule: the sign table read at index(a) & swapped(b) for row a,
+    column b.  The ANDs are uint16: every index is below 4^6, char2's genus
+    cap.  The int8 table is allocated once and filled _BLOCK_ROWS rows at a
+    time, so every other array built beside it is the size of one block.
     """
     genera = sorted({c.g for c in (*rows, *cols)})
     if not genera:
@@ -60,11 +62,7 @@ def pairing_signs(rows: Sequence[Characteristic], cols: Sequence[Characteristic]
     s = np.array([c._swapped for c in cols], dtype=np.uint16)
     table = np.empty((len(r), len(s)), dtype=np.int8)
     for i in range(0, len(r), _BLOCK_ROWS):
-        block = table[i : i + _BLOCK_ROWS]
-        np.bitwise_count(r[i : i + _BLOCK_ROWS, None] & s, out=block)
-        block &= 1  # the parity, then 1 - 2 * parity in place
-        block *= -2
-        block += 1
+        np.take(_SIGN_BYTES, r[i : i + _BLOCK_ROWS, None] & s, out=table[i : i + _BLOCK_ROWS])
     return table
 
 

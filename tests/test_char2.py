@@ -44,6 +44,10 @@ def ref_kappa(c, a):
     return -1 if dot(a.a1, a.a2) ^ dot(c.a1, a.a2) ^ dot(c.a2, a.a1) else 1
 
 
+def ref_translate(b, c):
+    return char([x ^ y for x, y in zip(b.a1, c.a1)], [x ^ y for x, y in zip(b.a2, c.a2)])
+
+
 def ref_index(c):
     return int("".join(map(str, c.a1 + c.a2)), 2)
 
@@ -53,7 +57,7 @@ def ref_swapped(c):
 
 
 def assert_stored_ints(c):
-    assert (c.g, c._h1, c._h2) == (len(c.a1), ref_index(c) >> c.g, ref_index(c) % 2**c.g)
+    assert c.g == len(c.a1)
     assert (c.index, c._swapped) == (ref_index(c), ref_swapped(c))
 
 
@@ -210,6 +214,7 @@ class TestIntegerHalves:
         for a, b in itertools.product(chars, repeat=2):
             assert weil_pairing(a, b) == ref_pairing(a, b)
             assert kappa_value(a, b) == ref_kappa(a, b)
+            assert translate(a, b) == ref_translate(a, b)
 
     def test_match_bit_reference_sampled_max_genus(self):
         rng = np.random.default_rng(2024)
@@ -221,6 +226,8 @@ class TestIntegerHalves:
             assert weil_pairing(a, b) == ref_pairing(a, b)
             assert kappa_value(a, b) == ref_kappa(a, b)
             assert kappa_value(b, a) == ref_kappa(b, a)
+            assert translate(a, b) == ref_translate(a, b)
+            assert_stored_ints(translate(a, b))
 
     def test_equality_and_hash_ignore_the_cache(self):
         for g in (1, 2, 3):
@@ -238,6 +245,12 @@ class TestIntegerHalves:
         object.__setattr__(other, "index", 0)
         object.__setattr__(other, "_swapped", 0)
         assert other == c and hash(other) == hash(c) and repr(other) == repr(c)
+
+    @pytest.mark.parametrize("g", range(1, MAX_GENUS + 1))
+    def test_zero_is_the_all_zero_pair(self, g):
+        zero, ref = Characteristic.zero(g), char((0,) * g, (0,) * g)
+        assert zero == ref and hash(zero) == hash(ref) and repr(zero) == repr(ref)
+        assert zero.is_zero and (zero.index, zero._swapped) == (0, 0)
 
     def test_pickle_round_trip(self):
         chars = enumerate_characteristics(3)

@@ -83,6 +83,45 @@ def test_infinite_target_eps_rejected_before_any_sum(capsys, rand_g2, no_lattice
     assert captured.err == "error: target_eps must be a finite number, got inf\n"
 
 
+def verdict_argv(tmp_path, tau: str, eps: str) -> list[str]:
+    """The argv of each command that reaches a verdict, with tail target eps;
+    run-suite reads it from a one-entry corpus over tau."""
+    corpus = tmp_path / "corpus.json"
+    entry = {"label": "tau", "tau": {"kind": "file", "path": tau}}
+    corpus.write_text(json.dumps({"policies": {"target_eps": float(eps), "samples": 1},
+                                  "entries": [entry]}), encoding="utf-8")
+    return [
+        ["verify-quartic", "--tau", tau, "--samples", "1", "--target-eps", eps],
+        ["verify-inversion", "--tau", tau, "--samples", "1", "--target-eps", eps],
+        ["basis-report", "--tau", tau, "--target-eps", eps],
+        ["run-suite", "--corpus", str(corpus)],
+    ]
+
+
+class TestVerdictTarget:
+    """A verdict reads cut-offs down to 1e-8, so its tail target may be no coarser."""
+
+    def test_coarse_target_rejected_before_any_sum(self, capsys, tmp_path, rand_g2, no_lattice_sum):
+        # at 1e-4 tau = i fails its quartic check and i x i its basis verdict: exit 1, not 2
+        for argv in verdict_argv(tmp_path, rand_g2, "1e-4"):
+            out = tmp_path / "report.json"
+            assert main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == "error: target_eps 0.0001 is above the verdict cut-off 1e-08\n"
+
+    def test_target_at_the_cut_off_runs(self, capsys, tmp_path, tau_file):
+        elliptic = tau_file("i.json", PeriodMatrix([[1j]]))
+        for argv in verdict_argv(tmp_path, elliptic, "1e-8"):
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["theta", "--char", "0,0"], ["nulls"]])
+    def test_value_commands_keep_the_full_range(self, capsys, rand_g2, argv):
+        code, payload = run(capsys, *argv, "--tau", rand_g2, "--target-eps", "1e-4")
+        assert code == 0 and payload
+
+
 class TestMain:
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
         built = []

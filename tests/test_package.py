@@ -33,6 +33,32 @@ def test_all_lists_every_public_import_once():
     assert {name for name in imported if not name.startswith("_")} <= set(exported)
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every attribute, name and string constant under node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def test_one_sign_table():
+    # every exact sign is a read of char2's _SIGN at an index or swapped index:
+    # only its definition counts bits, and no characteristic keeps its halves
+    for path in sorted(Path(theta4.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not {"_h1", "_h2"} & _names(tree), path.name
+        for node in tree.body:
+            is_sign_table = (path.name == "char2.py" and isinstance(node, ast.Assign)
+                             and [ast.unparse(t) for t in node.targets] == ["_SIGN"])
+            if not is_sign_table:
+                assert not {"bit_count", "bitwise_count"} & _names(node), (path.name, ast.unparse(node)[:60])
+
+
 def test_import_loads_no_exact_rational_modules():
     # the exact layer is int8 sign tables and the int64 M of build_m;
     # fractions and decimal would only add to every fresh interpreter's start-up
