@@ -155,11 +155,12 @@ def normalized_evaluation_matrix(
     and its maximum entrywise deviation from the sign matrix.
 
     Raises VanishingNullError when a null vanishes (vanishing_nulls): the
-    normalization is then meaningless.  The sign matrix caps the genus at
-    MAX_GENUS, checked before the first lattice sum.
+    normalization is then meaningless.  The genus cap MAX_GENUS of the sign
+    matrix and kappa0 (check_kappa0) are checked before the first lattice sum.
     """
     check_genus(tau.g, MAX_GENUS)
     kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(tau.g)
+    check_kappa0(kappa0, tau.g)
     vanishing = vanishing_nulls(tau, policy)
     if vanishing:
         raise VanishingNullError(vanishing)

@@ -98,15 +98,12 @@ class Characteristic:
         check_genus(len(a1))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
-        # the genus, the canonical index a1||a2 (high g bits a1, MSB first) and
-        # the swapped index a2||a1; not fields, so ==, hash, repr and JSON ignore them
+        # the genus, the canonical index a1||a2 (high g bits a1, MSB first), the swapped
+        # index a2||a1 and whether it is zero; not fields, so ==, hash, repr and JSON ignore them
         object.__setattr__(self, "g", len(a1))
         object.__setattr__(self, "index", _bits_to_int(a1 + a2))
         object.__setattr__(self, "_swapped", _bits_to_int(a2 + a1))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.index == 0
+        object.__setattr__(self, "is_zero", self.index == 0)
 
     @classmethod
     def zero(cls, g: int) -> "Characteristic":

@@ -48,7 +48,7 @@ from theta4.jsonio import (
 )
 from theta4.mmatrix import MAX_GENUS, build_m, verify_sign_matrix
 from theta4.theta_eval import (
-    DEFAULT_TARGET_EPS,
+    DEFAULT_POLICY,
     PeriodMatrix,
     TruncationPolicy,
     block_diagonal_tau,
@@ -66,7 +66,7 @@ EXIT_INTERNAL = 4
 # the exceptions that end a command, or a run-suite entry, with status error
 INPUT_ERRORS = (ValueError, ArithmeticError)
 
-DEFAULT_POLICIES = {"target_eps": DEFAULT_TARGET_EPS, "samples": 5, "seed": 0}
+DEFAULT_POLICIES = {"target_eps": DEFAULT_POLICY.target_eps, "samples": 5, "seed": 0}
 VERDICT_EPS = min(IDENTITY_EPS, NULL_THRESHOLD)  # the finest cut-off a verdict reads
 
 

@@ -50,7 +50,6 @@ from theta4.char2 import Characteristic, check_genus_match, even_characteristics
 SYMMETRY_TOL = 1e-12
 MIN_IM_EIGENVALUE = 1e-6
 
-DEFAULT_TARGET_EPS = 1e-11
 MAX_ALLOWED_RADIUS = 64
 
 # largest argument math.exp takes without overflowing
@@ -97,7 +96,7 @@ class TruncationError(ValueError):
 class TruncationPolicy:
     """Absolute tail target for the truncated series; it is also the memo key."""
 
-    target_eps: float = DEFAULT_TARGET_EPS
+    target_eps: float = 1e-11
 
     def __post_init__(self) -> None:
         if not 1e-14 <= check_real("target_eps", self.target_eps):
@@ -107,6 +106,7 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class PeriodMatrix:
     """Symmetric complex g x g matrix with positive-definite imaginary part.
 
@@ -115,8 +115,10 @@ class PeriodMatrix:
     double precision has nothing useful to say.
     """
 
-    def __init__(self, tau):
-        arr = np.array(tau, dtype=complex)
+    tau: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.tau, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"tau must be a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -133,38 +135,31 @@ class PeriodMatrix:
                 f"{MIN_IM_EIGENVALUE}); refusing to evaluate"
             )
         arr.setflags(write=False)
-        self._tau = arr
-        self._lambda_min = lam
+        # the symmetrized, write-protected tau, its genus and the smallest eigenvalue of Im tau;
+        # equality and hashing are by identity, so the memo below belongs to this one object
+        object.__setattr__(self, "tau", arr)
+        object.__setattr__(self, "g", arr.shape[0])
+        object.__setattr__(self, "lambda_min", lam)
         # (policy.target_eps, z bytes) -> (4^g values by canonical index, radius, tail_bound), by _fill
-        self._theta_memo: dict = {}
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self._tau
-
-    @property
-    def g(self) -> int:
-        return self._tau.shape[0]
-
-    @property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of Im tau."""
-        return self._lambda_min
+        object.__setattr__(self, "_theta_memo", {})
 
     def __repr__(self) -> str:
-        return f"PeriodMatrix(g={self.g}, lambda_min={self._lambda_min:.6g})"
+        return f"PeriodMatrix(g={self.g}, lambda_min={self.lambda_min:.6g})"
 
     def to_json(self) -> dict:
         return {
             "g": self.g,
-            "re": [[float(x) for x in row] for row in self._tau.real],
-            "im": [[float(x) for x in row] for row in self._tau.imag],
+            "re": [[float(x) for x in row] for row in self.tau.real],
+            "im": [[float(x) for x in row] for row in self.tau.imag],
         }
 
     @classmethod
     def from_json(cls, obj: object) -> "PeriodMatrix":
         if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
             raise ValueError('period matrix JSON needs "re" and "im" keys')
+        for key in obj:
+            if key not in ("g", "re", "im"):
+                raise ValueError(f"period matrix JSON has unknown key {key!r}; known keys: g, re, im")
         for name in ("re", "im"):
             block = obj[name]
             if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
@@ -242,18 +237,6 @@ def _tail_bound(factor: float, lam: float, radius: int) -> float:
     return factor * decay
 
 
-def _radius(factor: float, lam: float, policy: TruncationPolicy) -> int:
-    """Smallest radius whose tail bound meets the policy target; past MAX_ALLOWED_RADIUS it raises.
-
-    With a finite factor the search ends where the decay underflows to 0, near r = 15,400 at lam = 1e-6."""
-    r = 1
-    while _tail_bound(factor, lam, r) > policy.target_eps:
-        r += 1
-    if r > MAX_ALLOWED_RADIUS:
-        raise TruncationError(r)
-    return r
-
-
 def _truncation(
     points: np.ndarray, tau: PeriodMatrix, policy: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,9 +265,15 @@ def _truncation(
                 f"theta scale exp(pi y'Y^-1 y) at z = {z.tolist()} overflows double precision "
                 f"(exponent {exponent:.4g}, limit {limit:.4g})"
             )
-        r = _radius(factor, lam, policy)
+        # the smallest radius whose tail bound meets the target; with a finite factor
+        # the search ends where the decay underflows to 0, near r = 15,400 at lam = 1e-6
+        r = 1
+        while (tail := _tail_bound(factor, lam, r)) > policy.target_eps:
+            r += 1
+        if r > MAX_ALLOWED_RADIUS:
+            raise TruncationError(r)
         radii.append(r)
-        tails.append(_tail_bound(factor, lam, r))
+        tails.append(tail)
     return w, np.array(radii), np.array(tails)
 
 
@@ -299,7 +288,7 @@ def _kernel_tau(tau: PeriodMatrix) -> np.ndarray:
     t = tau.tau
     cut = 4.0 * np.rint(t.real / 4.0)
     np.fill_diagonal(cut, 8.0 * np.rint(t.real.diagonal() / 8.0))
-    return t - cut if cut.any() else t
+    return t - cut
 
 
 def _quad_table(r: int, tau: PeriodMatrix) -> np.ndarray:
@@ -469,7 +458,7 @@ def theta_series(
     array is looked up by its raw bytes before it is validated (see the
     module docstring); only a miss pays for validation.
     """
-    g = len(tau._tau)
+    g = tau.g
     if c.g != g:
         check_genus_match("characteristic", c.g, "tau", g)
     entry = None

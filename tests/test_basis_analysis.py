@@ -320,8 +320,12 @@ class TestBasisReport:
     [
         # the sign matrix caps the genus at 5
         (lambda: normalized_evaluation_matrix(random_tau(6, 1)), r"genus must be an integer in 1\.\.5, got 6"),
+        (lambda: normalized_evaluation_matrix(random_tau(2, 1), Characteristic.from_ints(2, 1, 1)),
+         "kappa0 must be even, got odd 01,01"),
+        (lambda: normalized_evaluation_matrix(random_tau(2, 1), Characteristic.zero(1)),
+         "genus mismatch: kappa0 1, tau 2"),
     ],
-    ids=["normalized-genus-above-cap"],
+    ids=["normalized-genus-above-cap", "normalized-odd-kappa0", "normalized-genus-1-kappa0"],
 )
 def test_bad_argument_rejected_before_any_sum(no_lattice_sum, call, message):
     with pytest.raises(ValueError, match=message):

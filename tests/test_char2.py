@@ -210,7 +210,7 @@ class TestIntegerHalves:
         for c in chars:
             assert parity(c) == ref_parity(c)
             assert c.index == ref_index(c)
-            assert c.is_zero == (ref_index(c) == 0)
+            assert c.is_zero == (ref_index(c) == 0) == (c.index == 0)
         for a, b in itertools.product(chars, repeat=2):
             assert weil_pairing(a, b) == ref_pairing(a, b)
             assert kappa_value(a, b) == ref_kappa(a, b)

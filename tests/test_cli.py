@@ -464,6 +464,7 @@ TAU_FILE_CASES = [
     ({"g": 2, "im": [[1, 0], [0, 1]]}, "re and im blocks must have the same shape"),
     # json reads 10^400 as an exact int, which a float cannot hold
     ({"re": [[10**400]]}, "re entry must be a finite number, got 1" + "0" * 400),
+    ({"gg": 3}, "period matrix JSON has unknown key 'gg'; known keys: g, re, im"),
 ]
 
 
@@ -983,6 +984,8 @@ class TestRunSuite:
              "random tau source has unknown key 'flor'; known keys: kind, g, seed, floor"),
             ({"entries": [{"label": "b", "tau": {"kind": "file", "path": "tau.json", "g": 1}}]},
              "file tau source has unknown key 'g'"),
+            ({"entries": [GOOD_ENTRY, {"label": "b", "tau": {"kind": "file", "path": "unknown_key_tau.json"}}]},
+             "period matrix JSON has unknown key 'gg'; known keys: g, re, im"),
             ({"entries": [{"label": "b", "tau": {"kind": "literal", "re": [[0.0]], "im": [[1.0]], "img": 1}}]},
              "literal tau source has unknown key 'img'"),
             # diagonal is no longer a kind; its products are blocks of 1 x 1 literals
@@ -1001,11 +1004,15 @@ class TestRunSuite:
              "random tau source has unknown key 'flor'"),
         ],
         ids=["corpus", "policies", "policies-threshold", "entry", "expect", "corpus-label-nan",
-             "entry-label-bool", "entry-label-object", "random-source", "file-source", "literal-source",
+             "entry-label-bool", "entry-label-object", "random-source", "file-source", "file-source-content",
+             "literal-source",
              "diagonal-source", "diagonal-source-entry", "block-source-g", "literal-in-block", "block-source",
              "source-in-block"],
     )
     def test_unknown_key_rejected_before_any_entry(self, capsys, tmp_path, corpus, message):
+        # a tau file with a key the period matrix reader does not read, for the file-source-content case
+        (tmp_path / "unknown_key_tau.json").write_text(
+            json.dumps({"g": 1, "re": [[0.0]], "im": [[1.0]], "gg": 3}), encoding="utf-8")
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(corpus), encoding="utf-8")
         out = tmp_path / "report.json"

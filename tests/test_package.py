@@ -59,6 +59,21 @@ def test_one_sign_table():
                 assert not {"bit_count", "bitwise_count"} & _names(node), (path.name, ast.unparse(node)[:60])
 
 
+def test_plain_data_values():
+    # every value class stores its facts as plain attributes: no property hides a private copy,
+    # and the names the frozen PeriodMatrix and the inline radius search replaced stay gone
+    found = []
+    for path in sorted(Path(theta4.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.name) for d in node.decorator_list
+                          if {"property", "cached_property"} & _names(d)]
+        found += [(path.name, name) for name in sorted({"_tau", "_lambda_min", "_radius", "DEFAULT_TARGET_EPS"}
+                                                       & _names(tree))]
+    assert found == []
+
+
 def test_import_loads_no_exact_rational_modules():
     # the exact layer is int8 sign tables and the int64 M of build_m;
     # fractions and decimal would only add to every fresh interpreter's start-up

@@ -476,7 +476,25 @@ class TestSharedSetUp:
         quartic_residuals(tau, points)
         inversion_residuals(tau, points)
         assert tau._theta_memo
-        assert set(vars(tau)) == {"_tau", "_lambda_min", "_theta_memo"}
+        assert set(vars(tau)) == {"tau", "g", "lambda_min", "_theta_memo"}
+        assert [f.name for f in dataclasses.fields(PeriodMatrix)] == ["tau"]
+
+    def test_period_matrix_is_frozen(self):
+        tau = random_tau(2, seed=4)
+        for name in ("tau", "g", "lambda_min"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tau, name, getattr(tau, name))
+        # the values are write-protected too, so the memo cannot go stale
+        with pytest.raises(ValueError, match="read-only"):
+            tau.tau[0, 0] = 1j
+        assert (tau.g, tau.tau.shape) == (2, (2, 2))
+        assert tau.lambda_min == float(np.linalg.eigvalsh(tau.tau.imag).min())
+
+    def test_period_matrix_equality_is_identity(self):
+        tau, same = random_tau(2, seed=4), random_tau(2, seed=4)
+        assert np.array_equal(tau.tau, same.tau)
+        assert tau != same and tau == tau
+        assert len({tau, same, tau}) == 2
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_table_is_one_stacked_batch(self, g, monkeypatch):
