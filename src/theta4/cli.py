@@ -190,9 +190,8 @@ def standard_corpus() -> dict:
     }
 
 
-# the keys each tau source kind reads, besides kind
-_SOURCE_KEYS = {"file": ("path",), "literal": ("re", "im", "g"), "random": ("g", "seed", "floor"),
-                "block": ("blocks",)}
+# the keys each tau source kind reads, besides kind (from_json checks a literal's)
+_SOURCE_KEYS = {"file": ("path",), "random": ("g", "seed", "floor"), "block": ("blocks",)}
 
 
 def _tau_from_source(source, base_dir: Path, files: list[Path]) -> PeriodMatrix:
@@ -209,9 +208,10 @@ def _tau_from_source(source, base_dir: Path, files: list[Path]) -> PeriodMatrix:
     if not isinstance(source, dict):
         raise ValueError(f"tau source must be a path or an object, got {source!r}")
     kind = source.get("kind")
-    if kind not in _SOURCE_KEYS:
-        raise ValueError(f"unknown tau source kind {kind!r}")
-    _check_keys(source, ("kind", *_SOURCE_KEYS[kind]), f"{kind} tau source")
+    if kind != "literal":
+        if kind not in _SOURCE_KEYS:
+            raise ValueError(f"unknown tau source kind {kind!r}")
+        _check_keys(source, ("kind", *_SOURCE_KEYS[kind]), f"{kind} tau source")
     if kind == "file":
         files.append(base_dir / source["path"])
         tau = load_tau_file(files[-1])
@@ -230,19 +230,14 @@ def _tau_from_source(source, base_dir: Path, files: list[Path]) -> PeriodMatrix:
     return tau
 
 
-def _load_corpus(args) -> tuple[dict, Path]:
+def _load_corpus(args) -> tuple[object, Path]:
     if args.standard and args.corpus:
         raise ValueError("run-suite takes --corpus FILE or --standard, not both")
     if args.standard:
         return standard_corpus(), Path(".")
     if not args.corpus:
         raise ValueError("run-suite needs --corpus FILE or --standard")
-    path = Path(args.corpus)
-    corpus = load_json(path, "corpus file")
-    if not (isinstance(corpus, dict) and isinstance(corpus.get("entries", []), list)
-            and isinstance(corpus.get("policies", {}), dict)):
-        raise ValueError("corpus must be an object with an entries array and a policies object")
-    return corpus, path.parent
+    return load_json(args.corpus, "corpus file"), Path(args.corpus).parent
 
 
 def _check_keys(obj: dict, known, where: str) -> None:
@@ -288,9 +283,11 @@ def _run_entry(
     return result, at_scale
 
 
-def run_suite(corpus: dict, base_dir: Path, outputs=()) -> dict:
+def run_suite(corpus, base_dir: Path, outputs=()) -> dict:
     """Execute the corpus and assemble the deterministic run report.
 
+    A corpus that is not an object with an entries array and a policies
+    object raises ValueError, and so does a key run-suite does not read.
     outputs holds the (flag, path or None) of each file the caller may
     write; a path that names a file an entry's tau source reads raises
     ValueError before any entry runs, and so does an expect.verdicts that
@@ -299,6 +296,9 @@ def run_suite(corpus: dict, base_dir: Path, outputs=()) -> dict:
     passed only at term scale; the report must be byte-identical across
     reruns with the same corpus.
     """
+    if not (isinstance(corpus, dict) and isinstance(corpus.get("entries", []), list)
+            and isinstance(corpus.get("policies", {}), dict)):
+        raise ValueError("corpus must be an object with an entries array and a policies object")
     _check_keys(corpus, ("label", "policies", "entries"), "corpus")
     _check_label("corpus label", corpus.get("label", ""))
     policies = {**DEFAULT_POLICIES, **corpus.get("policies", {})}

@@ -987,7 +987,7 @@ class TestRunSuite:
             ({"entries": [GOOD_ENTRY, {"label": "b", "tau": {"kind": "file", "path": "unknown_key_tau.json"}}]},
              "period matrix JSON has unknown key 'gg'; known keys: g, re, im"),
             ({"entries": [{"label": "b", "tau": {"kind": "literal", "re": [[0.0]], "im": [[1.0]], "img": 1}}]},
-             "literal tau source has unknown key 'img'"),
+             "period matrix JSON has unknown key 'img'; known keys: g, re, im"),
             # diagonal is no longer a kind; its products are blocks of 1 x 1 literals
             ({"entries": [{"label": "b", "tau": {"kind": "diagonal", "entries": [], "g": 1}}]},
              "unknown tau source kind 'diagonal'"),
@@ -997,7 +997,7 @@ class TestRunSuite:
              "block tau source has unknown key 'g'"),
             ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [
                 {"kind": "literal", "re": [[0.0]], "im": [[1.0]], "img": 1}]}}]},
-             "literal tau source has unknown key 'img'"),
+             "period matrix JSON has unknown key 'img'; known keys: g, re, im"),
             ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [], "depth": 1}}]},
              "block tau source has unknown key 'depth'"),
             ({"entries": [{"label": "b", "tau": {"kind": "block", "blocks": [{**GOOD_ENTRY["tau"], "flor": 1.0}]}}]},
@@ -1022,6 +1022,40 @@ class TestRunSuite:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, message", TAU_FILE_CASES, ids=[f"fields{i}" for i in range(len(TAU_FILE_CASES))]
+    )
+    @pytest.mark.parametrize("source", ["literal", "literal-in-block", "file"])
+    def test_tau_source_reads_like_tau_file(self, capsys, tmp_path, source, fields, message):
+        # a literal source is a period-matrix object plus kind: PeriodMatrix.from_json alone checks it,
+        # so every source gives the --tau file's message inside the corpus-entry prefix
+        obj = {"g": 1, "re": [[0.0]], "im": [[1.0]], **fields}
+        (tmp_path / "tau.json").write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["nulls", "--tau", str(tmp_path / "tau.json")]) == 2
+        text = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+        assert text.startswith(message)
+        tau = {"literal": {"kind": "literal", **obj}, "literal-in-block": {"kind": "block", "blocks": [
+            {"kind": "literal", **obj}]}, "file": {"kind": "file", "path": "tau.json"}}[source]
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"entries": [{"label": "a", "tau": tau}]}), encoding="utf-8")
+        assert main(["run-suite", "--corpus", str(corpus)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: corpus entry 0 has a malformed tau source: {ValueError(text)!r}\n"
+
+    @pytest.mark.parametrize("corpus", [[1], {"entries": 3}, {"entries": [], "policies": [1]},
+                                        {"policies": "x", "entries": []}],
+                             ids=["array", "entries-number", "policies-array", "policies-string"])
+    def test_malformed_corpus_is_one_value_error(self, capsys, tmp_path, corpus):
+        # run_suite owns the corpus-shape rule: a library caller and the command get the one message
+        message = "corpus must be an object with an entries array and a policies object"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.run_suite(corpus, tmp_path)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert main(["run-suite", "--corpus", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_readme_corpus_passes(self, capsys, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -133,3 +133,20 @@ def test_verdict_cut_offs_are_constants_only():
     assert offenders == []
     assert {"basis_analysis.fourth_power_rank", "theta_eval.PeriodMatrix.from_json", "cli.run_suite"} <= walked
     assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["target_eps"]
+
+
+def test_one_reader_per_corpus_object():
+    # PeriodMatrix.from_json alone lists the period-matrix keys, so no tuple or list in cli
+    # holds both re and im; run_suite alone states the corpus-shape rule
+    cli_tree = ast.parse((Path(theta4.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    key_lists = [ast.unparse(node) for node in ast.walk(cli_tree) if isinstance(node, (ast.Tuple, ast.List))
+                 and {"re", "im"} <= {e.value for e in node.elts if isinstance(e, ast.Constant)}]
+    assert key_lists == []
+    shape = "corpus must be an object with an entries array and a policies object"
+    found = [path.name for path in sorted(Path(theta4.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and node.value == shape]
+    assert found == ["cli.py"]
+    run_suite = next(node for node in ast.walk(cli_tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_suite")
+    assert shape in _names(run_suite)
