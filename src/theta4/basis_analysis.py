@@ -69,11 +69,15 @@ def numerical_rank(matrix) -> int:
     return int(np.count_nonzero(s > SV_THRESHOLD * s[0]))
 
 
-def check_kappa0(kappa0: Characteristic, g: int) -> None:
-    """Reject an odd kappa0 or one whose genus is not g."""
+def check_kappa0(kappa0: Characteristic | None, g: int) -> Characteristic:
+    """The checked kappa0 of a genus-g tau: kappa0=None means the zero characteristic, a
+    default this function alone decides, and an odd kappa0 or a genus not g raises ValueError."""
+    if kappa0 is None:
+        return Characteristic.zero(g)
     if parity(kappa0) != 1:
         raise ValueError(f"kappa0 must be even, got odd {kappa0}")
     check_genus_match("kappa0", kappa0.g, "tau", g)
+    return kappa0
 
 
 def evaluation_matrix(
@@ -159,8 +163,7 @@ def normalized_evaluation_matrix(
     matrix and kappa0 (check_kappa0) are checked before the first lattice sum.
     """
     check_genus(tau.g, MAX_GENUS)
-    kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(tau.g)
-    check_kappa0(kappa0, tau.g)
+    kappa0 = check_kappa0(kappa0, tau.g)
     vanishing = vanishing_nulls(tau, policy)
     if vanishing:
         raise VanishingNullError(vanishing)
@@ -242,8 +245,7 @@ def basis_report(
     g = tau.g
     check_genus(g, MAX_GENUS)
     d = d_plus(g)
-    kappa0 = kappa0 if kappa0 is not None else Characteristic.zero(g)
-    check_kappa0(kappa0, g)
+    kappa0 = check_kappa0(kappa0, g)
     check_integer("seed", seed, 0)
 
     _, vanishing, near = split_nulls(theta_nulls(tau, policy))

@@ -30,7 +30,6 @@ import numpy as np
 from theta4 import __version__
 from theta4.basis_analysis import NULL_THRESHOLD, basis_report, check_kappa0, split_nulls
 from theta4.char2 import (
-    Characteristic,
     check_genus,
     d_plus,
     enumerate_characteristics,
@@ -67,6 +66,7 @@ EXIT_INTERNAL = 4
 INPUT_ERRORS = (ValueError, ArithmeticError)
 
 DEFAULT_POLICIES = {"target_eps": DEFAULT_POLICY.target_eps, "samples": 5, "seed": 0}
+DEFAULT_KAPPA0 = "0,0"  # of --kappa0 and of a corpus entry
 VERDICT_EPS = min(IDENTITY_EPS, NULL_THRESHOLD)  # the finest cut-off a verdict reads
 
 
@@ -79,7 +79,7 @@ def _status(ok: bool, report: dict | None = None) -> str:
 
 def _emit(obj, out: str | None) -> None:
     text = canonical_dumps(obj)
-    if out:
+    if out is not None:
         atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
@@ -115,15 +115,10 @@ def _policy(target_eps, verdict: bool) -> TruncationPolicy:
     return policy
 
 
-def _tau_and_policy(args, verdict: bool) -> tuple[PeriodMatrix, TruncationPolicy]:
-    """The tau of --tau and the policy of --target-eps, for a single-tau command."""
-    return load_tau_file(args.tau), _policy(args.target_eps, verdict)
-
-
 def _cmd_theta(args) -> int:
-    tau, policy = _tau_and_policy(args, verdict=False)
+    tau, policy = load_tau_file(args.tau), _policy(args.target_eps, verdict=False)
     char = parse_char_spec(args.char, tau.g)
-    z = parse_point_spec(args.z) if args.z else np.zeros(tau.g, dtype=complex)
+    z = parse_point_spec(args.z) if args.z is not None else np.zeros(tau.g, dtype=complex)
     result = theta_series(char, z, tau, policy)
     payload = {
         "char": char.to_json(),
@@ -136,7 +131,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_nulls(args) -> int:
-    tau, policy = _tau_and_policy(args, verdict=False)
+    tau, policy = load_tau_file(args.tau), _policy(args.target_eps, verdict=False)
     nulls = theta_nulls(tau, policy)
     top, vanishing, _ = split_nulls(nulls)
     rows = [
@@ -154,7 +149,7 @@ def _cmd_nulls(args) -> int:
 
 
 def _cmd_verify_identity(args, kind: str) -> int:
-    tau, policy = _tau_and_policy(args, verdict=True)
+    tau, policy = load_tau_file(args.tau), _policy(args.target_eps, verdict=True)
     sweep = quartic_residuals if kind == "quartic" else inversion_residuals
     records = sweep(tau, sample_cell_points(tau, args.samples, args.seed), policy)
     _emit({"tau": tau.to_json(), "target_eps": policy.target_eps, "records": records}, args.out)
@@ -165,9 +160,8 @@ def _cmd_verify_identity(args, kind: str) -> int:
 
 
 def _cmd_basis_report(args) -> int:
-    tau, policy = _tau_and_policy(args, verdict=True)
-    kappa0 = parse_char_spec(args.kappa0, tau.g) if args.kappa0 else None
-    report = basis_report(tau, kappa0=kappa0, policy=policy, seed=args.seed)
+    tau, policy = load_tau_file(args.tau), _policy(args.target_eps, verdict=True)
+    report = basis_report(tau, kappa0=parse_char_spec(args.kappa0, tau.g), policy=policy, seed=args.seed)
     _emit(report, args.out)
     return EXIT_CODES[_status(report["consistent"], report)]
 
@@ -231,11 +225,11 @@ def _tau_from_source(source, base_dir: Path, files: list[Path]) -> PeriodMatrix:
 
 
 def _load_corpus(args) -> tuple[object, Path]:
-    if args.standard and args.corpus:
+    if args.standard and args.corpus is not None:
         raise ValueError("run-suite takes --corpus FILE or --standard, not both")
     if args.standard:
         return standard_corpus(), Path(".")
-    if not args.corpus:
+    if args.corpus is None:
         raise ValueError("run-suite needs --corpus FILE or --standard")
     return load_json(args.corpus, "corpus file"), Path(args.corpus).parent
 
@@ -290,11 +284,11 @@ def run_suite(corpus, base_dir: Path, outputs=()) -> dict:
     object raises ValueError, and so does a key run-suite does not read.
     outputs holds the (flag, path or None) of each file the caller may
     write; a path that names a file an entry's tau source reads raises
-    ValueError before any entry runs, and so does an expect.verdicts that
-    is not expect.vanishing_nulls == 0.  Wall-clock timings go to stderr
-    only, one line per entry that also gives how many records of each sweep
-    passed only at term scale; the report must be byte-identical across
-    reruns with the same corpus.
+    ValueError in _check_outputs before any entry runs, and so does an
+    expect.verdicts that is not expect.vanishing_nulls == 0.  Wall-clock
+    timings go to stderr only, one line per entry that also gives how many
+    records of each sweep passed only at term scale; the report must be
+    byte-identical across reruns with the same corpus.
     """
     if not (isinstance(corpus, dict) and isinstance(corpus.get("entries", []), list)
             and isinstance(corpus.get("policies", {}), dict)):
@@ -323,13 +317,9 @@ def run_suite(corpus, base_dir: Path, outputs=()) -> dict:
             tau = _tau_from_source(entry["tau"], base_dir, files)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i} has a malformed tau source: {exc!r}") from exc
-        read = {os.path.realpath(f) for f in files}
-        for flag, path in outputs:
-            if path and os.path.realpath(path) in read:
-                raise ValueError(f"{flag} {path} names the same file as corpus entry {i}'s tau source")
+        _check_outputs(outputs, [(f"corpus entry {i}'s tau source", f) for f in files])
         try:
-            kappa0 = parse_char_spec(entry.get("kappa0", "0,0"), tau.g)
-            check_kappa0(kappa0, tau.g)
+            kappa0 = check_kappa0(parse_char_spec(entry.get("kappa0", DEFAULT_KAPPA0), tau.g), tau.g)
             expect = {"vanishing_nulls": 0, "verdicts": True, **entry.get("expect", {})}
             check_integer("expect.vanishing_nulls", expect["vanishing_nulls"], 0)
         except (TypeError, ValueError) as exc:
@@ -363,21 +353,25 @@ def run_suite(corpus, base_dir: Path, outputs=()) -> dict:
 def _cmd_run_suite(args) -> int:
     corpus, base_dir = _load_corpus(args)
     start = time.perf_counter()
-    report = run_suite(corpus, base_dir, (("--out", args.out), ("--emit-corpus", args.emit_corpus)))
+    report = run_suite(corpus, base_dir, _flags(args, "out", "emit_corpus"))
     print(f"suite rollup: {report['rollup']} ({time.perf_counter() - start:.2f}s)", file=sys.stderr)
-    if args.emit_corpus:
+    if args.emit_corpus is not None:
         _emit(corpus, args.emit_corpus)
     _emit(report, args.out)
     return EXIT_CODES[report["rollup"]]
 
 
-def _check_paths(args) -> None:
-    """Reject an output path that resolves to the command's input or to another of its outputs."""
-    seen = {}
-    for dest in ("tau", "corpus", "out", "emit_corpus"):  # the input first
-        path = getattr(args, dest, None)
-        if path:
-            flag = "--" + dest.replace("_", "-")
+def _flags(args, *dests: str) -> list[tuple[str, str | None]]:
+    """The (flag, value) of each argparse dest; None when absent or not the command's."""
+    return [("--" + dest.replace("_", "-"), getattr(args, dest, None)) for dest in dests]
+
+
+def _check_outputs(outputs, reads) -> None:
+    """Reject an output (flag, path or None) whose path resolves to an earlier
+    output or to a file the command reads, given as a (name, path or None)."""
+    seen = {os.path.realpath(path): name for name, path in reads if path is not None}
+    for flag, path in outputs:
+        if path is not None:
             other = seen.setdefault(os.path.realpath(path), flag)
             if other != flag:
                 raise ValueError(f"{flag} {path} names the same file as {other}")
@@ -424,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda args, kind=kind: _cmd_verify_identity(args, kind))
 
     p = sub.add_parser("basis-report", parents=[lattice, seed], help="rank/basis analysis for one period matrix")
-    p.add_argument("--kappa0", help='even characteristic "a1,a2" (default 0)')
+    p.add_argument("--kappa0", default=DEFAULT_KAPPA0, help='even characteristic "a1,a2" (default 0)')
     p.set_defaults(func=_cmd_basis_report)
 
     p = sub.add_parser("run-suite", parents=[out], help="run a corpus of period matrices end to end")
@@ -439,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_paths(args)
+        _check_outputs(_flags(args, "out", "emit_corpus"), _flags(args, "tau", "corpus"))
         return args.func(args)
     except (*INPUT_ERRORS, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -508,12 +508,14 @@ def two_torsion_point(a: Characteristic, tau: PeriodMatrix) -> np.ndarray:
     z_a = (a2 + tau a1) / 2 with bits lifted to 0/1.  Under this orientation
     the sign a theta function picks up across twice this point is exactly the
     quadratic-form data of the label, which is what the evaluation-matrix
-    normalization and the mu quotient rely on.
+    normalization and the mu quotient rely on.  tau enters as _kernel_tau(tau),
+    which moves z_a by T a1 / 2 in 2Z^g, so no theta[k](2 z_a) changes, and
+    keeps a2 from being rounded away past Re tau 2^53.
     """
     check_genus_match("characteristic", a.g, "tau", tau.g)
     p = np.array(a.a2, dtype=float)
     q = np.array(a.a1, dtype=float)
-    return (p + tau.tau @ q) / 2.0
+    return (p + _kernel_tau(tau) @ q) / 2.0
 
 
 def random_tau(g: int, seed: int, floor: float = 1.0) -> PeriodMatrix:

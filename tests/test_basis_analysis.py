@@ -315,6 +315,30 @@ class TestBasisReport:
             assert key in payload
 
 
+class TestLargeRealPart:
+    """Re tau past 2^53 would round a2 away from z_a = (a2 + tau a1) / 2;
+    two_torsion_point forms it with the kernel's exactly reduced tau."""
+
+    IM = [[1.0817838625075873, -0.24524638590054543], [-0.24524638590054543, 2.0]]
+
+    @pytest.mark.parametrize("re", [[[-1e300, 0], [0, -1e300]], [[954, -1e20], [-1e20, 0]]])
+    def test_report_consistent(self, re):
+        report = basis_report(PeriodMatrix.from_json({"re": re, "im": self.IM}))
+        assert (report["ev_matrix_rank"], report["consistent"]) == (10, True)
+        assert report["m_deviation"] < 1e-13
+
+    def test_shift_by_allowed_re_changes_nothing(self):
+        # -1e300 is in 8Z, so the reduced tau is the one at Re tau 0, bit for bit
+        big = PeriodMatrix.from_json({"re": [[-1e300, 0], [0, -1e300]], "im": self.IM})
+        small = PeriodMatrix.from_json({"re": [[0, 0], [0, 0]], "im": self.IM})
+        assert np.array_equal(evaluation_matrix(big, Characteristic.zero(2)),
+                              evaluation_matrix(small, Characteristic.zero(2)))
+        reports = [{k: v for k, v in basis_report(tau).items() if k != "tau"} for tau in (big, small)]
+        assert reports[0] == reports[1]
+        evens = even_characteristics(2)
+        assert [mu(a, evens[1], evens[2], big) for a in evens] == [mu(a, evens[1], evens[2], small) for a in evens]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -272,6 +272,21 @@ class TestOutputErrors:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("?.json")} == inputs
 
+    @pytest.mark.parametrize("argv", [
+        ["nulls", "--tau", "t.json", "--out", ""],
+        ["run-suite", "--standard", "--out", ""],
+        ["run-suite", "--standard", "--emit-corpus", ""],
+    ], ids=["nulls-out", "suite-out", "suite-emit"])
+    def test_empty_output_path_is_a_failed_write(self, capsys, monkeypatch, tmp_path, argv):
+        # "" is a given path, the working directory, which no report replaces: not stdout
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.json").write_text(json.dumps(random_tau(2, 7).to_json()), encoding="utf-8")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if line.startswith("error:")]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
     def test_interrupted_write_removes_temporary_file(self, tmp_path, monkeypatch):
         class Interrupted:
             """An open temporary file whose write is interrupted."""
@@ -525,6 +540,18 @@ def test_out_of_range_null_threshold_rejected(capsys, diag_ii, no_lattice_sum, c
     # the null cut-off is a constant: no value of the flag is accepted
     assert_unrecognized(capsys, [command, "--tau", diag_ii, "--null-threshold", threshold],
                         f"--null-threshold {threshold}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theta", "--char", "0,0", "--z", ""], "point must have 2 components, got shape (0,)"),
+    (["basis-report", "--kappa0", ""], "characteristic must look like \"a1,a2\", got ''"),
+    (["run-suite", "--standard", "--corpus", ""], "run-suite takes --corpus FILE or --standard, not both"),
+], ids=["theta-z", "basis-report-kappa0", "run-suite-corpus"])
+def test_empty_flag_value_is_read_as_given(capsys, rand_g2, no_lattice_sum, argv, message):
+    # an empty value is not an absent flag: the flag's own rule rejects it before any lattice sum
+    tau = [] if argv[0] == "run-suite" else ["--tau", rand_g2]
+    assert main([*argv, *tau]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,6 +29,13 @@ floors 1 and 0.5, and the Sp-moved tau of test_oracle_modular), 7.3e-15
 (genus 2, random_tau(2, 0..5) at floors 1 and 0.5) and 3.5e-15 (genus 2,
 Sp-moved tau, smallest eigenvalue of Im tau 0.07 and 0.12).  Replacing one
 of the four even characteristics by another even one gives at least 0.92.
+
+At a block product of genus-1 tau (PRODUCTS, genus 2 and 3) an odd theta[a]
+is one odd genus-1 factor times even nulls, so Jacobi's formula on the
+blocks gives its whole gradient at 0 (product_misfit).  Measured worst
+misfit at the scale of the largest component: 5.8e-16; reading one even null
+at the wrong characteristic gives at least 0.25.  Products with genus-2
+blocks (Rosenhain on a block) are not checked here.
 """
 
 import itertools
@@ -38,12 +45,13 @@ import pytest
 
 from test_oracle_modular import WORDS, moved, word
 from theta4.char2 import Characteristic
-from theta4.theta_eval import PeriodMatrix, TruncationPolicy, random_tau, theta_table
+from theta4.theta_eval import PeriodMatrix, TruncationPolicy, block_diagonal_tau, random_tau, theta_table
 
 NODES, RHO = 32, 0.1
 POLICY = TruncationPolicy(target_eps=1e-14)
 BOUND = 1e-12
 RANDOM = [(seed, floor) for floor in (1.0, 0.5) for seed in range(6)]  # random_tau(g, seed, floor)
+PRODUCTS = [(0, 1), (2, 3), (1, 1), (0, 1, 2), (3, 2, 1), (4, 5, 0)]  # the seeds of random_tau(1, s) blocks
 
 # s(o_i, o_k) of Rosenhain's formula, by the pair's "a1,a2" specs
 SIGNS = {
@@ -120,6 +128,35 @@ def rosenhain_misfit(tau: PeriodMatrix, wrong_even: bool = False) -> float:
     return max(abs(SIGNS[p] * r - 1) for p, r in rosenhain_ratios(tau, wrong_even).items())
 
 
+def product_misfit(seeds, wrong_even: bool = False) -> float:
+    """Worst distance of the odd gradients at 0 of the block product of the
+    random_tau(1, s), s in seeds, from Jacobi's formula on the blocks, at the
+    scale of the largest expected component.
+
+    theta[a] is the product of its blocks' theta[a_j]: with one odd factor,
+    at block j, its gradient is Jacobi's theta[1,1]'(0) of block j times the
+    other blocks' even nulls, on axis j alone; with three odd factors it is 0.
+    wrong_even reads the first other block's null at the next even
+    characteristic of that block instead."""
+    blocks = [random_tau(1, s) for s in seeds]
+    block_nulls = [nulls(b) for b in blocks]
+    odds = [c for c in pairs(len(blocks)) if is_odd(c)]
+    expected = np.zeros((len(odds), len(blocks)), dtype=complex)
+    for row, (a1, a2) in zip(expected, odds):
+        factors = [((x,), (y,)) for x, y in zip(a1, a2)]
+        odd = [j for j, f in enumerate(factors) if is_odd(f)]
+        if len(odd) != 1:
+            continue
+        others = [(b, f) for b, f in enumerate(factors) if b != odd[0]]
+        if wrong_even:
+            evens = list(block_nulls[others[0][0]])
+            others[0] = (others[0][0], evens[(evens.index(others[0][1]) + 1) % len(evens)])
+        jacobi = -np.pi * np.prod(list(block_nulls[odd[0]].values()))
+        row[odd[0]] = jacobi * np.prod([block_nulls[b][f] for b, f in others])
+    got = gradients(odds, block_diagonal_tau(blocks))
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
 def moved_tau(g: int, seed: int) -> PeriodMatrix:
     """The Sp(2g, Z)-moved tau of test_oracle_modular for this word."""
     return moved(word(g, seed), random_tau(g, seed=g))[0]
@@ -164,3 +201,13 @@ def test_sign_table_is_the_sign_of_each_ratio():
 @pytest.mark.parametrize("seed", range(6))
 def test_wrong_even_characteristic_fails(seed):
     assert rosenhain_misfit(random_tau(2, seed), wrong_even=True) > 0.5
+
+
+@pytest.mark.parametrize("seeds", PRODUCTS)
+def test_jacobi_block_product(seeds):
+    assert product_misfit(seeds) < BOUND
+
+
+@pytest.mark.parametrize("seeds", PRODUCTS)
+def test_jacobi_block_product_wrong_even_fails(seeds):
+    assert product_misfit(seeds, wrong_even=True) > 0.1

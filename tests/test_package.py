@@ -150,3 +150,34 @@ def test_one_reader_per_corpus_object():
     run_suite = next(node for node in ast.walk(cli_tree)
                      if isinstance(node, ast.FunctionDef) and node.name == "run_suite")
     assert shape in _names(run_suite)
+
+
+STORE_TRUE = {"standard", "verify", "even_only"}  # the flags whose absent value is False
+
+
+def _compares_with_none_only(test: ast.expr) -> bool:
+    """Whether every part of test that reads an argparse attribute (a store_true
+    flag aside) or an out or path value is an `is None` or `is not None` test."""
+    if isinstance(test, ast.BoolOp):
+        return all(map(_compares_with_none_only, test.values))
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _compares_with_none_only(test.operand)
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1 and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(test.comparators[0], ast.Constant) and test.comparators[0].value is None):
+        return True
+    return not any((isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+                    and n.attr not in STORE_TRUE) or (isinstance(n, ast.Name) and n.id in ("out", "path"))
+                   for n in ast.walk(test))
+
+
+def test_cli_states_no_input_rule_twice():
+    # None is the only absent value, so an empty flag value is read as given; one function
+    # holds the output-path rule, and the wrappers it replaced stay gone
+    package = Path(theta4.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    tests = [n.test for n in ast.walk(tree) if isinstance(n, (ast.If, ast.IfExp, ast.While))]
+    tests += [t for n in ast.walk(tree) if isinstance(n, ast.comprehension) for t in n.ifs]
+    assert [ast.unparse(t) for t in tests if not _compares_with_none_only(t)] == []
+    assert sum(p.read_text(encoding="utf-8").count("names the same file as") for p in package.glob("*.py")) == 1
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not {"_check_paths", "_tau_and_policy"} & (defined | _names(tree))
