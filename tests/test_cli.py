@@ -287,6 +287,31 @@ class TestOutputErrors:
         assert len([line for line in captured.err.splitlines() if line.startswith("error:")]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
+    @pytest.mark.parametrize("argv, flag, path", [
+        ("run-suite --standard --out d", "--out", "d"),
+        ("run-suite --standard --out r.json --emit-corpus d", "--emit-corpus", "d"),
+        ("run-suite --standard --emit-corpus link", "--emit-corpus", "link"),
+        ("nulls --tau t.json --out d/", "--out", "d/"),
+        ("basis-report --tau t.json --out .", "--out", "."),
+        ("mmatrix --genus 2 --verify --out d", "--out", "d"),
+    ], ids=["suite-out", "suite-emit", "suite-emit-symlink", "nulls", "basis-report-dot", "mmatrix-verify"])
+    def test_directory_output_refused_before_any_work(self, capsys, monkeypatch, tmp_path, no_lattice_sum,
+                                                      argv, flag, path):
+        # no report can replace a directory: exit 2 on one error: line before any entry,
+        # sweep or sign check runs, so no entry line or rollup reaches stderr
+        def refuse(*args):
+            raise AssertionError("the sign check ran")
+
+        monkeypatch.setattr(cli, "verify_sign_matrix", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "link").symlink_to("d")
+        (tmp_path / "t.json").write_text(json.dumps(random_tau(2, 7).to_json()), encoding="utf-8")
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} {path} names a directory, not a file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "link", "t.json"]
+        assert not any((tmp_path / "d").iterdir())
+
     def test_interrupted_write_removes_temporary_file(self, tmp_path, monkeypatch):
         class Interrupted:
             """An open temporary file whose write is interrupted."""

@@ -37,7 +37,7 @@ def counting(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])  # 5: the mmatrix-g5 workload's genus
 def test_verify_sign_matrix_makes_the_literal_row_sums(g, monkeypatch):
     row_sums = counting(monkeypatch, mmatrix, "row_sum")
     pairings = counting(monkeypatch, mmatrix, "weil_pairing")
