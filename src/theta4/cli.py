@@ -283,9 +283,9 @@ def run_suite(corpus, base_dir: Path, outputs=()) -> dict:
     A corpus that is not an object with an entries array and a policies
     object raises ValueError, and so does a key run-suite does not read.
     outputs holds the (flag, path or None) of each file the caller may
-    write; a path that names a directory or a file an entry's tau source
-    reads raises ValueError in _check_outputs before any entry runs, and so
-    does an expect.verdicts that is not expect.vanishing_nulls == 0.
+    write; a path that names a directory, lies in no existing directory or names
+    a file an entry's tau source reads raises ValueError in _check_outputs before
+    any entry runs, and so does an expect.verdicts that is not expect.vanishing_nulls == 0.
     Wall-clock timings go to stderr only, one line per entry that also gives
     how many records of each sweep passed only at term scale; the report
     must be byte-identical across reruns with the same corpus.
@@ -368,14 +368,16 @@ def _flags(args, *dests: str) -> list[tuple[str, str | None]]:
 
 def _check_outputs(outputs, reads) -> None:
     """Reject an output (flag, path or None) whose path resolves to an existing
-    directory (as "" does, the working directory), to an earlier output or to
-    a file the command reads, given as a (name, path or None)."""
+    directory (as "" does, the working directory) or into no existing directory,
+    to an earlier output or to a file the command reads, given as a (name, path or None)."""
     seen = {os.path.realpath(path): name for name, path in reads if path is not None}
     for flag, path in outputs:
         if path is not None:
             real = os.path.realpath(path)
             if os.path.isdir(real):
                 raise ValueError(f"{flag} {path} names a directory, not a file")
+            if not os.path.isdir(os.path.dirname(real)):
+                raise ValueError(f"{flag} {path} is not in an existing directory")
             other = seen.setdefault(real, flag)
             if other != flag:
                 raise ValueError(f"{flag} {path} names the same file as {other}")

@@ -134,12 +134,21 @@ class PeriodMatrix:
                 f"imaginary part is nearly degenerate (lambda_min = {lam:.3e} < "
                 f"{MIN_IM_EIGENVALUE}); refusing to evaluate"
             )
+        # kernel_tau, the tau the kernel sums with, is tau less the integer symmetric T with diagonal
+        # 8 rint(Re tau_jj / 8) and off-diagonal 4 rint(Re tau_jl / 4): for n in Z^g + a1/2, T_jj n_j^2
+        # and 2 T_jl n_j n_l are even integers, so exp(pi i n'Tn) = 1 and no theta[a](z) changes, and
+        # the kernel's phases never carry the rounding of a large Re tau
+        cut = 4.0 * np.rint(arr.real / 4.0)
+        np.fill_diagonal(cut, 8.0 * np.rint(arr.real.diagonal() / 8.0))
+        kernel = arr - cut
         arr.setflags(write=False)
-        # the symmetrized, write-protected tau, its genus and the smallest eigenvalue of Im tau;
-        # equality and hashing are by identity, so the memo below belongs to this one object
+        kernel.setflags(write=False)
+        # the symmetrized tau, its genus, the smallest eigenvalue of Im tau and kernel_tau, the arrays
+        # write-protected; equality and hashing are by identity, so the memo below belongs to this one object
         object.__setattr__(self, "tau", arr)
         object.__setattr__(self, "g", arr.shape[0])
         object.__setattr__(self, "lambda_min", lam)
+        object.__setattr__(self, "kernel_tau", kernel)
         # (policy.target_eps, z bytes) -> (4^g values by canonical index, radius, tail_bound), by _fill
         object.__setattr__(self, "_theta_memo", {})
 
@@ -277,20 +286,6 @@ def _truncation(
     return w, np.array(radii), np.array(tails)
 
 
-def _kernel_tau(tau: PeriodMatrix) -> np.ndarray:
-    """tau.tau less the integer symmetric T with diagonal 8 rint(Re tau_jj / 8)
-    and off-diagonal 4 rint(Re tau_jl / 4), the tau the kernel sums with.
-
-    For n in Z^g + a1/2, T_jj n_j^2 and 2 T_jl n_j n_l are even integers, so
-    exp(pi i n'Tn) = 1 and every theta[a](z) is unchanged: the shift is
-    exact, and the phases never carry the rounding of a large Re tau.
-    """
-    t = tau.tau
-    cut = 4.0 * np.rint(t.real / 4.0)
-    np.fill_diagonal(cut, 8.0 * np.rint(t.real.diagonal() / 8.0))
-    return t - cut
-
-
 def _quad_table(r: int, tau: PeriodMatrix) -> np.ndarray:
     """Q[k] = exp(pi i k' tau k) over the offsets k in [-r, r]^g.
 
@@ -301,7 +296,7 @@ def _quad_table(r: int, tau: PeriodMatrix) -> np.ndarray:
     centred slice [-s, s]^g of the table at r is bit for bit the table at s.
     """
     g = tau.g
-    t = _kernel_tau(tau)
+    t = tau.kernel_tau
     k = np.arange(-r, r + 1)
     # k along axis j of a g-dimensional array
     axis = [k.reshape((-1,) + (1,) * (g - 1 - j)) for j in range(g)]
@@ -325,7 +320,7 @@ def _theta_groups(
     Each point is summed at z - n, n = rint(Re z), and a row's sum is
     multiplied by (-1)^(a1.n), with the parity of n from np.fmod:
     theta[a](z + n) = (-1)^(a1.n) theta[a](z), so the shift is exact and the
-    phases below never see a large Re z; tau enters as _kernel_tau(tau), so
+    phases below never see a large Re z; tau enters as tau.kernel_tau, so
     they never see a large Re tau either.  A point is 2^g rows, one per top
     half a1, each resolved into all 2^g second halves; a row keeps its
     point's radius r and its own box ceil(c - r) .. floor(c + r) around
@@ -368,7 +363,7 @@ def _theta_groups(
     shift = np.rint(center)
     lo = np.ceil(center - radii[:, None]) - shift
     hi = np.floor(center + radii[:, None]) - shift
-    t = _kernel_tau(tau)
+    t = tau.kernel_tau
     tau_s = shift @ t
     tau_alpha = alpha @ t
     v = points + tau_s
@@ -508,14 +503,14 @@ def two_torsion_point(a: Characteristic, tau: PeriodMatrix) -> np.ndarray:
     z_a = (a2 + tau a1) / 2 with bits lifted to 0/1.  Under this orientation
     the sign a theta function picks up across twice this point is exactly the
     quadratic-form data of the label, which is what the evaluation-matrix
-    normalization and the mu quotient rely on.  tau enters as _kernel_tau(tau),
+    normalization and the mu quotient rely on.  tau enters as tau.kernel_tau,
     which moves z_a by T a1 / 2 in 2Z^g, so no theta[k](2 z_a) changes, and
     keeps a2 from being rounded away past Re tau 2^53.
     """
     check_genus_match("characteristic", a.g, "tau", tau.g)
     p = np.array(a.a2, dtype=float)
     q = np.array(a.a1, dtype=float)
-    return (p + _kernel_tau(tau) @ q) / 2.0
+    return (p + tau.kernel_tau @ q) / 2.0
 
 
 def random_tau(g: int, seed: int, floor: float = 1.0) -> PeriodMatrix:

@@ -312,6 +312,38 @@ class TestOutputErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "link", "t.json"]
         assert not any((tmp_path / "d").iterdir())
 
+    @pytest.mark.parametrize("parent", ["missing", "f"], ids=["missing-parent", "file-parent"])
+    @pytest.mark.parametrize("argv, flag", [
+        ("run-suite --standard --out {}/r.json", "--out"),
+        ("run-suite --standard --out r.json --emit-corpus {}/c.json", "--emit-corpus"),
+        ("nulls --tau t.json --out {}/n.json", "--out"),
+        ("mmatrix --genus 2 --verify --out {}/m.json", "--out"),
+    ], ids=["suite-out", "suite-emit", "nulls", "mmatrix-verify"])
+    def test_output_outside_a_directory_refused_before_any_work(self, capsys, monkeypatch, tmp_path, no_lattice_sum,
+                                                                argv, flag, parent):
+        # no write can succeed where the parent is missing or a regular file: exit 2 on
+        # one error: line before any entry, sweep or sign check runs, and no file is made
+        def refuse(*args):
+            raise AssertionError("the sign check ran")
+
+        monkeypatch.setattr(cli, "verify_sign_matrix", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("", encoding="utf-8")
+        (tmp_path / "t.json").write_text(json.dumps(random_tau(2, 7).to_json()), encoding="utf-8")
+        argv = argv.format(parent).split()
+        path = argv[argv.index(flag) + 1]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} {path} is not in an existing directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "t.json"]
+        assert (tmp_path / "f").read_text(encoding="utf-8") == ""
+
+    def test_output_in_the_working_directory_written(self, capsys, monkeypatch, tmp_path):
+        # a bare file name's parent is the working directory, which exists
+        monkeypatch.chdir(tmp_path)
+        assert main(["mmatrix", "--genus", "2", "--verify", "--out", "r.json"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["ok"] is True
+
     def test_interrupted_write_removes_temporary_file(self, tmp_path, monkeypatch):
         class Interrupted:
             """An open temporary file whose write is interrupted."""

@@ -20,6 +20,15 @@ word in the generators [[I, S], [0, I]] (S symmetric), [[0, -I], [I, 0]] and
 diag(C D'), so that each of three mutations of the law (dropping diag(C D'),
 swapping the halves of M.a, omitting the exponential factor) breaks it.
 
+For the inversion [[0, -I], [I, 0]] alone the root is known in closed form,
+so that generator is checked in value, not only in modulus:
+
+    theta[a1; a2](tau^-1 z, -tau^-1) = sqrt(det(-i tau)) exp(pi i z' tau^-1 z) exp(-pi i a1.a2 / 2) theta[a2; a1](z, tau)
+
+with a1.a2 the integer dot product of the bits and sqrt(det(-i tau)) the
+product of the principal square roots of the eigenvalues of -i tau, whose
+real parts are positive.  Dropping the root exp(-pi i a1.a2 / 2) breaks it.
+
 The same law moves the vanishing even nulls: theta[a](0, tau) = 0 exactly when
 theta[M.a](0, M tau) = 0.  At hyperelliptic tau and at products of blocks many
 nulls vanish, and the words carry each vanishing set onto M tau's.
@@ -130,6 +139,37 @@ def test_transformation_law(g, seed):
 @pytest.mark.parametrize("g, seed", WORDS)
 def test_mutated_law_fails(g, seed, mutation):
     err, _ = law_error(g, seed, **MUTATIONS[mutation])
+    assert err > 1e-3, err
+
+
+def inversion_error(g: int, seed: int, root: bool = True) -> float:
+    """Worst |lhs - rhs| of the inversion law in value over each point's largest |lhs|,
+    for all 4^g characteristics at three cell points of random_tau(g, seed, 0.4)."""
+    tau = random_tau(g, seed, 0.4)
+    inv = np.linalg.inv(tau.tau)
+    points = sample_cell_points(tau, 3, seed)
+    chars = enumerate_characteristics(g)
+    lhs = theta_table(chars, points @ inv.T, PeriodMatrix(-(inv + inv.T) / 2))
+    swapped = [Characteristic(c.a2, c.a1) for c in chars]
+    dots = np.array([np.dot(c.a1, c.a2) for c in chars])
+    factor = np.prod(np.sqrt(np.linalg.eigvals(-1j * tau.tau))) * np.exp(
+        1j * np.pi * np.einsum("pi,ij,pj->p", points, inv, points))
+    roots = np.exp(-0.5j * np.pi * dots) if root else np.ones(len(chars))
+    rhs = roots[:, None] * factor * theta_table(swapped, points, tau)
+    return float((np.abs(lhs - rhs).max(axis=0) / np.abs(lhs).max(axis=0)).max())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_inversion_law_in_value(g, seed):
+    err = inversion_error(g, seed)
+    assert err < 1e-12, err
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_inversion_law_without_its_root_fails(g, seed):
+    err = inversion_error(g, seed, root=False)
     assert err > 1e-3, err
 
 

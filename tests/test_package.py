@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +62,8 @@ def test_one_sign_table():
 
 def test_plain_data_values():
     # every value class stores its facts as plain attributes: no property hides a private copy,
-    # and the names the frozen PeriodMatrix and the inline radius search replaced stay gone
+    # and the names the frozen PeriodMatrix, the inline radius search and kernel_tau replaced stay gone
+    gone = {"_tau", "_lambda_min", "_radius", "_kernel_tau", "DEFAULT_TARGET_EPS"}
     found = []
     for path in sorted(Path(theta4.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -69,9 +71,23 @@ def test_plain_data_values():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [(path.name, node.name) for d in node.decorator_list
                           if {"property", "cached_property"} & _names(d)]
-        found += [(path.name, name) for name in sorted({"_tau", "_lambda_min", "_radius", "DEFAULT_TARGET_EPS"}
-                                                       & _names(tree))]
+                if node.name in gone:
+                    found.append((path.name, node.name))
+        found += [(path.name, name) for name in sorted(gone & _names(tree))]
     assert found == []
+
+
+def _unresolved(text: str) -> list[str]:
+    """Each backticked module.name in text, module one of MODULES, that its theta4 module lacks."""
+    cited = set(re.findall(rf"`({'|'.join(MODULES)})\.(\w+)`", text))
+    return sorted(f"{module}.{name}" for module, name in cited
+                  if not hasattr(importlib.import_module(f"theta4.{module}"), name))
+
+
+def test_readme_code_names_resolve():
+    # the README cites code by module.name; a rename or removal must take the citation with it
+    assert _unresolved((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")) == []
+    assert _unresolved("`theta_eval._kernel_tau` and `cli._check_outputs`") == ["theta_eval._kernel_tau"]
 
 
 def test_import_loads_no_exact_rational_modules():

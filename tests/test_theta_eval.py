@@ -476,17 +476,18 @@ class TestSharedSetUp:
         quartic_residuals(tau, points)
         inversion_residuals(tau, points)
         assert tau._theta_memo
-        assert set(vars(tau)) == {"tau", "g", "lambda_min", "_theta_memo"}
+        assert set(vars(tau)) == {"tau", "g", "lambda_min", "kernel_tau", "_theta_memo"}
         assert [f.name for f in dataclasses.fields(PeriodMatrix)] == ["tau"]
 
     def test_period_matrix_is_frozen(self):
         tau = random_tau(2, seed=4)
-        for name in ("tau", "g", "lambda_min"):
+        for name in ("tau", "g", "lambda_min", "kernel_tau"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(tau, name, getattr(tau, name))
         # the values are write-protected too, so the memo cannot go stale
-        with pytest.raises(ValueError, match="read-only"):
-            tau.tau[0, 0] = 1j
+        for array in (tau.tau, tau.kernel_tau):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1j
         assert (tau.g, tau.tau.shape) == (2, (2, 2))
         assert tau.lambda_min == float(np.linalg.eigvalsh(tau.tau.imag).min())
 
@@ -734,6 +735,23 @@ class TestLargeRealPart:
         unshifted = PeriodMatrix(shifted - t)
         points = sample_cell_points(unshifted, 3, seed)
         self.assert_same_values(PeriodMatrix(shifted), unshifted, points)
+
+    @pytest.mark.parametrize("tau", [
+        PeriodMatrix([[1e15 + 1j]]),
+        PeriodMatrix([[236139583 + 1j]]),
+        PeriodMatrix([[-1e300 + 1.0817838625075873j, -0.24524638590054543j],
+                      [-0.24524638590054543j, -1e300 + 2j]]),
+        PeriodMatrix([[954 + 1.0817838625075873j, -1e20 - 0.24524638590054543j],
+                      [-1e20 - 0.24524638590054543j, 2j]]),
+    ], ids=["1e15", "236139583", "g2-1e300", "g2-1e20"])
+    def test_kernel_tau_is_an_allowed_shift(self, tau):
+        # tau - kernel_tau is an integer T with diagonal in 8Z and off-diagonal in 4Z,
+        # and it leaves Re kernel_tau within 4 on the diagonal and 2 off it
+        cut = tau.tau - tau.kernel_tau
+        assert not cut.imag.any() and np.array_equal(cut.real, np.rint(cut.real))
+        on = np.eye(tau.g, dtype=bool)
+        assert not (cut.real[on] % 8).any() and not (cut.real[~on] % 4).any()
+        assert np.all(np.abs(tau.kernel_tau.real[on]) <= 4) and np.all(np.abs(tau.kernel_tau.real[~on]) <= 2)
 
     @pytest.mark.parametrize("re", [1e15, 236139583.0])
     def test_identity_sweeps_pass(self, re):
